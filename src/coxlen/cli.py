@@ -2,7 +2,8 @@
 
 Every command reads its inputs, runs one module operation, and writes a
 deterministic report (JSON or CSV) to --output or stdout.  Exit codes:
-0 success, 1 domain/input errors, 2 resource caps.
+0 success, 1 domain/input errors, 2 resource caps, 3 a failed certificate
+check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from . import __version__
 from .coxeter import (INF, classify_group, gram_matrix,
                       minimal_nonaffine_subsets, order_text, parse_any)
-from .errors import CoxlenError, InputError, ResourceCapError
+from .errors import (CertificateError, CoxlenError, InputError,
+                     ResourceCapError)
 from .filling import (boundary_circle_length, build_triangle_model,
                       congruence_search, two_pi_certificate)
 from .quasimorphism import build_certificate, certify_lower_bound, reduce_word
@@ -23,7 +25,7 @@ from .reflen import (ReflenProtocol, affine_bound_experiment, growth_profile,
                      reflen_ball, reflen_element)
 from .reports import (csv_report, format_interval, format_rational,
                       json_report, write_report)
-from .tits import gram_signature
+from .tits import canonical_key, gram_signature
 from .warp import grid_checks, warp_profile
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -98,7 +100,7 @@ def cmd_subgroups(args):
 
 
 def _result_row(res):
-    digest = hashlib.sha256(res.element.key).hexdigest()[:16]
+    digest = hashlib.sha256(canonical_key(res.element)).hexdigest()[:16]
     return (digest, res.len_s,
             res.upper if res.upper is not None else None,
             res.lower, res.status)
@@ -121,7 +123,8 @@ def cmd_reflen(args):
             "depth_used": res.depth_used,
         }
         return json_report(report, config), 0
-    ball = reflen_ball(cm, args.L, args.D, threads=args.threads)
+    ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap,
+                       threads=args.threads)
     rows = [( _result_row(res)) for res in ball.results.values()]
     rows = [("%s" % r[0], r[1], "inf" if r[2] is None else r[2], r[3], r[4]) for r in rows]
     data = csv_report("key,len_S,upper,lower,status", rows, config)
@@ -226,7 +229,9 @@ def cmd_filling(args):
 def cmd_warp(args):
     profile = warp_profile(args.L, args.rT, args.grid)
     pos, inc, conv = grid_checks(profile)
-    assert pos and inc and conv
+    if not (pos and inc and conv):
+        raise CertificateError("warp profile fails its grid checks: f > 0 %s, "
+                               "f' > 0 %s, f'' >= 0 %s" % (pos, inc, conv))
     rows = [(float(r), float(f), float(fp), float(fpp))
             for r, f, fp, fpp in zip(profile.grid, profile.f,
                                      profile.fp, profile.fpp)]
@@ -320,6 +325,9 @@ def main(argv=None):
     except ResourceCapError as e:
         print("resource cap: %s" % e, file=sys.stderr)
         return 2
+    except CertificateError as e:
+        print("certificate check failed: %s" % e, file=sys.stderr)
+        return 3
     except CoxlenError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: InputError and DomainError are user/domain
-problems (exit 1); ResourceCapError means a configured cap was hit (exit 2).
+problems (exit 1); ResourceCapError means a configured cap was hit (exit 2);
+CertificateError means a check behind an exact result failed, which is a bug
+in the package, not in the input (exit 3).
 """
 
 
@@ -23,6 +25,12 @@ class ResourceCapError(CoxlenError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class CertificateError(CoxlenError):
+    """A certificate check failed: a re-multiplied witness, a proven bound or
+    an exactness invariant did not hold.  Raised explicitly, so the checks
+    still run under `python -O`."""
 
 
 class UnsupportedParametersError(DomainError):

@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CertificateError
+
 
 def _int_dickson(k):
     """Integer coefficient list (low->high) of D_k with D_k(2cos a)=2cos(ka)."""
@@ -133,6 +135,9 @@ class RealCyclotomicField:
                 cur = [c - top * m for c, m in zip(cur, self.minpoly[:-1])]
             red.append(tuple(cur))
         self._reduction = tuple(red)
+        # the nonzero (power, coefficient) terms of each reduction row
+        self._reduction_terms = tuple(
+            tuple((i, c) for i, c in enumerate(row) if c) for row in red)
         self._theta_float = 2.0 * math.cos(math.pi / N)
         self._isolate_theta()
         self.zero = self.scalar((0,) * d, 1)
@@ -154,19 +159,21 @@ class RealCyclotomicField:
         hi = Fraction(2)
         lo = Fraction(round((self._theta_float - 0.05) * 10**6), 10**6)
         mp = self.minpoly
-        assert _poly_eval_frac(mp, hi) > 0
-        # walk lo upward until the sign is negative (theta is the largest root,
-        # so a point between theta and its nearest conjugate evaluates < 0)
+        if _poly_eval_frac(mp, hi) <= 0:
+            raise CertificateError("minimal polynomial for N=%d is not positive at 2"
+                                   % self.N)
+        chain = _sturm_chain(mp)
+        v_hi = _sign_variations(chain, hi)
+        # walk lo upward until (lo, hi] holds exactly one root, which is then
+        # theta (the largest root); such a point has p(lo) < 0, so only those
+        # points pay for the Sturm count
         for _ in range(64):
-            if _poly_eval_frac(mp, lo) < 0:
+            if (_poly_eval_frac(mp, lo) < 0
+                    and _sign_variations(chain, lo) - v_hi == 1):
                 break
             lo = (lo + Fraction(round(self._theta_float * 10**9), 10**9)) / 2
         else:
-            raise AssertionError("failed to isolate theta for N=%d" % self.N)
-        chain = _sturm_chain(mp)
-        assert _sign_variations(chain, lo) - _sign_variations(chain, hi) == 1, (
-            "interval (%s, %s) does not isolate exactly one root" % (lo, hi)
-        )
+            raise CertificateError("failed to isolate theta for N=%d" % self.N)
         self._lo, self._hi = lo, hi
 
     def refine_theta(self, width: Fraction):
@@ -222,7 +229,7 @@ class RealCyclotomicField:
         if not any(num):
             return 0
         if self.degree == 1:
-            v = _poly_eval_frac([Fraction(c) for c in num], self._lo)
+            v = _poly_eval_frac(num, self._lo)
             return 1 if v > 0 else (-1 if v < 0 else 0)
         while True:
             vals = self._interval_eval(num)

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterMatrix, Kind, classify_group
-from .errors import DomainError, ResourceCapError
-from .tits import (GroupElement, TitsGroup, enumerate_reflections,
-                   fixed_space_codim)
+from .errors import CertificateError, DomainError, ResourceCapError
+from .tits import (GroupElement, TitsGroup, canonical_key,
+                   enumerate_reflections, fixed_space_codim)
 
 _GROUP_CACHE = {}
 
@@ -62,13 +62,22 @@ class ReflLenResult:
 
     def __post_init__(self):
         if self.upper is not None:
-            assert self.lower <= self.upper, "lower bound exceeds upper bound"
-            assert self.upper % 2 == self.len_s % 2, "parity violation"
-            assert (self.status == "Exact") == (self.lower == self.upper)
+            _require(self.lower <= self.upper, "lower bound exceeds upper bound")
+            _require(self.upper % 2 == self.len_s % 2, "parity violation")
+            _require((self.status == "Exact") == (self.lower == self.upper),
+                     "status %s with bounds %d..%d" % (self.status, self.lower,
+                                                       self.upper))
             if self.witness is not None:
-                assert len(self.witness) == self.upper
+                _require(len(self.witness) == self.upper,
+                         "witness length differs from the upper bound")
         else:
-            assert self.status == "Bracketed"
+            _require(self.status == "Bracketed",
+                     "no upper bound but status %s" % self.status)
+
+
+def _require(ok, message):
+    if not ok:
+        raise CertificateError(message)
 
 
 @dataclass
@@ -99,15 +108,15 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     """The l(w) reflections inverting w, from prefixes of a reduced word."""
     out = []
     seen = set()
-    prefix = group.identity
-    for j, s in enumerate(reduced_word):
-        nxt = prefix * group.generators[s]
-        back = group.element(tuple(reversed(reduced_word[:j])))
-        t = nxt * back
-        assert t.key not in seen, "inversions of a reduced word must be distinct"
+    prefix = back = group.identity
+    for s in reduced_word:
+        gen = group.generators[s]
+        prefix = prefix * gen           # s_0 ... s_j
+        t = prefix * back               # s_0 ... s_j s_(j-1) ... s_0
+        _require(t.key not in seen, "inversions of a reduced word must be distinct")
         seen.add(t.key)
         out.append(t)
-        prefix = nxt
+        back = gen * back               # s_j ... s_0
     return out
 
 
@@ -127,8 +136,13 @@ def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
     """
     if g.is_identity():
         return 0, ()
-    layers = {1: {t.key: (i,) for i, t in enumerate(factors)}}
-    elems = {1: {t.key: t for t in factors}}
+    # the products' words are never read, so the layers carry none
+    factors = [GroupElement(t.gram, t.packed) for t in factors]
+    # layer k: key -> (factor index tuple, element, key of its prefix in k-1)
+    layers = {1: {t.key: ((i,), t, None) for i, t in enumerate(factors)}}
+    # inverses of layer elements, built on first probe: every factor is an
+    # involution, so (x t)^-1 = t x^-1
+    inverses = {1: {t.key: t for t in factors}}
     stored = len(factors)
 
     def extend(k):
@@ -136,19 +150,26 @@ def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
         if k in layers:
             return
         extend(k - 1)
-        new_l, new_e = {}, {}
-        for key, wit in layers[k - 1].items():
-            x = elems[k - 1][key]
+        new = {}
+        for key, (wit, x, _) in layers[k - 1].items():
             for i, t in enumerate(factors):
                 y = x * t
-                if y.key not in new_l:
-                    new_l[y.key] = wit + (i,)
-                    new_e[y.key] = y
+                y_key = y.key
+                if y_key not in new:
+                    new[y_key] = (wit + (i,), y, key)
                     stored += 1
                     if stored > cap:
                         raise _CapExceeded
-        layers[k] = new_l
-        elems[k] = new_e
+        layers[k] = new
+        inverses[k] = {}
+
+    def inverse(k, key):
+        inv = inverses[k].get(key)
+        if inv is None:
+            wit, _, parent = layers[k][key]
+            inv = factors[wit[-1]] * inverse(k - 1, parent)
+            inverses[k][key] = inv
+        return inv
 
     n = 1 if n_max % 2 else 2
     while n <= n_max:
@@ -157,37 +178,37 @@ def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
         extend(max(a, 1))
         extend(b)
         if a == 0:
-            wit = layers[b].get(g.key)
-            if wit is not None:
-                return n, wit
+            hit = layers[b].get(g.key)
+            if hit is not None:
+                return n, hit[0]
         else:
-            for key, wit_a in layers[a].items():
-                x_inv = _product(group, [factors[i] for i in reversed(wit_a)])
-                rest = x_inv * g
-                wit_b = layers[b].get(rest.key)
-                if wit_b is not None:
-                    return n, wit_a + wit_b
+            for key, (wit_a, _, _) in layers[a].items():
+                hit = layers[b].get((inverse(a, key) * g).key)
+                if hit is not None:
+                    return n, wit_a + hit[0]
         n += 2
     return None
 
 
-def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=2_000_000):
+def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=2_000_000,
+                            reduced_word=None):
     """(value, witness reflection elements) or None if the cap is hit.
 
-    Searches products of inversions of g.  Termination within l_S(g) factors
+    Searches products of inversions of g, read off `reduced_word` (a reduced
+    word for g, computed when not given).  Termination within l_S(g) factors
     is guaranteed by Dyer's theorem; exceeding l_S(g) would falsify it and
     raises instead of returning a wrong value.
     """
     if g.is_identity():
         return 0, ()
-    rw = group.reduced_word(g)
+    rw = group.reduced_word(g) if reduced_word is None else tuple(reduced_word)
     invs = inversion_reflections(group, rw)
     try:
         hit = min_product_length(group, g, invs, len(rw), cap)
     except _CapExceeded:
         return None
     if hit is None:
-        raise AssertionError(
+        raise CertificateError(
             "no inversion factorization within l_S; this contradicts the "
             "minimal-length theorem and indicates a bug")
     value, indices = hit
@@ -204,7 +225,7 @@ def _product(group, elements):
 def _witness(group, invs, indices, g):
     parts = [invs[i] for i in indices]
     check = _product(group, parts)
-    assert check.key == g.key, "witness product must equal the element"
+    _require(check.key == g.key, "witness product must equal the element")
     return len(indices), tuple(parts)
 
 
@@ -226,9 +247,8 @@ def reflection_distances(group: TitsGroup, reflections, targets, level_cap,
     while frontier and remaining and level < level_cap:
         level += 1
         new_frontier = {}
-        for key in sorted(frontier):
-            x = frontier[key]
-            base_wit = dist[key][1]
+        for x in sorted(frontier.values(), key=canonical_key):
+            base_wit = dist[x.key][1]
             for i, r in enumerate(reflections):
                 y = x * r.element
                 if y.key in dist or y.key in new_frontier:
@@ -249,8 +269,7 @@ def standard_ball(group: TitsGroup, L: int, node_cap=5_000_000):
     frontier = {group.identity.key: group.identity}
     for level in range(1, L + 1):
         new_frontier = {}
-        for key in sorted(frontier):
-            x = frontier[key]
+        for x in sorted(frontier.values(), key=canonical_key):
             for s, gen in enumerate(group.generators):
                 y = x * gen
                 if y.key in out or y.key in new_frontier:
@@ -319,7 +338,8 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     protocol = protocol or ReflenProtocol()
     group = get_group(cm)
     g = group.element(tuple(word))
-    len_s = group.length(g)
+    reduced = group.reduced_word(g)
+    len_s = len(reduced)
     codim = fixed_space_codim(g)
     cert_bounds = []
     sources = ["parity", "fixed-space"]
@@ -331,10 +351,11 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     lower = combine_lower(len_s, parity_lower(len_s), codim, *cert_bounds)
 
     if protocol.use_exact_solver:
-        solved = exact_reflection_length(group, g, cap=protocol.solver_cap)
+        solved = exact_reflection_length(group, g, cap=protocol.solver_cap,
+                                         reduced_word=reduced)
         if solved is not None:
             value, parts = solved
-            assert value >= lower, "exact value below a certified lower bound"
+            _require(value >= lower, "exact value below a certified lower bound")
             witness = tuple(p.word for p in parts)
             return ReflLenResult(g, value, value, "Exact", witness, None, len_s,
                                  tuple(sources) + ("inversion-complete",))
@@ -357,7 +378,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
         if hit is not None:
             new_upper = hit[0]
             if upper is not None:
-                assert new_upper <= upper, "l_R^(D) must be non-increasing in D"
+                _require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
             if upper is not None and new_upper == upper:
                 stable += 1
             else:
@@ -401,8 +422,9 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
                             protocol: ReflenProtocol = None) -> AffineBoundRecord:
     """Maximum exact reflection length over the ball of radius L.
 
-    Requires every component Euclidean; asserts the 2n ceiling on every
-    element (a violation would falsify the experiment, not flag it).
+    Requires every component Euclidean; checks the 2n ceiling on every
+    element (a violation would falsify the experiment, not flag it) and
+    raises CertificateError when it fails.
     """
     protocol = protocol or ReflenProtocol()
     verdict = classify_group(cm)
@@ -419,9 +441,9 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
             continue
         value, _ = solved
         exact_seen += 1
-        assert value <= 2 * n, (
-            "element of reflection length %d exceeds the affine maximum %d"
-            % (value, 2 * n))
+        _require(value <= 2 * n,
+                 "element of reflection length %d exceeds the affine maximum %d"
+                 % (value, 2 * n))
         counts[value] = counts.get(value, 0) + 1
     if not exact_seen:
         raise DomainError("no exact values obtained at L=%d" % L)

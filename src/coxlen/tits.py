@@ -1,33 +1,67 @@
 """The geometric (Tits) representation: exact matrices, keys, reflections.
 
-Group elements are rank x rank matrices over the real cyclotomic field,
-compared and hashed through a canonical byte key, so matrix equality is the
-word problem.  Generator matrices have entries in Z[theta] (the minimal
-polynomial is monic), which keeps products integral and fast.
+Group elements are rank x rank matrices over the real cyclotomic field
+Q(theta), theta = 2cos(pi/N).  Generator matrices and the reflections built
+by `reflection_from_root` have entries in Z[theta] (the minimal polynomial is
+monic), so every product stays integral, and an element is stored packed:
+one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
+each entry in row-major order.  Multiplication works on those ints directly,
+accumulating each entry's convolution over the inner index and reducing it
+once modulo the minimal polynomial; a non-integral entry raises
+CertificateError instead of being packed.
+
+* `GroupElement.key` is the packed int tuple itself: equal keys mean equal
+  matrices, so key equality is the word problem.
+* `GroupElement.matrix` is a read-only view of the same matrix as rows of
+  `ExactScalar`, built lazily for the exact linear algebra
+  (`fixed_space_codim`, `enumerate_reflections`).
+* `canonical_key(g)` is the canonical byte serialization of the normalized
+  entries; it orders frontiers deterministically and names elements in
+  reports (the CSV key digest), independently of the packing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
-from .errors import DomainError
+from .errors import CertificateError, DomainError
+from .exactfield import ExactScalar
 from .parallel import parallel_map
 
 
-def _mat_mul(A, B):
-    n = len(A)
+def _mat_mul(A, B, n, field):
+    """Product of two packed rank-n matrices over Z[theta]."""
+    d = field.degree
+    if d == 1:
+        rows = [A[r:r + n] for r in range(0, n * n, n)]
+        cols = [B[j::n] for j in range(n)]
+        return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
+    # nonzero (power, coefficient) terms of every entry
+    a_terms = [[(p, c) for p, c in enumerate(A[t:t + d]) if c]
+               for t in range(0, n * n * d, d)]
+    b_terms = [[(p, c) for p, c in enumerate(B[t:t + d]) if c]
+               for t in range(0, n * n * d, d)]
+    reduction = field._reduction_terms
+    width = 2 * d - 1
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
+    for r in range(0, n * n, n):
+        a_row = a_terms[r:r + n]
         for j in range(n):
-            acc = Ai[0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + Ai[k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+            conv = [0] * width
+            for a, b in zip(a_row, b_terms[j::n]):
+                if a:
+                    for q, y in b:
+                        for p, x in a:
+                            conv[p + q] += x * y
+            for top, terms in zip(conv[d:], reduction):
+                if top:
+                    for i, c in terms:
+                        conv[i] += top * c
+            out += conv[:d]
     return tuple(out)
 
 
@@ -39,59 +73,75 @@ def _mat_vec(A, v):
     )
 
 
-def _identity(field, n):
-    one, zero = field.one, field.zero
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+@lru_cache(maxsize=None)
+def _identity(n, d):
+    """The packed identity matrix."""
+    one = (1,) + (0,) * (d - 1)
+    zero = (0,) * d
+    return tuple(c for i in range(n) for j in range(n)
+                 for c in (one if i == j else zero))
 
 
-def matrix_key(matrix):
-    """Canonical byte key: normalized coefficient vectors, serialized."""
-    return repr(tuple(tuple((e.num, e.den) for e in row) for row in matrix)).encode()
+def _entry_rows(packed, n, d):
+    """The packed matrix as rows of per-entry coefficient tuples."""
+    return [[packed[t:t + d] for t in range(r, r + n * d, d)]
+            for r in range(0, n * n * d, n * d)]
+
+
+def _pack(matrix):
+    """Flat int tuple of a matrix of ExactScalar entries in Z[theta]."""
+    out = []
+    for row in matrix:
+        for e in row:
+            if e.den != 1:
+                raise CertificateError(
+                    "Tits matrix entry %r is not in Z[theta]" % (e,))
+            out += e.num
+    return tuple(out)
 
 
 class GroupElement:
-    """An element of W as an exact matrix, with an optional defining word."""
+    """An element of W as a packed exact matrix, with an optional defining word."""
 
-    __slots__ = ("gram", "matrix", "word", "_key")
+    __slots__ = ("gram", "packed", "word", "_matrix")
 
-    def __init__(self, gram, matrix, word=None):
+    def __init__(self, gram, packed, word=None):
         self.gram = gram
-        self.matrix = matrix
+        self.packed = packed
         self.word = word
-        self._key = None
+        self._matrix = None
 
     @property
     def key(self):
-        if self._key is None:
-            self._key = matrix_key(self.matrix)
-        return self._key
+        return self.packed
+
+    @property
+    def matrix(self):
+        """The matrix as rows of ExactScalar (a view built on first use)."""
+        if self._matrix is None:
+            field = self.gram.field
+            rows = _entry_rows(self.packed, self.gram.cm.rank, field.degree)
+            self._matrix = tuple(tuple(ExactScalar(field, c, 1) for c in row)
+                                 for row in rows)
+        return self._matrix
 
     def __mul__(self, other):
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
-        return GroupElement(self.gram, _mat_mul(self.matrix, other.matrix), word)
+        gram = self.gram
+        return GroupElement(gram, _mat_mul(self.packed, other.packed,
+                                           gram.cm.rank, gram.field), word)
 
     def inverse(self):
         if self.word is not None:
             # generators are involutions, so the reversed word inverts
-            inv = GroupElement(self.gram, None, tuple(reversed(self.word)))
-            inv.matrix = _mat_mul_word(self.gram, inv.word)
-            return inv
+            gens = [tits_generator(self.gram, s) for s in range(self.gram.cm.rank)]
+            return evaluate_word(gens, tuple(reversed(self.word)))
         raise ValueError("cannot invert an element without a word")
 
     def is_identity(self):
-        field = self.gram.field
-        n = self.gram.cm.rank
-        for i in range(n):
-            for j in range(n):
-                e = self.matrix[i][j]
-                if i == j:
-                    if e != field.one:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return self.packed == _identity(self.gram.cm.rank, self.gram.field.degree)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.key == other.key
@@ -101,14 +151,6 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(word=%r)" % (self.word,)
-
-
-def _mat_mul_word(gram, word):
-    gens = [tits_generator(gram, s).matrix for s in range(gram.cm.rank)]
-    M = _identity(gram.field, gram.cm.rank)
-    for s in word:
-        M = _mat_mul(M, gens[s])
-    return M
 
 
 def tits_generator(gram: GramMatrix, s: int) -> GroupElement:
@@ -126,7 +168,7 @@ def tits_generator(gram: GramMatrix, s: int) -> GroupElement:
                 delta = field.one if j == s else field.zero
                 row.append(delta - two_b)
             rows.append(tuple(row))
-    return GroupElement(gram, tuple(rows), (s,))
+    return GroupElement(gram, _pack(rows), (s,))
 
 
 class TitsGroup:
@@ -137,7 +179,7 @@ class TitsGroup:
         self.gram = gram_matrix(cm)
         self.field = self.gram.field
         self.generators = tuple(tits_generator(self.gram, s) for s in range(cm.rank))
-        self.identity = GroupElement(self.gram, _identity(self.field, cm.rank), ())
+        self.identity = GroupElement(self.gram, _identity(cm.rank, self.field.degree), ())
 
     def element(self, word) -> GroupElement:
         return evaluate_word(self.generators, word, identity=self.identity)
@@ -146,35 +188,33 @@ class TitsGroup:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.cm.rank))
 
-    def root_is_negative(self, v):
-        for x in v:
-            s = x.sign()
-            if s:
-                return s < 0
+    def _is_descent(self, g: GroupElement, s):
+        """Whether column s of g's matrix is a negative root, i.e. its first
+        nonzero entry is negative."""
+        n, d = self.cm.rank, self.field.degree
+        p = g.packed
+        for t in range(s * d, n * n * d, n * d):
+            sign = self.field.sign_of(p[t:t + d], 1)
+            if sign:
+                return sign < 0
         raise ValueError("zero vector is not a root")
 
     def right_descents(self, g: GroupElement):
         """Generators s with l(gs) < l(g): column s of the matrix is a negative root."""
-        out = []
-        n = self.cm.rank
-        for s in range(n):
-            col = tuple(g.matrix[i][s] for i in range(n))
-            if self.root_is_negative(col):
-                out.append(s)
-        return out
+        return [s for s in range(self.cm.rank) if self._is_descent(g, s)]
 
     def reduced_word(self, g: GroupElement):
         """A reduced word for g (deterministic: smallest descent first)."""
         out = []
         cur = g
         while True:
-            ds = self.right_descents(cur)
-            if not ds:
+            s = next((s for s in range(self.cm.rank) if self._is_descent(cur, s)), None)
+            if s is None:
                 break
-            s = ds[0]
             cur = cur * self.generators[s]
             out.append(s)
-        assert cur.is_identity(), "descent recursion must end at the identity"
+        if not cur.is_identity():
+            raise CertificateError("descent recursion did not end at the identity")
         return tuple(reversed(out))
 
     def length(self, g: GroupElement) -> int:
@@ -184,8 +224,8 @@ class TitsGroup:
 def evaluate_word(gens, word, identity=None) -> GroupElement:
     """Exact product of generator matrices; the empty word is the identity."""
     if identity is None:
-        g0 = gens[0]
-        identity = GroupElement(g0.gram, _identity(g0.gram.field, g0.gram.cm.rank), ())
+        gram = gens[0].gram
+        identity = GroupElement(gram, _identity(gram.cm.rank, gram.field.degree), ())
     out = identity
     for s in word:
         if not 0 <= s < len(gens):
@@ -195,7 +235,10 @@ def evaluate_word(gens, word, identity=None) -> GroupElement:
 
 
 def canonical_key(g: GroupElement) -> bytes:
-    return g.key
+    """Canonical bytes of g's matrix: `repr` of its rows of (num, den)
+    entries, every denominator being 1."""
+    rows = _entry_rows(g.packed, g.gram.cm.rank, g.gram.field.degree)
+    return repr(tuple(tuple((c, 1) for c in row) for row in rows)).encode()
 
 
 @dataclass(frozen=True)
@@ -282,7 +325,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int, threads: int = 1):
         core = word  # word = u-word ending in the base simple reflection
         u_part, base = core[:-1], core[-1]
         refl_word = u_part + (base,) + tuple(reversed(u_part))
-        elt = GroupElement(gram, reflection_from_root(gram, v), refl_word)
+        elt = GroupElement(gram, _pack(reflection_from_root(gram, v)), refl_word)
         out.append(Reflection(elt, v, depth, refl_word))
     out.sort(key=lambda r: (r.depth, _root_key(r.root)))
     return out

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from coxlen.cli import main
+from coxlen.errors import CertificateError
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -147,3 +149,43 @@ def test_thread_count_does_not_change_output(tmp_path):
         _, single = run_cli(cfg + ["--threads", "1"], tmp_path, "s")
         _, multi = run_cli(cfg + ["--threads", "3"], tmp_path, "m")
         assert single == multi, cfg
+
+
+def test_reflen_ball_csv_bytes_are_pinned(tmp_path):
+    # sha256 of the whole report, recorded before elements were packed: the
+    # key column digests canonical_key bytes, and the rows keep their order
+    pinned = {
+        ("rank 3; m12=3 m13=3 m23=4", "4"):
+            "66873c32dba707405e538a5c31556d46fd62660c15d4fc5d79b5fb0f4a21b9dd",
+        ("rank 3; m12=3 m23=5", "3"):
+            "f16a2aab27ecfa90c4fca9638c01cf355aa8f12d53551f9dd6b43f40c44a3a77",
+    }
+    for (text, L), digest in pinned.items():
+        code, data = run_cli(["reflen", "--inline", text, "-L", L, "-D", "2"], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(data).hexdigest() == digest, text
+
+
+def test_classify_with_a_wide_conductor(tmp_path):
+    code, data = run_cli(["classify", "--inline", "rank 2; m12=71"], tmp_path)
+    assert code == 0
+    assert json.loads(data)["report"]["kind"] == "Spherical"
+
+
+def test_reflen_ball_honours_node_cap(tmp_path):
+    code, _ = run_cli(["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4",
+                       "-L", "5", "-D", "4", "--node-cap", "1000"], tmp_path)
+    assert code == 2
+
+
+def test_exit_code_certificate_error(tmp_path, capsys, monkeypatch):
+    import coxlen.cli
+
+    def broken(cm):
+        raise CertificateError("planted")
+
+    monkeypatch.setattr(coxlen.cli, "classify_group", broken)
+    code = main(["classify", "--inline", "rank 2; m12=3",
+                 "--output", str(tmp_path / "x")])
+    assert code == 3
+    assert "planted" in capsys.readouterr().err

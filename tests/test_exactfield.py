@@ -93,3 +93,28 @@ def test_scalar_normalization_and_hash():
     assert a == b and hash(a) == hash(b)
     c = F.scalar((-1, 0), -2)
     assert c == F.from_rational(Fraction(1, 2))
+
+
+def test_theta_isolation_for_every_conductor_up_to_150():
+    import mpmath
+
+    mpmath.mp.dps = 40
+    for N in range(3, 151):
+        F = RealCyclotomicField(N)
+        if F.degree == 1:
+            continue
+        lo = mpmath.mpf(F._lo.numerator) / F._lo.denominator
+        hi = mpmath.mpf(F._hi.numerator) / F._hi.denominator
+        # the roots of the minimal polynomial are 2cos(k pi/N), gcd(k, 2N) = 1
+        roots = [2 * mpmath.cos(k * mpmath.pi / N)
+                 for k in range(1, N) if math.gcd(k, 2 * N) == 1]
+        assert len(roots) == F.degree, N
+        assert [r for r in roots if lo < r < hi] == [roots[0]], N
+
+
+def test_signs_in_a_wide_conductor_field():
+    F = RealCyclotomicField(71)
+    # theta = 2cos(pi/71) lies just below 2
+    assert F.theta.sign() == 1
+    assert (F.theta - F.from_rational(2)).sign() == -1
+    assert (F.theta - F.from_rational(Fraction(1997, 1000))).sign() == 1

@@ -1,0 +1,157 @@
+"""The packed Z[theta] element kernel against exact scalar arithmetic, and
+pins of key bytes and solver witnesses recorded before the packing."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxlen.coxeter import parse_coxeter_matrix
+from coxlen.errors import CertificateError
+from coxlen.reflen import exact_reflection_length, get_group
+from coxlen.tits import _pack, canonical_key
+
+GROUPS = {
+    "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
+    "A2T": "rank 3; m12=3 m13=3 m23=3",           # degree 1
+    "H3": "rank 3; m12=3 m23=5",                  # degree 8
+    "T334": "rank 3; m12=3 m13=3 m23=4",          # degree 4
+    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # degree 4
+    "W4": "rank 4; m12=inf m13=inf m14=inf m23=inf m24=inf m34=inf",
+    "D16": "rank 3; m12=4 m13=3 m23=5",           # degree 16
+}
+
+
+def _group(name):
+    return get_group(parse_coxeter_matrix(GROUPS[name]))
+
+
+def _word(text):
+    return tuple("abcd".index(c) for c in text)
+
+
+def _reference_product(x, y):
+    """The product of the ExactScalar views, entry by entry."""
+    A, B = x.matrix, y.matrix
+    n = len(A)
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(1, n)), A[i][0] * B[0][j])
+                       for j in range(n)) for i in range(n))
+
+
+@st.composite
+def _word_pair(draw):
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    rank = _group(name).cm.rank
+    letters = st.integers(min_value=0, max_value=rank - 1)
+    return (name, tuple(draw(st.lists(letters, max_size=12))),
+            tuple(draw(st.lists(letters, max_size=12))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_word_pair())
+def test_packed_product_matches_exact_scalar_product(pair):
+    name, u, v = pair
+    group = _group(name)
+    x, y = group.element(u), group.element(v)
+    product = x * y
+    assert product.matrix == _reference_product(x, y)
+    assert all(e.den == 1 for row in product.matrix for e in row)
+    assert product.key == group.element(u + v).key
+
+
+def test_degrees_cover_the_kernel_paths():
+    assert {name: _group(name).field.degree for name in GROUPS} == {
+        "W3": 1, "A2T": 1, "H3": 8, "T334": 4, "B4H": 4, "W4": 1, "D16": 16}
+
+
+def test_identity_and_involutions():
+    for name in GROUPS:
+        group = _group(name)
+        assert group.identity.is_identity()
+        for gen in group.generators:
+            assert not gen.is_identity()
+            assert (gen * gen).is_identity()
+            assert (gen * gen).key == group.identity.key
+
+
+def test_non_integral_entries_are_refused():
+    field = _group("T334").field
+    with pytest.raises(CertificateError):
+        _pack(((field.one, field.from_rational(Fraction(1, 2))),
+               (field.zero, field.one)))
+
+
+# sha256 of canonical_key(element(word)), recorded before elements were packed
+KEY_DIGESTS = {
+    ("W3", ""): "7478cc7239743177bdbbc7c58f43ca1510c16171290807e8056d55290e92ca72",
+    ("W3", "a"): "3a991451b7aa8fbf4254522d0cabd787d93032cc1dd3d9592023d6108971d1e3",
+    ("W3", "abc"): "e860444a76ee448943428cc19b9335f6eb1e42e97e40aa3380b658dc8be27043",
+    ("W3", "abcacb"): "90c38e5df8c6ce361fa8a6dfdc9c1e12bdc2cc617320a3368f90a7f63b8c861b",
+    ("W3", "abcbcacab"): "4405355b1a0a6e1f4d0512d9b5a1c435d7aefda6e304ab75409666b3cf76254c",
+    ("A2T", "ab"): "2c569f2209e5eaae1d580e019c8c7857dc278ed1f52d13802bf3613634a9f3a5",
+    ("A2T", "abcabc"): "b2ad8d6fb28561abc93c5bc9f367cd633603c7ac1f9ac84b4c84754f31a263f4",
+    ("A2T", "abcbacbca"): "d99a2dcd5a342ca0b5178d04343b580c0dcd09b6765ed0efbc79886a7f0a1dd2",
+    ("H3", "bc"): "ecdba699cd06e8a622e3b65ee0637c05cd3ebd4888f50aee9569469eab7143e6",
+    ("H3", "abcabc"): "9d5153fad27d55019c02ffe7f9816aa79e6a6352a63e2f511c8fe24c17c72274",
+    ("H3", "abcbcbabcb"): "3424b8ad49baadea3a09c05b4967b8b371463300a1e63d921e16567230c1511c",
+    ("T334", "abc"): "af84f269fbe8f302ad14567bb2da1cb10a382358b8ef5c52c59cbdd50bd547eb",
+    ("T334", "abcbca"): "22977e4c53357450a4dde41d63b4a314fb773f1ffdee965b414913c168512e6f",
+    ("T334", "acbcbabcab"): "e46c8a8dc2edb85cf394f32930324b41476855a4251736dd1a44667e14727e87",
+    ("B4H", "abcd"): "6e8da704eee3a785cfe153da99aae3c4bfdc2b4c335289cf9123224e948c848c",
+    ("B4H", "abdcbad"): "2dbbfb34efa3f7bed86b487713e17b377313e6fc241cc86ce1399658b1b88322",
+    ("B4H", "abcdabcd"): "8f12948f7c91e556366bd553f36299d8e9be5a936116ea0ead54935dc21bcb1a",
+    ("W4", "abcd"): "a595f67c7a25dfd1e6599e5d0f5242d91c011f88a59414c0340e35055a9f901b",
+    ("W4", "abcdbd"): "ac96fe5fef13532b7e3511af41a237ec0450fc33fa4266b0e06fea5c3f17fcc6",
+    ("W4", "adcbacbd"): "bed77dd7e5af50b91ecda21700688efb039a077ed02cade38b9ae23739c005a9",
+    ("D16", "abc"): "56ae446d74167b18aaf31dc410c597ba2899be4f7835db889ad4a8f1cff1d39c",
+    ("D16", "acbcbc"): "4b15c898cfd15e7f129efd8ecff54cbdd331ab3c0d7cc8a854f1dd685b87c034",
+    ("D16", "abcbcacb"): "e58b194323d9527c6d88be943c715b0a005f7b3126e5929191e9b1645ee73602",
+}
+
+# exact_reflection_length witnesses (reflection words), recorded likewise
+WITNESSES = {
+    ("W3", "a"): ("a",),
+    ("W3", "abc"): ("abcba", "aba", "a"),
+    ("W3", "abcacb"): ("abcacba", "a"),
+    ("W3", "abcbcacab"): ("abcbcacacbcba", "abcbcba", "a"),
+    ("A2T", "ab"): ("aba", "a"),
+    ("A2T", "abcabc"): ("abcba", "a", "abcacba", "aba"),
+    ("A2T", "abcbacbca"): ("abcabacba",),
+    ("H3", "bc"): ("bcb", "b"),
+    ("H3", "abcabc"): ("abcabacba", "aba"),
+    ("H3", "abcbcbabcb"): ("abcbcabcbacbcba", "abcbcba"),
+    ("T334", "abc"): ("abcba", "aba", "a"),
+    ("T334", "abcbca"): ("aca", "acbcbca"),
+    ("T334", "acbcbabcab"): ("acbcabacabacbca", "acbca"),
+    ("B4H", "abcd"): ("abcdcba", "abcba", "aba", "a"),
+    ("B4H", "abdcbad"): ("adbcbda", "a", "ada"),
+    ("B4H", "abcdabcd"): ("abcdabcbadcba", "abcdadcba", "abcba", "a"),
+    ("W4", "abcd"): ("abcdcba", "abcba", "aba", "a"),
+    ("W4", "abcdbd"): ("abcdbdcba", "abcba", "aba", "a"),
+    ("W4", "adcbacbd"): ("adcbacabcda", "adcbabcda", "adcda", "a"),
+    ("D16", "abc"): ("abcba", "aba", "a"),
+    ("D16", "acbcbc"): ("abcbcba", "a"),
+    ("D16", "abcbcacb"): ("abcbabcba", "abcbacabcba", "abcbcba", "a"),
+}
+
+
+def test_canonical_key_bytes_are_pinned():
+    for (name, text), digest in KEY_DIGESTS.items():
+        g = _group(name).element(_word(text))
+        assert hashlib.sha256(canonical_key(g)).hexdigest() == digest, (name, text)
+
+
+def test_canonical_key_is_the_serialized_matrix():
+    g = _group("T334").element(_word("abcbca"))
+    entries = tuple(tuple((e.num, e.den) for e in row) for row in g.matrix)
+    assert canonical_key(g) == repr(entries).encode()
+
+
+def test_solver_witnesses_are_pinned():
+    for (name, text), witness in WITNESSES.items():
+        group = _group(name)
+        value, parts = exact_reflection_length(group, group.element(_word(text)))
+        assert value == len(witness)
+        assert tuple("".join("abcd"[s] for s in p.word) for p in parts) == witness, (
+            name, text)

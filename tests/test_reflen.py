@@ -267,3 +267,30 @@ def test_result_parity_and_ordering_invariants():
     for res in ball.results.values():
         assert res.upper is None or res.upper % 2 == res.len_s % 2
         assert res.lower >= fixed_space_codim(res.element)
+
+
+def test_witness_check_survives_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import coxlen
+
+    # l_R(abc) = 3 in W3, so two of its inversions cannot multiply to it
+    script = (
+        "from coxlen.coxeter import parse_coxeter_matrix\n"
+        "from coxlen.errors import CertificateError\n"
+        "from coxlen.reflen import _witness, get_group, inversion_reflections\n"
+        "group = get_group(parse_coxeter_matrix('rank 3; m12=inf m13=inf m23=inf'))\n"
+        "g = group.element((0, 1, 2))\n"
+        "invs = inversion_reflections(group, group.reduced_word(g))\n"
+        "try:\n"
+        "    _witness(group, invs, (0, 1), g)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
