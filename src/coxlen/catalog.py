@@ -1,7 +1,7 @@
 """Built-in table of the finite and Euclidean connected diagrams, rank <= 5.
 
 This is a direct transcription of the classical classification tables and is
-deliberately independent of the minor-sign classifier, so the two can be
+deliberately independent of the Gram-signature classifier, so the two can be
 cross-checked against each other.  Diagrams are stored by canonical form
 (entry matrix minimized over generator permutations).
 """

@@ -9,6 +9,7 @@ check.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from fractions import Fraction
@@ -241,7 +242,9 @@ def cmd_warp(args):
     return csv_report("r,f,fp,fpp", rows, config), 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="coxlen",
         description="Reflection length, classification, quasimorphism and "

@@ -2,8 +2,8 @@
 
 Bond orders are stored as ints with 0 denoting an infinite order (the same
 sentinel used by the structured matrix-file format).  Classification verdicts
-are decided purely by exact signs of principal minors and characteristic
-polynomial coefficients of the Gram matrix.
+are decided purely by the exact signature of the Gram matrix, computed by one
+symmetric elimination over the field (`linalg.inertia`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import DomainError, InputError
+from .errors import CertificateError, DomainError, InputError
 from .exactfield import RealCyclotomicField
 
 INF = 0  # sentinel bond order for m_ij = infinity
@@ -227,13 +227,17 @@ _KIND_CACHE = {}
 
 
 def _classify_entries(entries):
+    """Verdict of a connected diagram from its Gram signature.
+
+    Positive definite is spherical; positive semidefinite with a
+    one-dimensional radical is Euclidean; anything else is non-affine
+    (Humphreys, Reflection Groups and Coxeter Groups, ch. 2 and 6).
+    """
     cm = CoxeterMatrix.make(entries)
     gm = gram_matrix(cm)
-    field = gm.field
-    minors = linalg.leading_principal_minors(field, gm.entries)
-    if all(mn.sign() > 0 for mn in minors):
+    pos, neg, zero = linalg.inertia(gm.field, gm.entries)
+    if pos == cm.rank:
         return Kind.SPHERICAL
-    pos, neg, zero = linalg.inertia(field, gm.entries)
     if neg == 0 and zero == 1:
         return Kind.AFFINE_EUCLIDEAN
     return Kind.NON_AFFINE
@@ -294,18 +298,27 @@ def classify_group(cm: CoxeterMatrix) -> TypeVerdict:
 
 
 def minimal_nonaffine_subsets(cm: CoxeterMatrix):
-    """All inclusion-minimal generator subsets spanning a non-affine group."""
+    """All inclusion-minimal generator subsets spanning a non-affine group.
+
+    Subsets are walked by increasing size, and a subset containing a minimal
+    one already found is skipped.  Every other subset is minimal exactly when
+    it is non-affine: a non-affine proper subset would contain a smaller
+    minimal one, because supersets of non-affine subsets are non-affine.
+    """
     verdict = classify_group(cm)
     if verdict.kind != Kind.NON_AFFINE:
         raise DomainError("group is %s; only non-affine groups have minimal "
                           "non-affine special subgroups" % verdict.kind.value)
     out = []
+    masks = []
     for size in range(1, cm.rank + 1):
         for subset in itertools.combinations(range(cm.rank), size):
-            if subset_is_affine(cm, subset):
+            mask = sum(1 << i for i in subset)
+            if any(m & mask == m for m in masks):
                 continue
-            if all(subset_is_affine(cm, tuple(x for x in subset if x != t))
-                   for t in subset):
+            if not subset_is_affine(cm, subset):
                 out.append(subset)
-    assert out, "non-affine group must contain a minimal non-affine subset"
+                masks.append(mask)
+    if not out:
+        raise CertificateError("non-affine group without a minimal non-affine subset")
     return out

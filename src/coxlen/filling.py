@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import INF, CoxeterMatrix
-from .errors import DomainError, SearchExhaustedError, UnsupportedParametersError
+from .errors import (CertificateError, DomainError, SearchExhaustedError,
+                     UnsupportedParametersError)
 from .intervals import TWO_PI_HI, le_two_pi, margin_over_two_pi
 from .parallel import parallel_map
 
@@ -51,8 +52,10 @@ class PlaneIsometry:
     @classmethod
     def make(cls, a, b, c, d, reversing):
         det = a * d - b * c
-        assert det != 0, "singular matrix"
-        assert (det < 0) == reversing, "orientation bit must match det sign"
+        if det == 0:
+            raise CertificateError("singular matrix")
+        if (det < 0) != reversing:
+            raise CertificateError("orientation bit must match det sign")
         return cls(_normalize_proj((a, b, c, d)), reversing)
 
     def __mul__(self, other):
@@ -163,12 +166,14 @@ def build_triangle_model(p, q) -> TriangleModel:
     entries = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         order = _product_order(gens[i], gens[j])
-        assert order is not None, "generator pair (%d,%d) has unexpected order" % (i, j)
+        if order is None:
+            raise CertificateError("generator pair (%d,%d) has unexpected order" % (i, j))
         entries[i][j] = entries[j][i] = order
     cm = CoxeterMatrix.make(entries)
     want = {(0, 1): key[0], (0, 2): key[1], (1, 2): INF}
     for (i, j), m in want.items():
-        assert entries[i][j] == m, "relation orders do not match the request"
+        if entries[i][j] != m:
+            raise CertificateError("relation orders do not match the request")
     cusps = {}
     for s, vertex in cusp_vertices.items():
         cusps[s] = _cusp_data(gens, s, vertex)
@@ -181,7 +186,8 @@ def _conjugator_to_infinity(vertex):
     fr = Fraction(vertex)
     pnum, pden = fr.numerator, fr.denominator
     g, x, y = _ext_gcd(pnum, pden)
-    assert g == 1 and x * pnum + y * pden == 1
+    if g != 1 or x * pnum + y * pden != 1:
+        raise CertificateError("extended gcd of %s failed its Bezout check" % fr)
     # bottom row (pden, -pnum) sends the vertex to infinity; det = -1
     return PlaneIsometry.make(x, y, pden, -pnum, reversing=True)
 
@@ -213,7 +219,8 @@ def _cusp_data(gens, s, vertex):
         offsets.append(_mirror_offset(conj))
     m1, m2 = sorted(offsets)
     width = m2 - m1
-    assert width > 0, "cusp stabilizer mirrors must be distinct"
+    if width <= 0:
+        raise CertificateError("cusp stabilizer mirrors must be distinct")
     if offsets[0] > offsets[1]:
         pair = (pair[1], pair[0])
     return CuspData(s, vertex, u, pair, (m1, m2), width)
@@ -258,7 +265,8 @@ def _affine_action(model, cusp, word):
     if c != 0:
         raise DomainError("element does not stabilize the cusp")
     eps = Fraction(a, d)
-    assert eps in (1, -1), "horocycle action must be x -> +-x + beta"
+    if eps not in (1, -1):
+        raise CertificateError("horocycle action must be x -> +-x + beta")
     return int(eps), Fraction(b, d), conj
 
 
@@ -313,8 +321,8 @@ def compute_short_elements(model: TriangleModel, s: int, h) -> list:
                 break
             j += direction
     out.sort(key=lambda e: (e.displacement, e.kind, e.parameter))
-    for e in out:
-        assert not e.matrix.is_identity(), "identity must be excluded"
+    if any(e.matrix.is_identity() for e in out):
+        raise CertificateError("identity must be excluded")
     return out
 
 
@@ -371,8 +379,10 @@ def _kernel_min_displacement(model, cusp, p, h):
     mod p iff p | j*width (width is 1 or 2 here, so iff p | j).
     """
     width = cusp.width
-    assert width.denominator == 1 and width.numerator in (1, 2)
-    assert width.numerator % p != 0
+    if width.denominator != 1 or width.numerator not in (1, 2):
+        raise CertificateError("cusp width %s is not 1 or 2" % width)
+    if width.numerator % p == 0:
+        raise CertificateError("prime %d divides the cusp width %s" % (p, width))
     return (p * width - width / 2) / Fraction(h)
 
 
@@ -440,9 +450,10 @@ def congruence_search(model: TriangleModel, h, prime_cap: int = 100,
                 per_cusp_margin=per_cusp,
                 margin_interval=margin_over_two_pi(global_min),
             )
-            assert cert.margin_positive, (
-                "kernel displacement fails the 2*pi bound; the congruence "
-                "search postcondition is violated")
+            if not cert.margin_positive:
+                raise CertificateError(
+                    "kernel displacement fails the 2*pi bound; the congruence "
+                    "search postcondition is violated")
             return cert
         diagnostics.append("p=%d: %s" % (p, failure))
     raise SearchExhaustedError(
@@ -456,7 +467,7 @@ def two_pi_certificate(model: TriangleModel, cert: AvoidanceCertificate, s: int)
     dmin = _kernel_min_displacement(model, model.cusps[s], cert.prime, cert.h)
     lo, hi = margin_over_two_pi(dmin)
     if lo <= 0:
-        raise AssertionError("non-positive margin despite a successful search")
+        raise CertificateError("non-positive margin despite a successful search")
     return dmin, (lo, hi)
 
 

@@ -1,14 +1,12 @@
 """Exact linear algebra over a RealCyclotomicField.
 
-Small dense matrices only (rank <= ~8): cofactor/bitmask determinants,
-characteristic polynomial via principal-minor sums (division free), inertia
-through Descartes' rule (valid because the matrices are symmetric, hence all
-eigenvalues real), and Gaussian-elimination rank.
+Small dense matrices only (rank <= ~8): cofactor/bitmask determinants and
+leading principal minors, the inertia of a symmetric matrix by one
+division-free symmetric elimination (Sylvester's law of inertia), and
+Gaussian-elimination rank.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 def det(field, M):
@@ -50,38 +48,50 @@ def leading_principal_minors(field, M):
             for k in range(1, len(M) + 1)]
 
 
-def charpoly_minor_sums(field, M):
-    """e_k = sum of all principal k x k minors, k = 1..n (e_0 = 1 implied).
-
-    The characteristic polynomial is sum_k (-1)^k e_k lambda^(n-k).
-    """
-    n = len(M)
-    out = []
-    for k in range(1, n + 1):
-        acc = field.zero
-        for idx in combinations(range(n), k):
-            acc = acc + det(field, principal_submatrix(M, idx))
-        out.append(acc)
-    return out
-
-
 def inertia(field, M):
-    """(positives, negatives, zeros) of a symmetric matrix, exactly."""
-    n = len(M)
-    e = charpoly_minor_sums(field, M)
-    signs = [s.sign() for s in e]
-    zeros = n
-    for k in range(n, 0, -1):
-        if signs[k - 1] != 0:
-            zeros = n - k
+    """(positives, negatives, zeros) of a symmetric matrix, exactly.
+
+    One division-free symmetric elimination; Sylvester's law of inertia makes
+    the signature the sum of the pivots' contributions.  The working block
+    is always a positive or negative multiple of the true Schur complement,
+    and `flip` records which.  A nonzero diagonal pivot p adds sign(p) and
+    leaves p*A' - b b^T, which flips the multiple when p < 0.  When the
+    whole diagonal is zero but some entry c is not, the 2x2 pivot
+    [[0, c], [c, 0]] adds one positive and one negative and leaves
+    c^2 (A' - (u v^T + v u^T) / c), i.e. a positive multiple.
+    """
+    rows = [list(r) for r in M]
+    pos = neg = 0
+    flip = False
+    while rows:
+        n = len(rows)
+        piv = next((i for i in range(n) if not rows[i][i].is_zero()), None)
+        if piv is not None:
+            p = rows[piv][piv]
+            s = p.sign()
+            if (s < 0) != flip:
+                neg += 1
+            else:
+                pos += 1
+            b = rows[piv]
+            rest = [i for i in range(n) if i != piv]
+            rows = [[p * rows[i][j] - b[i] * b[j] for j in rest] for i in rest]
+            flip ^= s < 0
+            continue
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if not rows[i][j].is_zero()), None)
+        if pair is None:
             break
-    # coefficient sequence of charpoly from lambda^n down: 1, -e1, e2, ...
-    seq = [1]
-    for k in range(1, n + 1):
-        seq.append(signs[k - 1] if k % 2 == 0 else -signs[k - 1])
-    nonzero = [s for s in seq if s != 0]
-    pos = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
-    return pos, n - pos - zeros, zeros
+        i0, j0 = pair
+        c = rows[i0][j0]
+        pos += 1
+        neg += 1
+        u, v = rows[i0], rows[j0]
+        rest = [i for i in range(n) if i != i0 and i != j0]
+        c2 = c * c
+        rows = [[c2 * rows[i][j] - c * (u[i] * v[j] + v[i] * u[j]) for j in rest]
+                for i in rest]
+    return pos, neg, len(M) - pos - neg
 
 
 def matrix_rank(field, M):

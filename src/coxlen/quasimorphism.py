@@ -145,7 +145,13 @@ class DefectResult:
 
 
 def _defect_over_window(w: FreeCoxeterWord, B: int, threads=1):
-    """Exact max of |H(gh)-H(g)-H(h)| over reduced g,h of length <= B."""
+    """Exact max of |H(gh)-H(g)-H(h)| over reduced g,h of length <= B.
+
+    The maximum runs over junction triples (a, c, b) in the order middle c,
+    left a, right b, and the first strict maximum gives the pair.  Cross
+    terms are read from tables: cross(a, b) is built once for all middles,
+    cross(c, b) once per middle and cross(a, c^-1) once per (a, c).
+    """
     pat = w.letters
     m = len(pat)
     k = w.k
@@ -154,6 +160,7 @@ def _defect_over_window(w: FreeCoxeterWord, B: int, threads=1):
     # separator letter realize any window combination), so they add nothing
     mid_cap = min(B, 2 * m - 1) if k >= 3 else B
     mids = _reduced_words_upto(k, mid_cap)
+    cross_ab = [[_cross(pat, a, b) for b in side] for a in side]
     best = 0
     best_pair = ("", "")
 
@@ -161,23 +168,24 @@ def _defect_over_window(w: FreeCoxeterWord, B: int, threads=1):
         local_best = 0
         local_pair = ("", "")
         rc = c[::-1]
-        for a in side:
+        # (index, first letter, cross(c, b)) of every b that may follow c
+        right = [(j, b[:1], _cross(pat, c, b)) for j, b in enumerate(side)
+                 if len(c) + len(b) <= B and not (c and b and c[-1] == b[0])]
+        for i, a in enumerate(side):
             if len(a) + len(c) > B:
                 continue
             if a and rc and a[-1] == rc[0]:
                 continue
             cross_ac = _cross(pat, a, rc)
-            for b in side:
-                if len(c) + len(b) > B:
+            row = cross_ab[i]
+            last = a[-1:]
+            for j, first, cross_cb in right:
+                if last and last == first:
                     continue
-                if c and b and c[-1] == b[0]:
-                    continue
-                if a and b and a[-1] == b[0]:
-                    continue
-                d = abs(_cross(pat, a, b) - cross_ac - _cross(pat, c, b))
+                d = abs(row[j] - cross_ac - cross_cb)
                 if d > local_best:
                     local_best = d
-                    local_pair = (a + rc, c + b)
+                    local_pair = (a + rc, c + side[j])
         return local_best, local_pair
 
     results = parallel_map(eval_mid, mids, threads)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from coxlen.cli import main
+from coxlen.cli import build_parser, main
 from coxlen.errors import CertificateError
 
 
@@ -189,3 +189,17 @@ def test_exit_code_certificate_error(tmp_path, capsys, monkeypatch):
                  "--output", str(tmp_path / "x")])
     assert code == 3
     assert "planted" in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    args = ["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4", "--word", "abcb"]
+    first, second, alone = (tmp_path / name for name in ("first", "second", "alone"))
+    assert main(args + ["-D", "4", "--output", str(first)]) == 0
+    assert main(args + ["--output", str(second)]) == 0
+    assert capsys.readouterr().out == ""
+    build_parser.cache_clear()
+    assert main(args + ["--output", str(alone)]) == 0
+    assert second.read_bytes() == alone.read_bytes()
+    assert json.loads(first.read_bytes())["config"]["D"] == 4
+    assert json.loads(second.read_bytes())["config"]["D"] == 6

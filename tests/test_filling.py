@@ -195,3 +195,28 @@ def test_plane_isometry_normalization():
     assert a.is_identity()
     b = PlaneIsometry.make(0, 2, 2, 0, True)
     assert b.m == (0, 1, 1, 0)
+
+
+def test_margin_check_survives_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import coxlen
+
+    # a non-positive margin must still be refused when asserts are stripped
+    script = (
+        "import coxlen.filling as filling\n"
+        "from coxlen.errors import CertificateError\n"
+        "from fractions import Fraction\n"
+        "filling.margin_over_two_pi = lambda d: (Fraction(-1), Fraction(1))\n"
+        "try:\n"
+        "    filling.congruence_search(filling.build_triangle_model(2, 3), 1)\n"
+        "except CertificateError:\n"
+        "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

@@ -1,0 +1,129 @@
+"""Exact inertia by symmetric elimination: each pivot path, a property test
+against the 2^n principal-minor Descartes count, and Sylvester's criterion."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxlen import linalg
+from coxlen.coxeter import INF, CoxeterMatrix, gram_matrix, parse_coxeter_matrix
+from coxlen.exactfield import RealCyclotomicField
+
+Q = RealCyclotomicField(3)        # 2cos(pi/3) = 1: the rationals
+K = RealCyclotomicField(5)        # Q(sqrt 5), degree 2
+
+
+def _rational(rows):
+    return tuple(tuple(Q.from_rational(Fraction(x)) for x in row) for row in rows)
+
+
+def _descartes_inertia(field, M):
+    """(pos, neg, zero) from the signs of the characteristic polynomial's
+    coefficients, each the sum of all principal k x k minors (Descartes'
+    rule is exact here because a symmetric matrix has only real roots)."""
+    n = len(M)
+    signs = []
+    for k in range(1, n + 1):
+        acc = field.zero
+        for idx in combinations(range(n), k):
+            acc = acc + linalg.det(field, linalg.principal_submatrix(M, idx))
+        signs.append(acc.sign())
+    zeros = n
+    for k in range(n, 0, -1):
+        if signs[k - 1] != 0:
+            zeros = n - k
+            break
+    seq = [1] + [signs[k - 1] if k % 2 == 0 else -signs[k - 1] for k in range(1, n + 1)]
+    nonzero = [s for s in seq if s != 0]
+    pos = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+    return pos, n - pos - zeros, zeros
+
+
+# -- each pivot path ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([[2, 1], [1, 2]], (2, 0, 0)),                    # positive pivots only
+    ([[-2, 0], [0, -3]], (0, 2, 0)),                  # negative pivot flips the rest
+    ([[-1, 2], [2, 1]], (1, 1, 0)),
+    ([[1, 2, 0], [2, 1, 3], [0, 3, -1]], (2, 1, 0)),
+    ([[0, 3], [3, 0]], (1, 1, 0)),                    # all-zero diagonal: 2x2 pivot
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),   # eigenvalues 2, -1, -1
+    ([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]], (1, 3, 0)),
+    ([[-1, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 2, 0)),  # negative pivot, then 2x2
+    ([[1, 1], [1, 1]], (1, 0, 1)),                    # all-zero remainder
+    ([[-1, 1], [1, -1]], (0, 1, 1)),
+    ([[0, 0], [0, 0]], (0, 0, 2)),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),   # 2x2 pivot, zero remainder
+    ([], (0, 0, 0)),
+])
+def test_pivot_paths(rows, expected):
+    M = _rational(rows)
+    assert linalg.inertia(Q, M) == expected
+    assert _descartes_inertia(Q, M) == expected
+
+
+def test_irrational_pivots():
+    # Gram forms of H3 (definite), (3,3,4) (Lorentzian) and A~2 (semidefinite)
+    for text, expected in (("rank 3; m12=3 m23=5", (3, 0, 0)),
+                           ("rank 3; m12=3 m13=3 m23=4", (2, 1, 0)),
+                           ("rank 3; m12=3 m13=3 m23=3", (2, 0, 1))):
+        gm = gram_matrix(parse_coxeter_matrix(text))
+        assert linalg.inertia(gm.field, gm.entries) == expected, text
+
+
+# -- against the 2^n-minor oracle ------------------------------------------------
+
+
+def _entry(field):
+    d = field.degree
+    return st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                     st.integers(1, 3)).map(lambda t: field.scalar(tuple(t[0]), t[1]))
+
+
+@st.composite
+def _symmetric(draw):
+    field = draw(st.sampled_from([Q, K, RealCyclotomicField(8)]))
+    n = draw(st.integers(1, 5))
+    zero_diagonal = draw(st.booleans())
+    zero = st.just(field.zero)
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                x = field.zero
+            else:
+                x = draw(st.one_of(zero, _entry(field)))
+            M[i][j] = M[j][i] = x
+    return field, tuple(tuple(r) for r in M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric())
+def test_inertia_matches_descartes_oracle(case):
+    field, M = case
+    assert linalg.inertia(field, M) == _descartes_inertia(field, M)
+
+
+_ORDERS = [2, 3, 4, 5, 6, 8, INF]
+
+
+@st.composite
+def _gram(draw):
+    n = draw(st.integers(1, 5))
+    entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i][j] = entries[j][i] = draw(st.sampled_from(_ORDERS))
+    return gram_matrix(CoxeterMatrix.make(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gram())
+def test_gram_inertia_and_sylvester_criterion(gm):
+    pos, neg, zero = linalg.inertia(gm.field, gm.entries)
+    assert (pos, neg, zero) == _descartes_inertia(gm.field, gm.entries)
+    minors = linalg.leading_principal_minors(gm.field, gm.entries)
+    assert (pos == len(minors)) == all(m.sign() > 0 for m in minors)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from coxlen.errors import (DomainError, InputError, NotCertifiedError,
                            ResourceCapError)
-from coxlen.quasimorphism import (FreeCoxeterWord, build_certificate,
+from coxlen.quasimorphism import (FreeCoxeterWord, _cross, _defect_over_window,
+                                  _reduced_words_upto, build_certificate,
                                   certify_lower_bound, counting_qm,
                                   defect_stress_sample, defect_window,
                                   homogenize, random_reduced_word,
@@ -217,3 +219,74 @@ def test_certificate_adapter_scope():
     assert cert.lower_bound_for_word(not_free, (0, 1, 2)) is None
     wrong_rank = parse_coxeter_matrix("rank 2; m12=inf")
     assert cert.lower_bound_for_word(wrong_rank, (0, 1)) is None
+
+
+# -- defect window: pinned values and the three-cross oracle -------------------
+
+# (k, pattern, value, defect_pair, stabilized) at the default window 3|w| for
+# every cyclically reduced pattern with k = 3, |w| <= 4 and k = 4, |w| <= 3,
+# up to relabelling, recorded before the junction tables
+DEFECTS = (
+    (3, "a", 0, ("", ""), True),
+    (3, "ab", 1, ("a", "b"), True),
+    (3, "abc", 1, ("a", "bc"), True),
+    (3, "abab", 1, ("a", "bab"), True),
+    (3, "abac", 1, ("a", "bac"), True),
+    (3, "abcb", 1, ("a", "bcb"), True),
+    (4, "a", 0, ("", ""), True),
+    (4, "ab", 1, ("a", "b"), True),
+    (4, "abc", 1, ("a", "bc"), True),
+)
+
+
+def _relabel(word):
+    names = {}
+    return "".join(names.setdefault(ch, "abcd"[len(names)]) for ch in word)
+
+
+def test_pinned_patterns_are_every_class():
+    for k, length in ((3, 4), (4, 3)):
+        classes = set()
+        for n in range(1, length + 1):
+            for letters in itertools.product("abcd"[:k], repeat=n):
+                w = "".join(letters)
+                if reduce_word(w, k).letters == w and (n == 1 or w[0] != w[-1]):
+                    classes.add(_relabel(w))
+        assert classes == {p for kk, p, *_ in DEFECTS if kk == k}
+
+
+@pytest.mark.parametrize("k,pattern,value,pair,stabilized", DEFECTS)
+def test_defect_window_is_pinned(k, pattern, value, pair, stabilized):
+    w = reduce_word(pattern, k)
+    d = defect_window(w, 3 * len(w))
+    assert (d.value, d.pair, d.stabilized) == (value, pair, stabilized)
+
+
+def _three_cross_defect(w, B):
+    """The junction maximum with all three cross terms recomputed per triple."""
+    pat = w.letters
+    m = len(pat)
+    side = _reduced_words_upto(w.k, min(B, m - 1))
+    mids = _reduced_words_upto(w.k, min(B, 2 * m - 1) if w.k >= 3 else B)
+    best, best_pair = 0, ("", "")
+    for c in mids:
+        rc = c[::-1]
+        for a in side:
+            if len(a) + len(c) > B or (a and rc and a[-1] == rc[0]):
+                continue
+            for b in side:
+                if (len(c) + len(b) > B or (c and b and c[-1] == b[0])
+                        or (a and b and a[-1] == b[0])):
+                    continue
+                d = abs(_cross(pat, a, b) - _cross(pat, a, rc) - _cross(pat, c, b))
+                if d > best:
+                    best, best_pair = d, (a + rc, c + b)
+    return best, best_pair
+
+
+@pytest.mark.parametrize("k,pattern", [(3, "abab"), (3, "abcb"), (3, "abcab"),
+                                       (4, "abc"), (4, "abcd"), (5, "abc")])
+def test_junction_tables_match_three_cross_oracle(k, pattern):
+    w = reduce_word(pattern, k)
+    for B in range(len(w), len(w) + 3):
+        assert _defect_over_window(w, B) == _three_cross_defect(w, B), B
