@@ -65,8 +65,7 @@ def _config(args, keys):
 
 def _protocol(args):
     return ReflenProtocol(d_cap=getattr(args, "D", 6) or 6,
-                          node_cap=getattr(args, "node_cap", 5_000_000),
-                          threads=getattr(args, "threads", 1))
+                          node_cap=getattr(args, "node_cap", 5_000_000))
 
 
 def cmd_classify(args):
@@ -124,8 +123,7 @@ def cmd_reflen(args):
             "depth_used": res.depth_used,
         }
         return json_report(report, config), 0
-    ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap,
-                       threads=args.threads)
+    ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap)
     rows = [( _result_row(res)) for res in ball.results.values()]
     rows = [("%s" % r[0], r[1], "inf" if r[2] is None else r[2], r[3], r[4]) for r in rows]
     data = csv_report("key,len_S,upper,lower,status", rows, config)
@@ -137,8 +135,7 @@ def cmd_growth(args):
     word = _parse_word(args.word, cm.rank)
     certs = ()
     if args.pattern:
-        certs = (build_certificate(cm.rank, args.pattern,
-                                   window=args.window, threads=args.threads),)
+        certs = (build_certificate(cm.rank, args.pattern, window=args.window),)
     record = growth_profile(cm, word, args.K, _protocol(args), certs)
     rows = [(k, "inf" if r.upper is None else r.upper, r.lower, r.status)
             for k, r in record.powers]
@@ -168,8 +165,7 @@ def cmd_affine_bound(args):
 
 
 def cmd_qm_certify(args):
-    cert = build_certificate(args.k, args.pattern, window=args.window,
-                             threads=args.threads)
+    cert = build_certificate(args.k, args.pattern, window=args.window)
     g = reduce_word(args.g, args.k)
     constant, bounds = certify_lower_bound(cert, g, args.K)
     report = {
@@ -195,7 +191,7 @@ def cmd_filling(args):
     q = INF if args.q in ("inf", "0") else int(args.q)
     model = build_triangle_model(p, q)
     h = Fraction(args.h)
-    cert = congruence_search(model, h, args.prime_cap, threads=args.threads)
+    cert = congruence_search(model, h, args.prime_cap)
     cusps = {}
     for s, cusp in sorted(model.cusps.items()):
         dmin, margin = two_pi_certificate(model, cert, s)
@@ -258,7 +254,6 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--output", help="write the report here (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("classify", help="spherical/Euclidean/non-affine verdict")
     add_matrix_opts(p); add_common(p)

@@ -26,7 +26,6 @@ from .coxeter import INF, CoxeterMatrix
 from .errors import (CertificateError, DomainError, SearchExhaustedError,
                      UnsupportedParametersError)
 from .intervals import TWO_PI_HI, le_two_pi, margin_over_two_pi
-from .parallel import parallel_map
 
 
 def _normalize_proj(m):
@@ -386,8 +385,8 @@ def _kernel_min_displacement(model, cusp, p, h):
     return (p * width - width / 2) / Fraction(h)
 
 
-def congruence_search(model: TriangleModel, h, prime_cap: int = 100,
-                      threads: int = 1) -> AvoidanceCertificate:
+def congruence_search(model: TriangleModel, h,
+                      prime_cap: int = 100) -> AvoidanceCertificate:
     """Smallest odd prime whose matrix reduction is nontrivial on every
     short-displacement element and injective on every finite standard
     parabolic; the kernel of the reduction is the certified subgroup.
@@ -426,10 +425,9 @@ def congruence_search(model: TriangleModel, h, prime_cap: int = 100,
                     return "parabolic %r element %r collapses mod %d" % (subset, word, p)
         return None
 
-    candidates = list(candidate_primes())
-    failures = parallel_map(check, candidates, threads)
     diagnostics = []
-    for p, failure in zip(candidates, failures):
+    for p in candidate_primes():
+        failure = check(p)
         if failure is None:
             per_cusp = {}
             global_min = None

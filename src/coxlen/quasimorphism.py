@@ -24,7 +24,6 @@ from math import ceil
 
 from .coxeter import INF, CoxeterMatrix
 from .errors import DomainError, InputError, NotCertifiedError, ResourceCapError
-from .parallel import parallel_map
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -38,7 +37,8 @@ class FreeCoxeterWord:
 
     def __post_init__(self):
         for x, y in zip(self.letters, self.letters[1:]):
-            assert x != y, "word is not reduced"
+            if x == y:
+                raise InputError("word %r is not reduced" % self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -76,16 +76,6 @@ def reduce_word(letters, k) -> FreeCoxeterWord:
     return FreeCoxeterWord("".join(out), k)
 
 
-def _reduce_str(s):
-    out = []
-    for ch in s:
-        if out and out[-1] == ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _count(pat, s):
     n = 0
     start = 0
@@ -101,7 +91,7 @@ def counting_qm(w: FreeCoxeterWord, g) -> int:
     """H_w(g): occurrences of w minus occurrences of w^-1 in reduced g."""
     if len(w) == 0:
         raise DomainError("counting quasimorphism needs a nonempty pattern")
-    s = g.letters if isinstance(g, FreeCoxeterWord) else _reduce_str(_to_string(g, w.k))
+    s = reduce_word(g, w.k).letters
     return _count(w.letters, s) - _count(w.letters[::-1], s)
 
 
@@ -144,7 +134,7 @@ class DefectResult:
     certified: bool      # False when obtained by sampling
 
 
-def _defect_over_window(w: FreeCoxeterWord, B: int, threads=1):
+def _defect_over_window(w: FreeCoxeterWord, B: int):
     """Exact max of |H(gh)-H(g)-H(h)| over reduced g,h of length <= B.
 
     The maximum runs over junction triples (a, c, b) in the order middle c,
@@ -188,15 +178,15 @@ def _defect_over_window(w: FreeCoxeterWord, B: int, threads=1):
                     local_pair = (a + rc, c + side[j])
         return local_best, local_pair
 
-    results = parallel_map(eval_mid, mids, threads)
-    for val, pair in results:
+    for c in mids:
+        val, pair = eval_mid(c)
         if val > best:
             best = val
             best_pair = pair
     return best, best_pair
 
 
-def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000, threads=1,
+def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000,
                   sample=False, sample_pairs=200_000, seed=0) -> DefectResult:
     """Exact defect of H_w over the window of reduced words of length <= B.
 
@@ -230,8 +220,8 @@ def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000, threads=1,
         raise ResourceCapError(
             "window enumeration would exceed %d combinations; "
             "use a smaller window or sample=True (non-certified)" % cap)
-    value, pair = _defect_over_window(w, B, threads)
-    prev, _ = _defect_over_window(w, B - 1, threads)
+    value, pair = _defect_over_window(w, B)
+    prev, _ = _defect_over_window(w, B - 1)
     return DefectResult(w, B, value, pair,
                         stabilized=(value == prev and B >= 3 * m),
                         certified=True)
@@ -245,34 +235,27 @@ def random_reduced_word(k, length, rng):
     return "".join(out)
 
 
-def homogenize(w: FreeCoxeterWord, g, n_cap=64) -> Fraction:
+def homogenize(w: FreeCoxeterWord, g) -> Fraction:
     """phi_w(g): the exact slope of n -> H_w(g^n).
 
-    Powers of a reduced word are eventually periodic (g^n = s c^n s^-1 with c
-    cyclically reduced), so the first differences become constant; the slope
-    is accepted once |w| + 2 consecutive differences agree.
+    Write the reduced g as s c s^-1 with c cyclically reduced; then g^n =
+    s c^n s^-1, and each further power of c adds one period of the periodic
+    word c c c ...  So phi_w(g) is the number of occurrences of w starting in
+    one period of that word minus those of w^-1, and 0 when |c| <= 1 (g has
+    finite order).
     """
-    gs = g.letters if isinstance(g, FreeCoxeterWord) else _reduce_str(_to_string(g, w.k))
-    if not gs:
+    c = reduce_word(g, w.k).letters
+    while len(c) >= 2 and c[0] == c[-1]:
+        c = c[1:-1]
+    if len(c) <= 1:
         return Fraction(0)
-    need = len(w) + 2
-    values = [0]
-    power = ""
-    run = 0
-    last_diff = None
-    for n in range(1, n_cap + 1):
-        power = _reduce_str(power + gs)
-        values.append(_count(w.letters, power) - _count(w.letters[::-1], power))
-        diff = values[-1] - values[-2]
-        if diff == last_diff:
-            run += 1
-        else:
-            run = 1
-            last_diff = diff
-        if run >= need:
-            return Fraction(last_diff)
-    raise DomainError("power differences did not stabilize within %d steps; "
-                      "raise n_cap" % n_cap)
+    # every window of |w| letters starting in the first period
+    periodic = c * (len(w) // len(c) + 2)
+
+    def cyclic(pat):
+        return sum(1 for i in range(len(c)) if periodic.startswith(pat, i))
+
+    return Fraction(cyclic(w.letters) - cyclic(w.letters[::-1]))
 
 
 @dataclass
@@ -319,8 +302,8 @@ class QuasimorphismCert:
         return self.bound_for(g)
 
 
-def build_certificate(k: int, pattern, window=None, cap=5_000_000,
-                      threads=1) -> QuasimorphismCert:
+def build_certificate(k: int, pattern, window=None,
+                      cap=5_000_000) -> QuasimorphismCert:
     """Compute defect and constant for a counting quasimorphism on W_k.
 
     Requires k >= 3 (W_2 is affine and carries no useful homogeneous
@@ -338,7 +321,7 @@ def build_certificate(k: int, pattern, window=None, cap=5_000_000,
         raise DomainError("pattern must be cyclically reduced "
                           "(first and last letters differ)")
     window = 3 * len(w) if window is None else window
-    defect = defect_window(w, window, cap=cap, threads=threads)
+    defect = defect_window(w, window, cap=cap)
     if not defect.stabilized:
         raise NotCertifiedError(
             "defect value not stabilized at window %d; refusing to certify" % window)
@@ -356,13 +339,8 @@ def certify_lower_bound(cert: QuasimorphismCert, g, K: int):
     """(C, [bound for g^1 .. g^K]) with bound_k = ceil(k |phi(g)| C)."""
     if not cert.stabilized:
         raise NotCertifiedError("certificate defect is not stabilized")
-    g = g if isinstance(g, FreeCoxeterWord) else reduce_word(g, cert.k)
-    phi = abs(cert.phi(g))
-    bounds = []
-    for k in range(1, K + 1):
-        val = phi * k * cert.constant
-        bounds.append(ceil(val) if val > 0 else 0)
-    return cert.constant, bounds
+    g = reduce_word(g, cert.k)
+    return cert.constant, [cert.bound_for(g, k) for k in range(1, K + 1)]
 
 
 def defect_stress_sample(w: FreeCoxeterWord, claimed_defect: int, pairs: int,
@@ -374,7 +352,7 @@ def defect_stress_sample(w: FreeCoxeterWord, claimed_defect: int, pairs: int,
     for _ in range(pairs):
         g = random_reduced_word(w.k, rng.randrange(max_len + 1), rng)
         h = random_reduced_word(w.k, rng.randrange(max_len + 1), rng)
-        d = abs(counting_qm(w, _reduce_str(g + h)) - counting_qm(w, g) -
+        d = abs(counting_qm(w, g + h) - counting_qm(w, g) -
                 counting_qm(w, h))
         worst = max(worst, d)
         if d > claimed_defect:

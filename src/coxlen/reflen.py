@@ -2,8 +2,8 @@
 
 Three mechanisms cooperate:
 
-* breadth-first search over the Cayley graph generated by the reflections of
-  root depth <= D gives upper bounds l_R^(D) (non-increasing in D);
+* shortest products of reflections of root depth <= D give upper bounds
+  l_R^(D) (non-increasing in D);
 * parity (l_R = l_S mod 2) and the fixed-space codimension rank(M - I) give
   unconditional lower bounds, optionally joined by registered quasimorphism
   certificates;
@@ -14,6 +14,10 @@ Three mechanisms cooperate:
   depend on the theorem; only the Exact status does, and the test suite
   cross-checks it against Carter's equality on finite groups, closed forms on
   the infinite dihedral group, and plain BFS everywhere.
+
+Both the upper bounds and the exact values come from one search primitive,
+`min_product_length`: a meet-in-the-middle search over layers of half
+products, shared by every target of a call.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class ReflenProtocol:
     node_cap: int = 5_000_000
     use_exact_solver: bool = True
     solver_cap: int = 2_000_000
-    threads: int = 1
 
 
 @dataclass
@@ -120,22 +123,28 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     return out
 
 
-class _CapExceeded(Exception):
-    pass
+def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
+    """Shortest factorizations of several targets over the given involutions.
 
-
-def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
-                       cap=2_000_000):
-    """Least n <= n_max with g a product of n of the given involutions.
-
-    Meet-in-the-middle over layers of half products, stepping by two from the
-    parity minimum (every factor is a reflection, so products of n factors
-    have word parity n).  Returns (n, factor index tuple), or None when no
-    factorization of length <= n_max exists; raises _CapExceeded when the
-    stored-element cap is hit first.
+    `targets` lists (element, n_max) pairs.  One meet-in-the-middle search
+    serves them all: the layers of half products (and their inverses) are
+    built once and shared, and each target is probed at n = its parity
+    minimum, +2, ..., n_max (every factor is a reflection, so products of n
+    factors have word parity n).  Returns (hits, capped): hits[i] is
+    (n, factor index tuple) for the least such n, or None when target i has
+    no factorization of length <= its n_max.  Once the stored-element cap is
+    hit, every target not yet settled gets None and capped is True.  A
+    target's hit does not depend on the other targets.
     """
-    if g.is_identity():
-        return 0, ()
+    hits = []
+    pending = []        # (target index, element, n_max) still to settle
+    for i, (g, n_max) in enumerate(targets):
+        if g.is_identity():
+            hits.append((0, ()))
+        else:
+            hits.append(None)
+            pending.append((i, g, n_max))
+    n_top = max((n_max for _, _, n_max in pending), default=0)
     # the products' words are never read, so the layers carry none
     factors = [GroupElement(t.gram, t.packed) for t in factors]
     # layer k: key -> (factor index tuple, element, key of its prefix in k-1)
@@ -146,22 +155,22 @@ def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
     stored = len(factors)
 
     def extend(k):
+        """Build the layers up to k; False when the cap is hit first."""
         nonlocal stored
-        if k in layers:
-            return
-        extend(k - 1)
-        new = {}
-        for key, (wit, x, _) in layers[k - 1].items():
-            for i, t in enumerate(factors):
-                y = x * t
-                y_key = y.key
-                if y_key not in new:
-                    new[y_key] = (wit + (i,), y, key)
-                    stored += 1
-                    if stored > cap:
-                        raise _CapExceeded
-        layers[k] = new
-        inverses[k] = {}
+        for j in range(len(layers) + 1, k + 1):
+            new = {}
+            for key, (wit, x, _) in layers[j - 1].items():
+                for i, t in enumerate(factors):
+                    y = x * t
+                    y_key = y.key
+                    if y_key not in new:
+                        new[y_key] = (wit + (i,), y, key)
+                        stored += 1
+                        if stored > cap:
+                            return False
+            layers[j] = new
+            inverses[j] = {}
+        return True
 
     def inverse(k, key):
         inv = inverses[k].get(key)
@@ -171,23 +180,27 @@ def min_product_length(group: TitsGroup, g: GroupElement, factors, n_max: int,
             inverses[k][key] = inv
         return inv
 
-    n = 1 if n_max % 2 else 2
-    while n <= n_max:
+    for n in range(1, n_top + 1):
+        probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
+        if not probing:
+            continue
         a = n // 2
         b = n - a
-        extend(max(a, 1))
-        extend(b)
-        if a == 0:
-            hit = layers[b].get(g.key)
-            if hit is not None:
-                return n, hit[0]
-        else:
+        if not extend(b):
+            return hits, True
+        for i, g, _ in probing:
+            if a == 0:
+                hit = layers[b].get(g.key)
+                if hit is not None:
+                    hits[i] = n, hit[0]
+                continue
             for key, (wit_a, _, _) in layers[a].items():
                 hit = layers[b].get((inverse(a, key) * g).key)
                 if hit is not None:
-                    return n, wit_a + hit[0]
-        n += 2
-    return None
+                    hits[i] = n, wit_a + hit[0]
+                    break
+        pending = [p for p in pending if hits[p[0]] is None]
+    return hits, False
 
 
 def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=2_000_000,
@@ -203,9 +216,8 @@ def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=2_000_000,
         return 0, ()
     rw = group.reduced_word(g) if reduced_word is None else tuple(reduced_word)
     invs = inversion_reflections(group, rw)
-    try:
-        hit = min_product_length(group, g, invs, len(rw), cap)
-    except _CapExceeded:
+    (hit,), capped = min_product_length(group, [(g, len(rw))], invs, cap)
+    if capped:
         return None
     if hit is None:
         raise CertificateError(
@@ -229,37 +241,28 @@ def _witness(group, invs, indices, g):
     return len(indices), tuple(parts)
 
 
-# -- BFS over truncated reflection sets ---------------------------------------
+# -- truncated reflection sets -----------------------------------------------
 
 
 def reflection_distances(group: TitsGroup, reflections, targets, level_cap,
                          node_cap=5_000_000):
-    """BFS distances from the identity in Cayley(W, R_D), restricted to targets.
+    """Distances in Cayley(W, reflections) of the target keys, where at most
+    level_cap.
 
-    Returns (dist: key -> (distance, witness index tuple), capped).  Frontier
-    elements are expanded in sorted key order, so the result is deterministic.
+    Returns (dist: key -> (distance, witness index tuple), capped).  The
+    program calls `min_product_length` directly; this name stays because the
+    benchmark (`perfbench/`) still refers to it.
     """
-    dist = {group.identity.key: (0, ())}
-    frontier = {group.identity.key: group.identity}
-    remaining = set(targets) - {group.identity.key}
-    capped = False
-    level = 0
-    while frontier and remaining and level < level_cap:
-        level += 1
-        new_frontier = {}
-        for x in sorted(frontier.values(), key=canonical_key):
-            base_wit = dist[x.key][1]
-            for i, r in enumerate(reflections):
-                y = x * r.element
-                if y.key in dist or y.key in new_frontier:
-                    continue
-                new_frontier[y.key] = y
-                dist[y.key] = (level, base_wit + (i,))
-                remaining.discard(y.key)
-                if len(dist) > node_cap:
-                    capped = True
-                    return dist, capped
-        frontier = new_frontier
+    elements = [GroupElement(group.gram, key) for key in targets]
+    # a target's distance has the parity of its length: probe both parities
+    hits, capped = min_product_length(
+        group, [(e, n) for e in elements for n in (level_cap, level_cap - 1)],
+        [r.element for r in reflections], node_cap)
+    dist = {}
+    for e, hit, other in zip(elements, hits[::2], hits[1::2]):
+        hit = hit or other
+        if hit is not None:
+            dist[e.key] = hit
     return dist, capped
 
 
@@ -292,21 +295,25 @@ class BallResult:
     capped: bool = False
 
 
-def reflen_ball(cm: CoxeterMatrix, L: int, D: int, node_cap=5_000_000,
-                threads: int = 1) -> BallResult:
+def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
+                node_cap=5_000_000) -> BallResult:
     """l_R^(D) over the ball of standard length <= L.
 
-    Upper bounds are BFS distances over reflections of root depth <= D;
-    lower bounds are parity and fixed-space codimension.  Elements the BFS
-    could not settle under the node cap are reported with upper = None.
+    Upper bounds come from one `min_product_length` search over the
+    reflections of root depth <= D, shared by every ball element and bounded
+    by its l_S (every simple reflection has depth 0, so l_R^(D) <= l_S);
+    witnesses are its meet-in-the-middle factorizations.  Lower bounds are
+    parity and fixed-space codimension.  `node_cap` bounds the ball and the
+    elements the search stores; elements the search could not settle under
+    it are reported with upper = None.
     """
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
-    reflections = enumerate_reflections(group.gram, D, threads=threads)
-    dist, capped = reflection_distances(group, reflections, ball.keys(), L, node_cap)
+    reflections = enumerate_reflections(group.gram, D)
+    hits, capped = min_product_length(group, list(ball.values()),
+                                      [r.element for r in reflections], node_cap)
     results = {}
-    for key, (elt, len_s) in ball.items():
-        hit = dist.get(key)
+    for (key, (elt, len_s)), hit in zip(ball.items(), hits):
         codim = fixed_space_codim(elt)
         lower = combine_lower(len_s, parity_lower(len_s), codim)
         sources = ("parity", "fixed-space")
@@ -368,13 +375,10 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     depth_used = D
     capped = False
     while D <= protocol.d_cap:
-        reflections = enumerate_reflections(group.gram, D, threads=protocol.threads)
-        factors = [r.element for r in reflections]
-        try:
-            hit = min_product_length(group, g, factors, len_s, protocol.node_cap)
-        except _CapExceeded:
-            capped = True
-            hit = None
+        reflections = enumerate_reflections(group.gram, D)
+        (hit,), rung_capped = min_product_length(
+            group, [(g, len_s)], [r.element for r in reflections], protocol.node_cap)
+        capped = capped or rung_capped
         if hit is not None:
             new_upper = hit[0]
             if upper is not None:
@@ -398,7 +402,7 @@ def carter_length_finite(cm: CoxeterMatrix, word) -> int:
     """Reflection length in a finite group: the fixed-space codimension.
 
     Classical equality for finite reflection groups, used as an independent
-    oracle against the BFS/solver path.
+    oracle against the solver and the l_R^(D) search.
     """
     if classify_group(cm).kind != Kind.SPHERICAL:
         raise DomainError("Carter's equality applies to spherical groups only")

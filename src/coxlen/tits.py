@@ -30,7 +30,6 @@ from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
 from .errors import CertificateError, DomainError
 from .exactfield import ExactScalar
-from .parallel import parallel_map
 
 
 def _mat_mul(A, B, n, field):
@@ -288,12 +287,12 @@ def bilinear_value(gram: GramMatrix, u, v):
     return acc
 
 
-def enumerate_reflections(gram: GramMatrix, depth_cap: int, threads: int = 1):
+def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     """All reflections whose positive root has breadth-first depth <= depth_cap.
 
     The orbit of the simple roots is expanded level by level; roots are
     sign-normalized (first nonzero coordinate positive) and deduplicated by
-    key, so the result is independent of scheduling.
+    key, so the result is deterministic.
     """
     group = TitsGroup(gram.cm)
     n = gram.cm.rank
@@ -305,17 +304,15 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int, threads: int = 1):
         frontier.append((v, (i,)))
     gen_mats = [g.matrix for g in group.generators]
     for depth in range(1, depth_cap + 1):
-        tasks = [(v, w, s) for (v, w) in frontier for s in range(n)]
-        results = parallel_map(
-            lambda t: (_normalize_root_sign(_mat_vec(gen_mats[t[2]], t[0])), t[1], t[2]),
-            tasks, threads)
         new_frontier = []
-        for (u, w, s) in results:
-            k = _root_key(u)
-            if k not in seen:
-                word = (s,) + w
-                seen[k] = (u, depth, word)
-                new_frontier.append((u, word))
+        for v, w in frontier:
+            for s in range(n):
+                u = _normalize_root_sign(_mat_vec(gen_mats[s], v))
+                k = _root_key(u)
+                if k not in seen:
+                    word = (s,) + w
+                    seen[k] = (u, depth, word)
+                    new_frontier.append((u, word))
         frontier = new_frontier
         if not frontier:
             break

