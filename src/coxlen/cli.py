@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coxeter import (INF, classify_group, gram_matrix,
-                      minimal_nonaffine_subsets, order_text, parse_any)
+from .coxeter import (INF, classify_group, minimal_nonaffine_subsets,
+                      order_text, parse_any)
 from .errors import (CertificateError, CoxlenError, InputError,
                      ResourceCapError)
 from .filling import (boundary_circle_length, build_triangle_model,
@@ -26,7 +26,7 @@ from .reflen import (ReflenProtocol, affine_bound_experiment, growth_profile,
                      reflen_ball, reflen_element)
 from .reports import (csv_report, format_interval, format_rational,
                       json_report, write_report)
-from .tits import canonical_key, gram_signature
+from .tits import canonical_key
 from .warp import grid_checks, warp_profile
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -71,7 +71,7 @@ def _protocol(args):
 def cmd_classify(args):
     cm = _read_matrix(args)
     verdict = classify_group(cm)
-    sig = gram_signature(gram_matrix(cm))
+    sig = verdict.signature
     summary = verdict.kind.value
     if verdict.minimal_nonaffine:
         summary += ", minimal non-affine"

@@ -183,6 +183,7 @@ class TypeVerdict:
     kind: Kind
     components: tuple  # ((subset tuple, Kind), ...)
     minimal_nonaffine: bool
+    signature: tuple  # (positives, negatives, zeros) of the whole Gram form
 
 
 def irreducible_components(cm: CoxeterMatrix):
@@ -223,11 +224,11 @@ def canonical_diagram(cm: CoxeterMatrix, subset=None):
     return (k, best)
 
 
-_KIND_CACHE = {}
+_KIND_CACHE = {}  # canonical diagram of rank <= 5 -> (Kind, signature)
 
 
 def _classify_entries(entries):
-    """Verdict of a connected diagram from its Gram signature.
+    """Verdict and Gram signature of a connected diagram.
 
     Positive definite is spherical; positive semidefinite with a
     one-dimensional radical is Euclidean; anything else is non-affine
@@ -235,16 +236,17 @@ def _classify_entries(entries):
     """
     cm = CoxeterMatrix.make(entries)
     gm = gram_matrix(cm)
-    pos, neg, zero = linalg.inertia(gm.field, gm.entries)
+    signature = linalg.inertia(gm.field, gm.entries)
+    pos, neg, zero = signature
     if pos == cm.rank:
-        return Kind.SPHERICAL
+        return Kind.SPHERICAL, signature
     if neg == 0 and zero == 1:
-        return Kind.AFFINE_EUCLIDEAN
-    return Kind.NON_AFFINE
+        return Kind.AFFINE_EUCLIDEAN, signature
+    return Kind.NON_AFFINE, signature
 
 
-def classify_component(cm: CoxeterMatrix, subset) -> Kind:
-    """Exact verdict for one irreducible component of the diagram."""
+def _component_verdict(cm: CoxeterMatrix, subset):
+    """(Kind, Gram signature) of one irreducible component of the diagram."""
     subset = tuple(sorted(subset))
     comps = irreducible_components(cm.submatrix(subset))
     if len(comps) != 1:
@@ -252,10 +254,14 @@ def classify_component(cm: CoxeterMatrix, subset) -> Kind:
     if len(subset) <= 5:
         key = canonical_diagram(cm, subset)
         if key not in _KIND_CACHE:
-            sub = cm.submatrix(subset)
-            _KIND_CACHE[key] = _classify_entries(sub.entries)
+            _KIND_CACHE[key] = _classify_entries(cm.submatrix(subset).entries)
         return _KIND_CACHE[key]
     return _classify_entries(cm.submatrix(subset).entries)
+
+
+def classify_component(cm: CoxeterMatrix, subset) -> Kind:
+    """Exact verdict for one irreducible component of the diagram."""
+    return _component_verdict(cm, subset)[0]
 
 
 def subset_is_affine(cm: CoxeterMatrix, subset) -> bool:
@@ -279,10 +285,14 @@ def classify_group(cm: CoxeterMatrix) -> TypeVerdict:
 
     minimal_nonaffine is decided on the maximal proper special subgroups
     S \\ {s} alone; that is sufficient because special subgroups of affine
-    groups are affine.
+    groups are affine.  The Gram form is block diagonal over the components
+    (up to a permutation), so by Sylvester's law of inertia its signature is
+    the sum of theirs.
     """
     comps = irreducible_components(cm)
-    kinds = tuple((c, classify_component(cm, c)) for c in comps)
+    verdicts = [_component_verdict(cm, c) for c in comps]
+    kinds = tuple((c, k) for c, (k, _) in zip(comps, verdicts))
+    signature = tuple(map(sum, zip(*(sig for _, sig in verdicts))))
     if any(k == Kind.NON_AFFINE for _, k in kinds):
         kind = Kind.NON_AFFINE
     elif all(k == Kind.SPHERICAL for _, k in kinds):
@@ -294,7 +304,7 @@ def classify_group(cm: CoxeterMatrix) -> TypeVerdict:
         full = range(cm.rank)
         minimal = all(subset_is_affine(cm, tuple(x for x in full if x != s))
                       for s in range(cm.rank))
-    return TypeVerdict(kind, kinds, minimal)
+    return TypeVerdict(kind, kinds, minimal, signature)
 
 
 def minimal_nonaffine_subsets(cm: CoxeterMatrix):

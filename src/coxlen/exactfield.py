@@ -54,7 +54,9 @@ def _cosine_minimal_poly(N):
             continue
         for i, co in enumerate(_int_dickson(k)):
             out[i] += ck * co
-    assert out[-1] == 1, "real cyclotomic minimal polynomial must be monic"
+    if out[-1] != 1:
+        raise CertificateError("real cyclotomic minimal polynomial for N=%d is not "
+                               "monic" % N)
     return out
 
 
@@ -327,54 +329,6 @@ class ExactScalar:
         return ExactScalar(f, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        if f.degree == 1:
-            return ExactScalar(f, (self.den,), self.num[0])
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in f.minpoly]
-        # extended gcd of a against the minimal polynomial
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def sub_scaled(p, q, c, shift):
-            out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-            for i, qc in enumerate(q):
-                out[i + shift] -= c * qc
-            return trim(out)
-
-        r0, r1 = trim(list(r0)), trim(list(r1))
-        while len(r1) > 1:
-            while len(r0) >= len(r1):
-                c = r0[-1] / r1[-1]
-                shift = len(r0) - len(r1)
-                r0 = sub_scaled(r0, r1, c, shift)
-                s0 = sub_scaled(s0, s1, c, shift)
-                if not r0:
-                    break
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        if not r1:
-            raise ZeroDivisionError("element not invertible (shares a factor)")
-        lead = r1[0]
-        inv_coeffs = [c / lead for c in s1]
-        inv_coeffs += [Fraction(0)] * (f.degree - len(inv_coeffs))
-        den = 1
-        for c in inv_coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        num = tuple(int(c * den) for c in inv_coeffs[: f.degree])
-        return ExactScalar(f, num, den)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
 
     def __pow__(self, k):
         out = self.field.one

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import CertificateError
+
 # 3.141592653589793238462643383279502884197... (truncated / rounded up)
 PI_LO = Fraction(3141592653589793238462643383279, 10**30)
 PI_HI = Fraction(3141592653589793238462643383280, 10**30)
@@ -24,7 +26,7 @@ def le_two_pi(x: Fraction) -> bool:
         return True
     if x >= TWO_PI_HI:
         return False
-    raise AssertionError("pi enclosure too coarse for %r" % (x,))
+    raise CertificateError("pi enclosure too coarse for %r" % (x,))
 
 
 def gt_two_pi(x: Fraction) -> bool:

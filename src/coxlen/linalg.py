@@ -2,8 +2,9 @@
 
 Small dense matrices only (rank <= ~8): cofactor/bitmask determinants and
 leading principal minors, the inertia of a symmetric matrix by one
-division-free symmetric elimination (Sylvester's law of inertia), and
-Gaussian-elimination rank.
+division-free symmetric elimination (Sylvester's law of inertia), and the
+rank by division-free Gaussian elimination.  Nothing here divides in the
+field.
 """
 
 from __future__ import annotations
@@ -95,30 +96,25 @@ def inertia(field, M):
 
 
 def matrix_rank(field, M):
-    """Rank by fraction-based Gaussian elimination (exact field division)."""
-    if not M:
-        return 0
+    """Rank by division-free Gaussian elimination.
+
+    Each row below the pivot row becomes p * row - f * pivot_row, where p is
+    the pivot and f the row's entry in the pivot column; scaling a row by the
+    nonzero p does not change the rank.
+    """
     rows = [list(r) for r in M]
-    n, m = len(rows), len(rows[0])
     rank = 0
-    col = 0
-    for col in range(m):
-        pivot = None
-        for r in range(rank, n):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()),
+                     None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        for r in range(rank + 1, n):
-            if rows[r][col].is_zero():
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, m):
-                rows[r][c] = rows[r][c] - factor * rows[rank][c]
+        top = rows[rank]
+        p = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if not f.is_zero():
+                rows[r] = [p * x - f * y for x, y in zip(rows[r], top)]
         rank += 1
-        if rank == n:
-            break
     return rank

@@ -38,14 +38,18 @@ def get_group(cm: CoxeterMatrix) -> TitsGroup:
     return _GROUP_CACHE[cm]
 
 
+# the truncated ladder's schedule: D = 2, 4, ... up to ReflenProtocol.d_cap,
+# stopping once the upper bound has held for two further rungs
+_D_START = 2
+_D_STEP = 2
+_STABLE_INCREMENTS = 2
+
+
 @dataclass
 class ReflenProtocol:
-    """Stopping rules and caps for reflection-length computations."""
+    """Caps for reflection-length computations."""
 
-    d_start: int = 2
-    d_step: int = 2
     d_cap: int = 6
-    stable_increments: int = 2
     node_cap: int = 5_000_000
     use_exact_solver: bool = True
     solver_cap: int = 2_000_000
@@ -234,8 +238,9 @@ def _product(group, elements):
     return out
 
 
-def _witness(group, invs, indices, g):
-    parts = [invs[i] for i in indices]
+def _witness(group, factors, indices, g):
+    """(length, factors at `indices`), once their product is checked to be g."""
+    parts = [factors[i] for i in indices]
     check = _product(group, parts)
     _require(check.key == g.key, "witness product must equal the element")
     return len(indices), tuple(parts)
@@ -302,16 +307,16 @@ def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
     Upper bounds come from one `min_product_length` search over the
     reflections of root depth <= D, shared by every ball element and bounded
     by its l_S (every simple reflection has depth 0, so l_R^(D) <= l_S);
-    witnesses are its meet-in-the-middle factorizations.  Lower bounds are
+    witnesses are its meet-in-the-middle factorizations, each re-multiplied
+    and checked against its element.  Lower bounds are
     parity and fixed-space codimension.  `node_cap` bounds the ball and the
     elements the search stores; elements the search could not settle under
     it are reported with upper = None.
     """
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
-    reflections = enumerate_reflections(group.gram, D)
-    hits, capped = min_product_length(group, list(ball.values()),
-                                      [r.element for r in reflections], node_cap)
+    factors = [r.element for r in enumerate_reflections(group.gram, D)]
+    hits, capped = min_product_length(group, list(ball.values()), factors, node_cap)
     results = {}
     for (key, (elt, len_s)), hit in zip(ball.items(), hits):
         codim = fixed_space_codim(elt)
@@ -321,8 +326,8 @@ def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
             results[key] = ReflLenResult(elt, None, lower, "Bracketed", None, D,
                                          len_s, sources, capped=True)
         else:
-            upper, wit_idx = hit
-            witness = tuple(reflections[i].word for i in wit_idx)
+            upper, parts = _witness(group, factors, hit[1], elt)
+            witness = tuple(p.word for p in parts)
             status = "Exact" if lower == upper else "Bracketed"
             results[key] = ReflLenResult(elt, upper, lower, status,
                                          witness, D, len_s, sources)
@@ -338,9 +343,10 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
 
     With the exact solver enabled (default) the result is Exact whenever the
     solver finishes under its cap; otherwise upper bounds l_R^(D) are
-    computed for increasing truncation depths D under the protocol's
-    stopping rule, and the result is Bracketed unless the unconditional
-    lower bounds happen to meet the upper bound.
+    computed for D = 2, 4, ... <= protocol.d_cap, stopping once a bound has
+    held for two further rungs, every witness re-multiplied and checked; the
+    result is Bracketed unless the unconditional lower bounds happen to meet
+    the upper bound.
     """
     protocol = protocol or ReflenProtocol()
     group = get_group(cm)
@@ -367,20 +373,23 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
             return ReflLenResult(g, value, value, "Exact", witness, None, len_s,
                                  tuple(sources) + ("inversion-complete",))
 
-    # truncated-reflection ladder with the two-stable-increments stopping rule
+    # truncated-reflection ladder with the two-stable-increments stopping
+    # rule; one enumeration at the top rung serves every rung, because the
+    # depth <= D prefix of it is the enumeration at D
     upper = None
     witness = None
     stable = 0
-    D = protocol.d_start
-    depth_used = D
+    depth_used = _D_START
     capped = False
-    while D <= protocol.d_cap:
-        reflections = enumerate_reflections(group.gram, D)
-        (hit,), rung_capped = min_product_length(
-            group, [(g, len_s)], [r.element for r in reflections], protocol.node_cap)
+    rungs = range(_D_START, protocol.d_cap + 1, _D_STEP)
+    deepest = enumerate_reflections(group.gram, rungs[-1]) if rungs else []
+    for D in rungs:
+        factors = [r.element for r in deepest if r.depth <= D]
+        (hit,), rung_capped = min_product_length(group, [(g, len_s)], factors,
+                                                 protocol.node_cap)
         capped = capped or rung_capped
         if hit is not None:
-            new_upper = hit[0]
+            new_upper, parts = _witness(group, factors, hit[1], g)
             if upper is not None:
                 _require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
             if upper is not None and new_upper == upper:
@@ -388,11 +397,10 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
             else:
                 stable = 0
             upper = new_upper
-            witness = tuple(reflections[i].word for i in hit[1])
+            witness = tuple(p.word for p in parts)
             depth_used = D
-            if stable >= protocol.stable_increments:
+            if stable >= _STABLE_INCREMENTS:
                 break
-        D += protocol.d_step
     status = "Exact" if upper is not None and lower == upper else "Bracketed"
     return ReflLenResult(g, upper, lower, status, witness, depth_used, len_s,
                          tuple(sources), capped=capped)

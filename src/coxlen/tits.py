@@ -1,23 +1,23 @@
 """The geometric (Tits) representation: exact matrices, keys, reflections.
 
 Group elements are rank x rank matrices over the real cyclotomic field
-Q(theta), theta = 2cos(pi/N).  Generator matrices and the reflections built
-by `reflection_from_root` have entries in Z[theta] (the minimal polynomial is
-monic), so every product stays integral, and an element is stored packed:
-one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
-each entry in row-major order.  Multiplication works on those ints directly,
-accumulating each entry's convolution over the inner index and reducing it
-once modulo the minimal polynomial; a non-integral entry raises
-CertificateError instead of being packed.
+Q(theta), theta = 2cos(pi/N).  Generator matrices have entries in Z[theta]
+(the minimal polynomial is monic), so every product stays integral, and an
+element is stored packed: one flat tuple of Python ints, the `degree`
+coefficients (theta^0 first) of each entry in row-major order.
+Multiplication works on those ints directly, accumulating each entry's
+convolution over the inner index and reducing it once modulo the minimal
+polynomial; a non-integral entry raises CertificateError instead of being
+packed.  Roots are packed the same way, as one-column matrices.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
   matrices, so key equality is the word problem.
-* `GroupElement.matrix` is a read-only view of the same matrix as rows of
-  `ExactScalar`, built lazily for the exact linear algebra
-  (`fixed_space_codim`, `enumerate_reflections`).
 * `canonical_key(g)` is the canonical byte serialization of the normalized
   entries; it orders frontiers deterministically and names elements in
   reports (the CSV key digest), independently of the packing.
+* `ExactScalar` appears only where exact field arithmetic is read: the Gram
+  form the generators are built from, `Reflection.root`, and the rows of
+  M - I that `fixed_space_codim` hands to `linalg.matrix_rank`.
 """
 
 from __future__ import annotations
@@ -33,25 +33,27 @@ from .exactfield import ExactScalar
 
 
 def _mat_mul(A, B, n, field):
-    """Product of two packed rank-n matrices over Z[theta]."""
+    """Product of a packed rank-n matrix A and a packed matrix B of n rows
+    (a rank-n matrix, or a root as one column)."""
     d = field.degree
+    m = len(B) // (n * d)
     if d == 1:
         rows = [A[r:r + n] for r in range(0, n * n, n)]
-        cols = [B[j::n] for j in range(n)]
+        cols = [B[j::m] for j in range(m)]
         return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
     # nonzero (power, coefficient) terms of every entry
     a_terms = [[(p, c) for p, c in enumerate(A[t:t + d]) if c]
                for t in range(0, n * n * d, d)]
     b_terms = [[(p, c) for p, c in enumerate(B[t:t + d]) if c]
-               for t in range(0, n * n * d, d)]
+               for t in range(0, len(B), d)]
     reduction = field._reduction_terms
     width = 2 * d - 1
     out = []
     for r in range(0, n * n, n):
         a_row = a_terms[r:r + n]
-        for j in range(n):
+        for j in range(m):
             conv = [0] * width
-            for a, b in zip(a_row, b_terms[j::n]):
+            for a, b in zip(a_row, b_terms[j::m]):
                 if a:
                     for q, y in b:
                         for p, x in a:
@@ -62,14 +64,6 @@ def _mat_mul(A, B, n, field):
                         conv[i] += top * c
             out += conv[:d]
     return tuple(out)
-
-
-def _mat_vec(A, v):
-    n = len(A)
-    return tuple(
-        sum((A[i][k] * v[k] for k in range(1, n)), A[i][0] * v[0])
-        for i in range(n)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -102,27 +96,16 @@ def _pack(matrix):
 class GroupElement:
     """An element of W as a packed exact matrix, with an optional defining word."""
 
-    __slots__ = ("gram", "packed", "word", "_matrix")
+    __slots__ = ("gram", "packed", "word")
 
     def __init__(self, gram, packed, word=None):
         self.gram = gram
         self.packed = packed
         self.word = word
-        self._matrix = None
 
     @property
     def key(self):
         return self.packed
-
-    @property
-    def matrix(self):
-        """The matrix as rows of ExactScalar (a view built on first use)."""
-        if self._matrix is None:
-            field = self.gram.field
-            rows = _entry_rows(self.packed, self.gram.cm.rank, field.degree)
-            self._matrix = tuple(tuple(ExactScalar(field, c, 1) for c in row)
-                                 for row in rows)
-        return self._matrix
 
     def __mul__(self, other):
         word = None
@@ -182,10 +165,6 @@ class TitsGroup:
 
     def element(self, word) -> GroupElement:
         return evaluate_word(self.generators, word, identity=self.identity)
-
-    def simple_root(self, i):
-        return tuple(self.field.one if j == i else self.field.zero
-                     for j in range(self.cm.rank))
 
     def _is_descent(self, g: GroupElement, s):
         """Whether column s of g's matrix is a negative root, i.e. its first
@@ -250,82 +229,48 @@ class Reflection:
     word: tuple  # a (not necessarily reduced) word w + (s,) + reversed(w)
 
 
-def _root_key(v):
-    return repr(tuple((x.num, x.den) for x in v)).encode()
-
-
-def _normalize_root_sign(v):
-    for x in v:
-        s = x.sign()
-        if s > 0:
-            return v
-        if s < 0:
-            return tuple(-y for y in v)
-    raise ValueError("zero vector is not a root")
-
-
-def reflection_from_root(gram: GramMatrix, root):
-    """Matrix of x -> x - 2 B(root, x) root; requires B(root, root) = 1."""
-    field = gram.field
-    n = gram.cm.rank
-    b_root = _mat_vec(gram.entries, root)  # B(root, e_j) as a covector
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            delta = field.one if i == j else field.zero
-            row.append(delta - (b_root[j] + b_root[j]) * root[i])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def bilinear_value(gram: GramMatrix, u, v):
-    w = _mat_vec(gram.entries, v)
-    acc = u[0] * w[0]
-    for i in range(1, len(u)):
-        acc = acc + u[i] * w[i]
-    return acc
+def _root_key(root, d):
+    """The bytes that order roots: `repr` of (coeffs, 1) per coordinate."""
+    return repr(tuple((root[t:t + d], 1) for t in range(0, len(root), d))).encode()
 
 
 def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     """All reflections whose positive root has breadth-first depth <= depth_cap.
 
-    The orbit of the simple roots is expanded level by level; roots are
-    sign-normalized (first nonzero coordinate positive) and deduplicated by
-    key, so the result is deterministic.
+    The orbit of the simple roots is expanded level by level through the
+    simple reflections.  sigma_s permutes the positive roots other than
+    alpha_s (Humphreys, Reflection Groups and Coxeter Groups, ch. 5), so
+    skipping sigma_s on alpha_s keeps every image positive and no sign is
+    ever decided.  A new root sigma_s(v) carries the reflection s t s of its
+    parent's reflection t, with word (s,) + word(t) + (s,).  Roots are
+    deduplicated by their packed ints and the result is sorted by (depth,
+    root bytes), so it is deterministic.
     """
-    group = TitsGroup(gram.cm)
     n = gram.cm.rank
-    seen = {}
-    frontier = []
-    for i in range(n):
-        v = group.simple_root(i)
-        seen[_root_key(v)] = (v, 0, (i,))
-        frontier.append((v, (i,)))
-    gen_mats = [g.matrix for g in group.generators]
+    field = gram.field
+    d = field.degree
+    gens = [tits_generator(gram, s) for s in range(n)]
+    simple = [(0,) * (s * d) + (1,) + (0,) * ((n - s) * d - 1) for s in range(n)]
+    seen = {v: (0, t) for v, t in zip(simple, gens)}  # packed root -> (depth, reflection)
+    frontier = list(zip(simple, gens))
     for depth in range(1, depth_cap + 1):
         new_frontier = []
-        for v, w in frontier:
-            for s in range(n):
-                u = _normalize_root_sign(_mat_vec(gen_mats[s], v))
-                k = _root_key(u)
-                if k not in seen:
-                    word = (s,) + w
-                    seen[k] = (u, depth, word)
-                    new_frontier.append((u, word))
+        for v, t in frontier:
+            for s, gen in enumerate(gens):
+                if v == simple[s]:
+                    continue  # sigma_s(alpha_s) = -alpha_s
+                u = _mat_mul(gen.packed, v, n, field)
+                if u not in seen:
+                    r = gen * t * gen
+                    seen[u] = (depth, r)
+                    new_frontier.append((u, r))
         frontier = new_frontier
         if not frontier:
             break
-    out = []
-    for k in sorted(seen):
-        v, depth, word = seen[k]
-        core = word  # word = u-word ending in the base simple reflection
-        u_part, base = core[:-1], core[-1]
-        refl_word = u_part + (base,) + tuple(reversed(u_part))
-        elt = GroupElement(gram, _pack(reflection_from_root(gram, v)), refl_word)
-        out.append(Reflection(elt, v, depth, refl_word))
-    out.sort(key=lambda r: (r.depth, _root_key(r.root)))
-    return out
+    order = sorted(seen.items(), key=lambda item: (item[1][0], _root_key(item[0], d)))
+    return [Reflection(t, tuple(ExactScalar(field, v[i:i + d], 1)
+                                for i in range(0, n * d, d)), depth, t.word)
+            for v, (depth, t) in order]
 
 
 def gram_signature(gram: GramMatrix):
@@ -336,10 +281,7 @@ def gram_signature(gram: GramMatrix):
 def fixed_space_codim(g: GroupElement) -> int:
     """rank(M - I): a product of k reflections fixes codimension <= k."""
     field = g.gram.field
-    n = g.gram.cm.rank
-    diff = tuple(
-        tuple(g.matrix[i][j] - (field.one if i == j else field.zero)
-              for j in range(n))
-        for i in range(n)
-    )
+    rows = _entry_rows(g.packed, g.gram.cm.rank, field.degree)
+    diff = [[ExactScalar(field, (c[0] - 1,) + c[1:] if i == j else c, 1)
+             for j, c in enumerate(row)] for i, row in enumerate(rows)]
     return linalg.matrix_rank(field, diff)

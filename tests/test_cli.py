@@ -193,3 +193,27 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert second.read_bytes() == alone.read_bytes()
     assert json.loads(first.read_bytes())["config"]["D"] == 4
     assert json.loads(second.read_bytes())["config"]["D"] == 6
+
+
+def test_classify_computes_each_signature_once(tmp_path, monkeypatch):
+    import coxlen.coxeter
+    from coxlen.coxeter import classify_group, parse_coxeter_matrix
+
+    text = "rank 6; m12=16 m23=3 m34=3 m45=3 m56=3"
+    calls = []
+    inertia = coxlen.coxeter.linalg.inertia
+
+    def counting(field, M):
+        calls.append(len(M))
+        return inertia(field, M)
+
+    monkeypatch.setattr(coxlen.coxeter.linalg, "inertia", counting)
+    monkeypatch.setattr(coxlen.coxeter, "_KIND_CACHE", {})
+    classify_group(parse_coxeter_matrix(text))
+    alone = sorted(calls)
+    calls.clear()
+    monkeypatch.setattr(coxlen.coxeter, "_KIND_CACHE", {})
+    code, data = run_cli(["classify", "--inline", text], tmp_path)
+    assert code == 0
+    assert json.loads(data)["report"]["signature"] == [5, 1, 0]
+    assert sorted(calls) == alone and alone.count(6) == 1

@@ -299,7 +299,7 @@ def test_rank6_verdicts_are_pinned(row):
     assert verdict.kind.value == kind
     assert tuple((c, k.value) for c, k in verdict.components) == components
     assert verdict.minimal_nonaffine == minimal
-    assert gram_signature(gm) == signature
+    assert gram_signature(gm) == verdict.signature == signature
 
 
 # -- minimal subsets against the face-check definition -------------------------
@@ -331,3 +331,10 @@ def test_minimal_subsets_match_face_check_definition(cm):
             minimal_nonaffine_subsets(cm)
         return
     assert minimal_nonaffine_subsets(cm) == _face_check_minimal_subsets(cm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagram())
+def test_signature_is_the_sum_over_components(cm):
+    # the Gram form is block diagonal over the components (Sylvester)
+    assert classify_group(cm).signature == gram_signature(gram_matrix(cm))

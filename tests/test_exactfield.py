@@ -37,8 +37,6 @@ def test_field_axioms(N):
     for _ in range(200):
         a, b = _random_scalar(F, rng), _random_scalar(F, rng)
         assert (a + b) - b == a
-        if not a.is_zero():
-            assert (a * a.inverse()) == F.one
         assert a * b == b * a
         assert a * (b + b) == a * b + a * b
 

@@ -8,7 +8,8 @@ from coxlen.filling import (PlaneIsometry, _kernel_min_displacement,
                             boundary_circle_length, build_triangle_model,
                             compute_short_elements, congruence_search,
                             two_pi_certificate)
-from coxlen.intervals import PI_HI, PI_LO
+from coxlen.errors import CertificateError
+from coxlen.intervals import PI_HI, PI_LO, TWO_PI_HI, TWO_PI_LO, le_two_pi
 from coxlen.tits import gram_signature
 
 
@@ -19,6 +20,12 @@ def test_pi_enclosure_against_mpmath():
     assert mpf(PI_LO.numerator) / mpf(PI_LO.denominator) < pi
     assert mpf(PI_HI.numerator) / mpf(PI_HI.denominator) > pi
     assert PI_HI - PI_LO < Fraction(1, 10**28)
+
+
+def test_two_pi_comparison_inside_the_enclosure_raises():
+    assert le_two_pi(TWO_PI_LO) and not le_two_pi(TWO_PI_HI)
+    with pytest.raises(CertificateError):
+        le_two_pi((TWO_PI_LO + TWO_PI_HI) / 2)
 
 
 def test_model_relation_orders():

@@ -1,5 +1,7 @@
 """Exact inertia by symmetric elimination: each pivot path, a property test
-against the 2^n principal-minor Descartes count, and Sylvester's criterion."""
+against the 2^n principal-minor Descartes count, and Sylvester's criterion.
+Division-free rank: each pivot path, and M - I of random group elements
+against sympy's rank over the same algebraic field."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from coxlen import linalg
 from coxlen.coxeter import INF, CoxeterMatrix, gram_matrix, parse_coxeter_matrix
 from coxlen.exactfield import RealCyclotomicField
+from coxlen.reflen import get_group
+from coxlen.tits import _entry_rows, fixed_space_codim
 
 Q = RealCyclotomicField(3)        # 2cos(pi/3) = 1: the rationals
 K = RealCyclotomicField(5)        # Q(sqrt 5), degree 2
@@ -127,3 +131,66 @@ def test_gram_inertia_and_sylvester_criterion(gm):
     assert (pos, neg, zero) == _descartes_inertia(gm.field, gm.entries)
     minors = linalg.leading_principal_minors(gm.field, gm.entries)
     assert (pos == len(minors)) == all(m.sign() > 0 for m in minors)
+
+
+# -- rank of M - I against sympy ---------------------------------------------------
+
+_RANK_GROUPS = ["rank 3; m12=inf m13=inf m23=inf",   # degree 1
+                "rank 4; m12=3 m23=3 m34=3",         # degree 1, finite
+                "rank 3; m12=5 m23=2",               # degree 2
+                "rank 3; m12=3 m13=3 m23=4",         # degree 4
+                "rank 3; m12=3 m23=5",               # degree 4, finite
+                "rank 4; m12=4 m23=3 m34=4 m14=3",   # degree 4
+                "rank 3; m12=8 m23=3"]               # degree 8
+_SYMPY_FIELDS = {}
+
+
+def _sympy_rank(field, rows):
+    """Rank over sympy's algebraic field QQ(2cos(pi/N)), or over QQ."""
+    from sympy import QQ, cos, pi
+    from sympy.polys.matrices import DomainMatrix
+
+    if field.degree == 1:
+        dom = QQ
+        entries = [[QQ(x.num[0], x.den) for x in row] for row in rows]
+    else:
+        if field.N not in _SYMPY_FIELDS:
+            dom = QQ.algebraic_field(2 * cos(pi / field.N))
+            assert [int(c) for c in dom.mod.to_list()] == list(reversed(field.minpoly))
+            _SYMPY_FIELDS[field.N] = dom
+        dom = _SYMPY_FIELDS[field.N]
+        entries = [[dom(list(reversed(x.num))) * dom.convert(QQ(1, x.den)) for x in row]
+                   for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), dom).rank()
+
+
+@st.composite
+def _minus_identity(draw):
+    group = get_group(parse_coxeter_matrix(draw(st.sampled_from(_RANK_GROUPS))))
+    n = group.cm.rank
+    word = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    return group.element(word)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_minus_identity())
+def test_matrix_rank_of_m_minus_i_matches_sympy(g):
+    field = g.gram.field
+    rows = [[field.scalar(c) - (field.one if i == j else field.zero)
+             for j, c in enumerate(row)]
+            for i, row in enumerate(_entry_rows(g.packed, g.gram.cm.rank, field.degree))]
+    rank = _sympy_rank(field, rows)
+    assert linalg.matrix_rank(field, rows) == rank
+    assert fixed_space_codim(g) == rank
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ([[0, 0], [0, 0]], 0),
+    ([[0, 1], [0, 2]], 1),                      # empty first column
+    ([[0, 2, 1], [1, 1, 1], [2, 2, 2]], 2),      # row swap, then a dependent row
+    ([[1, 2], [2, 4], [3, 7]], 2),               # more rows than columns
+    ([[2, 1, 0, 1]], 1),
+    ([], 0),
+])
+def test_matrix_rank_paths(rows, expected):
+    assert linalg.matrix_rank(Q, _rational(rows)) == expected

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coxlen.coxeter import parse_coxeter_matrix
-from coxlen.errors import DomainError
+from coxlen.errors import CertificateError, DomainError
 from coxlen.reflen import (ReflenProtocol, affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
                            get_group, growth_profile, min_product_length,
@@ -362,3 +362,64 @@ def test_witness_check_survives_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def _corrupted_search(monkeypatch):
+    """Make min_product_length swap the last factor of every nonempty hit."""
+    import coxlen.reflen
+
+    real = coxlen.reflen.min_product_length
+
+    def corrupted(group, targets, factors, cap=2_000_000):
+        hits, capped = real(group, targets, factors, cap)
+        return [h if not h or not h[1] else
+                (h[0], h[1][:-1] + ((h[1][-1] + 1) % len(factors),))
+                for h in hits], capped
+
+    monkeypatch.setattr(coxlen.reflen, "min_product_length", corrupted)
+
+
+def test_ladder_remultiplies_its_witness(monkeypatch):
+    no_solver = ReflenProtocol(use_exact_solver=False)
+    assert reflen_element(W3, (0, 1, 2), no_solver).upper == 3
+    _corrupted_search(monkeypatch)
+    with pytest.raises(CertificateError):
+        reflen_element(W3, (0, 1, 2), no_solver)
+
+
+def test_ball_remultiplies_its_witnesses(monkeypatch):
+    assert not reflen_ball(AT2, 3, 2).capped
+    _corrupted_search(monkeypatch)
+    with pytest.raises(CertificateError):
+        reflen_ball(AT2, 3, 2)
+
+
+def _reference_ladder(group, g, len_s, d_cap):
+    """The ladder with a fresh enumeration per rung D = 2, 4, ... <= d_cap,
+    stopping after two stable increments: (upper, witness, depth_used)."""
+    upper, witness, depth_used, stable = None, None, 2, 0
+    for D in range(2, d_cap + 1, 2):
+        reflections = enumerate_reflections(group.gram, D)
+        (hit,), _ = min_product_length(group, [(g, len_s)],
+                                       [r.element for r in reflections])
+        if hit is not None:
+            stable = stable + 1 if hit[0] == upper else 0
+            upper = hit[0]
+            witness = tuple(reflections[i].word for i in hit[1])
+            depth_used = D
+            if stable >= 2:
+                break
+    return upper, witness, depth_used
+
+
+@pytest.mark.parametrize("cm,d_cap", [(W3, 2), (W3, 4), (AT2, 6),
+                                      (parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4"), 5)])
+def test_ladder_matches_one_enumeration_per_rung(cm, d_cap):
+    group = get_group(cm)
+    protocol = ReflenProtocol(use_exact_solver=False, d_cap=d_cap)
+    rng = random.Random(d_cap)
+    for _ in range(6):
+        word = tuple(rng.randrange(cm.rank) for _ in range(rng.randint(3, 9)))
+        res = reflen_element(cm, word, protocol)
+        assert (res.upper, res.witness, res.depth_used) == _reference_ladder(
+            group, res.element, res.len_s, d_cap), word

@@ -1,16 +1,31 @@
+import hashlib
 import random
 
 import pytest
 
 from coxlen.coxeter import parse_coxeter_matrix, gram_matrix
+from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.reflen import get_group
-from coxlen.tits import (TitsGroup, bilinear_value, enumerate_reflections,
-                         evaluate_word, fixed_space_codim, gram_signature,
-                         tits_generator)
+from coxlen.tits import (_entry_rows, canonical_key, enumerate_reflections,
+                         evaluate_word, fixed_space_codim, gram_signature)
+
+
+def _scalar_rows(elt):
+    """The element's matrix as rows of ExactScalar, read from its packed ints."""
+    field = elt.gram.field
+    return tuple(tuple(ExactScalar(field, c, 1) for c in row)
+                 for row in _entry_rows(elt.packed, elt.gram.cm.rank, field.degree))
 
 
 def _entries(elt):
-    return tuple(tuple((e.num, e.den) for e in row) for row in elt.matrix)
+    return tuple(tuple((e.num, e.den) for e in row) for row in _scalar_rows(elt))
+
+
+def _form(gram, u, v):
+    """B(u, v) for coordinate vectors of ExactScalar."""
+    n = len(u)
+    return sum((u[i] * gram.entries[i][j] * v[j] for i in range(n) for j in range(n)),
+               gram.field.zero)
 
 
 def test_generator_matrices():
@@ -66,16 +81,15 @@ def test_form_preserved_on_random_words(text):
     group = get_group(parse_coxeter_matrix(text))
     gm = group.gram
     rng = random.Random(hash(text) & 0xFFFF)
-    basis = [group.simple_root(i) for i in range(group.cm.rank)]
+    n = group.cm.rank
     for _ in range(12):
-        word = tuple(rng.randrange(group.cm.rank) for _ in range(rng.randint(0, 20)))
-        g = group.element(word)
-        # M^T B M = B checked entrywise via the bilinear form on basis images
-        from coxlen.tits import _mat_vec
-        images = [_mat_vec(g.matrix, b) for b in basis]
-        for i in range(group.cm.rank):
-            for j in range(group.cm.rank):
-                assert bilinear_value(gm, images[i], images[j]) == gm.entries[i][j]
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 20)))
+        rows = _scalar_rows(group.element(word))
+        # M^T B M = B entrywise: the columns of M are the images of the basis
+        images = [tuple(rows[k][i] for k in range(n)) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert _form(gm, images[i], images[j]) == gm.entries[i][j]
 
 
 def test_reflection_enumeration_counts():
@@ -112,7 +126,7 @@ def test_reflection_invariants():
     for r in enumerate_reflections(group.gram, 3):
         assert (r.element * r.element).is_identity()
         assert fixed_space_codim(r.element) == 1
-        assert bilinear_value(group.gram, r.root, r.root) == group.field.one
+        assert _form(group.gram, r.root, r.root) == group.field.one
         # the tracked conjugating word realizes the same matrix
         assert group.element(r.word).key == r.element.key
 
@@ -170,3 +184,98 @@ def test_enumeration_deterministic():
     once = [(r.depth, r.word) for r in enumerate_reflections(gm, 4)]
     again = [(r.depth, r.word) for r in enumerate_reflections(gm, 4)]
     assert once == again
+
+
+ENUM_GROUPS = {
+    "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
+    "A2T": "rank 3; m12=3 m13=3 m23=3",           # degree 1
+    "H3": "rank 3; m12=3 m23=5",                  # degree 8
+    "T334": "rank 3; m12=3 m13=3 m23=4",          # degree 4
+    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # degree 4
+    "W4": "rank 4; m12=inf m13=inf m14=inf m23=inf m24=inf m34=inf",
+    "D16": "rank 3; m12=4 m13=3 m23=5",           # degree 16
+}
+
+# sha256 of the (depth, root, canonical_key, word) list of
+# enumerate_reflections, recorded when roots were still ExactScalar vectors,
+# sign-normalized after every image
+ENUM_DIGESTS = {
+    ("W3", 2): "9fb0db64fe6a350e312f2a63296457269cbdd2888cbcbb05d2bd723e6dde293b",
+    ("W3", 4): "f9d5d07524ee14bff17a0403110d1c4cd0cab98fc6cd98661ff112d069f0cced",
+    ("W3", 6): "e4cab14020a26bf5689625ac5f0cb16ed80527e9ddd40b26441a8534afc5aa90",
+    ("A2T", 2): "b1dffcc52117243adef286caa426988791e5bda1555cc6a9935c73d4f956a2ca",
+    ("A2T", 4): "e04c540b7b088790bcbe82cb850992cb69ad241654d6abcb3bb89a5d363b9def",
+    ("A2T", 6): "c37062dbbaac5548e53e13dc90a75f2cbcd34257de56aa9136554b26ac898e8e",
+    ("H3", 2): "ba8e7e53c28e611ff2e7580b90b0c6eb1ea8ef22187fe62192e09e7ef0dfc2e7",
+    ("H3", 4): "4cdb837df1ab81fb12e5478877aa8f8b140853e0a58a6b80b850333be11356a0",
+    ("H3", 6): "b87285d2188e93e71136b0bb846e2fa7c2707364f978aa1e5bc187802ff34332",
+    ("T334", 2): "cae46603f7e4dae1700488330e2a00cda7fb5ea135312cccf6f37bccb438391b",
+    ("T334", 4): "b1f5ae80fdcba68bfc7fa708559b79ee1ce7cde954b59845d0a709b95096c4b9",
+    ("T334", 6): "3df77ca6be2e56f05ff1b2f065df455dca0ec6e028515f27ab2f3ff16f85b570",
+    ("B4H", 2): "fdaf4ccefdddc64a563af12d44db9c47145c04183c8369edd9153b2276a6f4c7",
+    ("B4H", 4): "dc9d4a67f04ed703d7d828f75a2b691ac94b6fba2d8ccabe81ca0100750f97ae",
+    ("B4H", 6): "42dec58f1d52cacc3f5d299acc05c032285693cc9990d1ec4f55d51c3ef7cde0",
+    ("W4", 2): "73e106402421df0a031a783006c4db1a018f53dae205c8ec32494489c696f8fa",
+    ("W4", 4): "1f81c6f494cd0e99764f0901794d81d40c13ddbb683dcada6b04e56a48cb511b",
+    ("W4", 6): "0402d3c3cfbe7334e95f70c5473df780d6b4254d2edeba5ddac5b0fb53c60a65",
+    ("D16", 2): "56f32cebd8f22598b335b53365e07868cd093ad7f1d78aa529c7eea4d08e2040",
+    ("D16", 4): "c76de56a8a0babf2bc5b775a48102c13948e75dba735b752fce5983494998732",
+    ("D16", 6): "a9f090293bacdcf29a719e7ed1cb5ad71edcfc231ff3f89c0eb75623b953d734",
+}
+
+
+def _enum_rows(reflections):
+    return [(r.depth, repr(tuple((x.num, x.den) for x in r.root)),
+             canonical_key(r.element).decode(), r.word) for r in reflections]
+
+
+def test_enumeration_lists_are_pinned():
+    for (name, D), digest in ENUM_DIGESTS.items():
+        gram = gram_matrix(parse_coxeter_matrix(ENUM_GROUPS[name]))
+        rows = _enum_rows(enumerate_reflections(gram, D))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, (name, D)
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_GROUPS))
+def test_enumerated_roots_are_positive_and_carry_their_reflection(name):
+    group = get_group(parse_coxeter_matrix(ENUM_GROUPS[name]))
+    n = group.cm.rank
+    for r in enumerate_reflections(group.gram, 4):
+        signs = [x.sign() for x in r.root]
+        assert min(signs) >= 0 and max(signs) > 0, r.word
+        # the element is x -> x - 2 B(root, x) root, and its word realizes it
+        rows = _scalar_rows(r.element)
+        for i in range(n):
+            for j in range(n):
+                two_b = sum((r.root[k] * group.gram.entries[k][j] for k in range(n)),
+                            group.field.zero) * 2
+                delta = group.field.one if i == j else group.field.zero
+                assert rows[i][j] == delta - two_b * r.root[i]
+        assert group.element(r.word).key == r.element.key
+
+
+def test_enumeration_decides_no_sign(monkeypatch):
+    grams = [gram_matrix(parse_coxeter_matrix(ENUM_GROUPS[name]))
+             for name in ("T334", "H3", "D16")]
+    calls = []
+    original = RealCyclotomicField.sign_of
+
+    def counting(self, num, den):
+        calls.append(num)
+        return original(self, num, den)
+
+    monkeypatch.setattr(RealCyclotomicField, "sign_of", counting)
+    for gram in grams:
+        assert enumerate_reflections(gram, 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["W3", "T334", "B4H", "D16"])
+def test_depth_prefix_is_the_shallower_enumeration(name):
+    # the truncated ladder enumerates once and reads each rung as a prefix
+    gram = gram_matrix(parse_coxeter_matrix(ENUM_GROUPS[name]))
+    deepest = enumerate_reflections(gram, 6)
+    for D in range(7):
+        prefix = [r for r in deepest if r.depth <= D]
+        assert deepest[:len(prefix)] == prefix
+        assert _enum_rows(prefix) == _enum_rows(enumerate_reflections(gram, D))
