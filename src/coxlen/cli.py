@@ -229,9 +229,7 @@ def cmd_warp(args):
     if not (pos and inc and conv):
         raise CertificateError("warp profile fails its grid checks: f > 0 %s, "
                                "f' > 0 %s, f'' >= 0 %s" % (pos, inc, conv))
-    rows = [(float(r), float(f), float(fp), float(fpp))
-            for r, f, fp, fpp in zip(profile.grid, profile.f,
-                                     profile.fp, profile.fpp)]
+    rows = zip(profile.grid, profile.f, profile.fp, profile.fpp)
     config = _config(args, ("L", "rT", "grid"))
     config["r_T_used"] = profile.r_T
     config["bridge"] = [profile.r_a, profile.r_b]

@@ -6,31 +6,60 @@ coefficient equality of the normalized vector, and signs are decided exactly
 by interval evaluation against a refinable isolating interval for theta, so
 no verdict anywhere in the package depends on floating point.
 
-The minimal polynomial is obtained from the cyclotomic polynomial Phi_{2N}
-via the palindromic substitution y = z + 1/z: writing Phi_{2N}(z)/z^d as a
+The minimal polynomial is obtained from the cyclotomic polynomial
+Phi_{2N} = prod_{d|2N} (x^d - 1)^mu(2N/d), built in integers by multiplying
+out the mu = +1 binomials and exact-dividing by the mu = -1 ones, then the
+palindromic substitution y = z + 1/z: writing Phi_{2N}(z)/z^d as a
 polynomial in y uses z^k + z^{-k} = D_k(y) with the Dickson recurrence
-D_0 = 2, D_1 = y, D_{k+1} = y*D_k - D_{k-1}.
+D_0 = 2, D_1 = y, D_{k+1} = y*D_k - D_{k-1}, rolled forward once.
+
+Theta's starting isolating interval (lo, 2) is a Taylor certificate: the
+second- and fourth-order bounds on cos with 333/106 < pi < 355/113 put a
+rational lo below theta and above every other conjugate 2cos(k pi/N),
+gcd(k, 2N) = 1 (see `_isolate_theta`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import CertificateError
 
+# 333/106 < pi < 355/113: loose enough to keep the Fractions of the theta
+# certificate small, tight enough for every conductor
+_PI_LO = Fraction(333, 106)
+_PI_HI = Fraction(355, 113)
 
-def _int_dickson(k):
-    """Integer coefficient list (low->high) of D_k with D_k(2cos a)=2cos(ka)."""
-    if k == 0:
-        return [2]
-    prev, cur = [2], [0, 1]
-    for _ in range(k - 1):
-        shifted = [0] + cur
-        nxt = [s - p for s, p in zip(shifted, prev + [0] * (len(shifted) - len(prev)))]
-        prev, cur = cur, nxt
-    return cur
+
+def _mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def _cyclotomic(n):
+    """Integer coefficients (low->high) of Phi_n = prod_{d|n} (x^d - 1)^mu(n/d), n > 1."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:                     # multiply by the mu = +1 binomials
+        if _mobius(n // d) == 1:
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d in divisors:                     # exact-divide by the mu = -1 binomials
+        if _mobius(n // d) == -1:
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+    return poly
 
 
 def _cosine_minimal_poly(N):
@@ -39,21 +68,21 @@ def _cosine_minimal_poly(N):
         return [2, 1]          # theta = -2
     if N == 2:
         return [0, 1]          # theta = 0
-    from sympy import Symbol, cyclotomic_poly, Poly
-
-    z = Symbol("z")
-    phi = Poly(cyclotomic_poly(2 * N, z), z).all_coeffs()[::-1]  # low->high
-    deg = len(phi) - 1
-    d = deg // 2
-    # Phi is palindromic; Phi(z)/z^d = c_d + sum_{k>=1} c_{d+k} (z^k + z^{-k})
+    phi = _cyclotomic(2 * N)
+    d = (len(phi) - 1) // 2
+    # Phi is palindromic; Phi(z)/z^d = c_d + sum_{k>=1} c_{d+k} D_k(z + 1/z)
     out = [0] * (d + 1)
-    out[0] = int(phi[d])
+    out[0] = phi[d]
+    prev, cur = [2], [0, 1]                # D_0, D_1
     for k in range(1, d + 1):
-        ck = int(phi[d + k])
-        if ck == 0:
-            continue
-        for i, co in enumerate(_int_dickson(k)):
-            out[i] += ck * co
+        ck = phi[d + k]
+        if ck:
+            for i, co in enumerate(cur):
+                out[i] += ck * co
+        nxt = [0] + cur
+        for i, co in enumerate(prev):
+            nxt[i] -= co
+        prev, cur = cur, nxt
     if out[-1] != 1:
         raise CertificateError("real cyclotomic minimal polynomial for N=%d is not "
                                "monic" % N)
@@ -65,45 +94,6 @@ def _poly_eval_frac(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _sturm_chain(coeffs):
-    """Sturm chain of a squarefree integer polynomial (Fraction arithmetic)."""
-    def deriv(p):
-        return [Fraction(i * c) for i, c in enumerate(p)][1:]
-
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    chain = [[Fraction(c) for c in coeffs]]
-    chain.append(deriv(chain[0]))
-    while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0] != 0):
-        r = rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _poly_eval_frac(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 class RealCyclotomicField:
@@ -152,30 +142,26 @@ class RealCyclotomicField:
         self._cos_cache = {}
 
     def _isolate_theta(self):
-        """Verified isolating interval for theta, the largest root of minpoly."""
-        d = self.degree
-        if d == 1:
+        """Verified isolating interval for theta, the largest root of minpoly.
+
+        As cos x >= 1 - x^2/2, lo = 2 - (pi/N)^2 (pi rounded up) lies below
+        theta.  Every other conjugate 2cos(k pi/N), k odd >= 3, lies below
+        2cos(2pi/N), and cos x <= 1 - x^2/2 + x^4/24 bounds that from above,
+        so (lo, 2) isolates theta once lo exceeds the bound.  hi stays 2:
+        bisecting towards 2 keeps the interval's Fractions small, which makes
+        `sign_of` cheaper than a tighter Taylor hi would.
+        """
+        if self.degree == 1:
             v = Fraction(-self.minpoly[0])
             self._lo = self._hi = v
             return
-        hi = Fraction(2)
-        lo = Fraction(round((self._theta_float - 0.05) * 10**6), 10**6)
-        mp = self.minpoly
-        if _poly_eval_frac(mp, hi) <= 0:
-            raise CertificateError("minimal polynomial for N=%d is not positive at 2"
-                                   % self.N)
-        chain = _sturm_chain(mp)
-        v_hi = _sign_variations(chain, hi)
-        # walk lo upward until (lo, hi] holds exactly one root, which is then
-        # theta (the largest root); such a point has p(lo) < 0, so only those
-        # points pay for the Sturm count
-        for _ in range(64):
-            if (_poly_eval_frac(mp, lo) < 0
-                    and _sign_variations(chain, lo) - v_hi == 1):
-                break
-            lo = (lo + Fraction(round(self._theta_float * 10**9), 10**9)) / 2
-        else:
-            raise CertificateError("failed to isolate theta for N=%d" % self.N)
+        N, mp = self.N, self.minpoly
+        lo, hi = 2 - (_PI_HI / N) ** 2, Fraction(2)
+        if not lo > 2 - (2 * _PI_LO / N) ** 2 + (2 * _PI_HI / N) ** 4 / 12:
+            raise CertificateError("failed to isolate theta for N=%d" % N)
+        if not _poly_eval_frac(mp, lo) < 0 < _poly_eval_frac(mp, hi):
+            raise CertificateError("minimal polynomial for N=%d does not change sign "
+                                   "around theta" % N)
         self._lo, self._hi = lo, hi
 
     def refine_theta(self, width: Fraction):

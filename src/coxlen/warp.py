@@ -11,14 +11,16 @@ remaining matching constraints (the integral of f'' and its first moment),
 then integrates twice.  All joins match value, first and second derivative,
 so the assembled f is C^2; convexity holds by construction and is verified
 on the grid anyway.
+
+The grid and the sampled f, f', f'' are tuples of Python floats, each point
+evaluated once; the grid checks are min over forward and second differences
+taken elementwise, so no array library is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConstructionFailedError, DomainError
 
@@ -39,10 +41,10 @@ class WarpProfile:
     L: float
     r_T: float
     bridge: BridgeSpec
-    grid: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
+    grid: tuple        # the grid points over (r_T, 0], as floats
+    f: tuple           # f, f' and f'' at the grid points
+    fp: tuple
+    fpp: tuple
     attempts: int
 
     @property
@@ -216,7 +218,7 @@ def warp_profile(L, r_T=None, grid=512, schedule=None) -> WarpProfile:
     if grid < 8:
         raise DomainError("grid too small")
     candidates = schedule if schedule is not None else _default_schedule(L, r_T)
-    rs = np.array([r_T + (i + 1) * (0.0 - r_T) / grid for i in range(grid)])
+    rs = tuple(r_T + (i + 1) * (0.0 - r_T) / grid for i in range(grid))
     best_violation = None
     attempts = 0
     for (r_a, r_b, w1, w3, w2) in candidates:
@@ -225,32 +227,38 @@ def warp_profile(L, r_T=None, grid=512, schedule=None) -> WarpProfile:
         if spec is None:
             continue
         profile = WarpProfile(L, r_T, spec, rs, None, None, None, attempts)
-        f = np.array([_eval_profile(profile, r)[0] for r in rs])
-        fp = np.array([_eval_profile(profile, r)[1] for r in rs])
-        fpp = np.array([_eval_profile(profile, r)[2] for r in rs])
+        f, fp, fpp = zip(*(_eval_profile(profile, r) for r in rs))
         violation = _grid_violation(rs, f)
         if violation is None:
             profile.f, profile.fp, profile.fpp = f, fp, fpp
             return profile
         if best_violation is None or violation[1] < best_violation[1]:
             best_violation = violation
+    if best_violation is None:
+        raise ConstructionFailedError(
+            "none of the %d candidates in the schedule gave a feasible bridge for "
+            "L = %r, r_T = %r; adjust (L, r_T) or supply a schedule"
+            % (attempts, L, r_T), best_violation=None)
     raise ConstructionFailedError(
         "no bridge in the schedule passed the grid checks (worst remaining "
         "violation: %s); adjust (L, r_T) or supply a schedule" % (best_violation,),
         best_violation=best_violation)
 
 
+def _second_differences(f):
+    return [c - 2 * b + a for a, b, c in zip(f, f[1:], f[2:])]
+
+
 def _grid_violation(rs, f):
     """None when all checks pass, else (kind, signed severity)."""
-    fmin = f.min()
+    fmin = min(f)
     if fmin <= 0:
-        return ("positivity", float(fmin))
-    d1 = np.diff(f)
-    if d1.min() <= 0:
-        return ("monotonicity", float(d1.min()))
-    d2 = f[2:] - 2 * f[1:-1] + f[:-2]
-    tol = -1e-9 * float(np.abs(f).max()) * float((rs[1] - rs[0]) ** 2)
-    bad = float(d2.min())
+        return ("positivity", fmin)
+    d1 = min(b - a for a, b in zip(f, f[1:]))
+    if d1 <= 0:
+        return ("monotonicity", d1)
+    tol = -1e-9 * max(map(abs, f)) * (rs[1] - rs[0]) ** 2
+    bad = min(_second_differences(f))
     if bad < tol:
         return ("convexity", bad)
     return None
@@ -260,9 +268,8 @@ def grid_checks(profile: WarpProfile):
     """The acceptance predicate triple (f > 0, f' > 0, f'' tolerance)."""
     f = profile.f
     rs = profile.grid
-    step = float(rs[1] - rs[0])
-    pos = bool(f.min() > 0)
-    inc = bool(np.diff(f).min() > 0)
-    d2 = (f[2:] - 2 * f[1:-1] + f[:-2]) / step ** 2
-    conv = bool(d2.min() >= -1e-9 * float(np.abs(f).max()))
+    step = rs[1] - rs[0]
+    pos = min(f) > 0
+    inc = min(b - a for a, b in zip(f, f[1:])) > 0
+    conv = min(d / step ** 2 for d in _second_differences(f)) >= -1e-9 * max(map(abs, f))
     return pos, inc, conv

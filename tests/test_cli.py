@@ -155,9 +155,42 @@ def test_reflen_ball_csv_bytes_are_pinned(tmp_path):
 
 
 def test_classify_with_a_wide_conductor(tmp_path):
-    code, data = run_cli(["classify", "--inline", "rank 2; m12=71"], tmp_path)
-    assert code == 0
-    assert json.loads(data)["report"]["kind"] == "Spherical"
+    for m in (71, 391):
+        code, data = run_cli(["classify", "--inline", "rank 2; m12=%d" % m], tmp_path)
+        assert code == 0, m
+        assert json.loads(data)["report"]["kind"] == "Spherical"
+
+
+def test_warp_without_a_feasible_bridge_names_the_search(tmp_path, capsys):
+    code, _ = run_cli(["warp", "--L", "150"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "None" not in err
+    assert "3276 candidates" in err and "L = 150.0" in err and "r_T = " in err
+
+
+def test_cli_imports_neither_numpy_nor_sympy():
+    import os
+    import subprocess
+    import sys
+
+    import coxlen
+
+    script = (
+        "import os, sys, tempfile\n"
+        "import coxlen, coxlen.cli\n"
+        "out = os.path.join(tempfile.mkdtemp(), 'out')\n"
+        "for argv in (['classify', '--inline', 'rank 3; m12=5 m23=3'],\n"
+        "             ['warp', '--L', '6.5', '--grid', '64']):\n"
+        "    assert coxlen.cli.main(argv + ['--output', out]) == 0, argv\n"
+        "assert coxlen.RealCyclotomicField(5).degree == 2\n"
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_reflen_ball_honours_node_cap(tmp_path):

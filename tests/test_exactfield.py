@@ -4,7 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from coxlen.exactfield import RealCyclotomicField
+from coxlen import intervals
+from coxlen.exactfield import _PI_HI, _PI_LO, RealCyclotomicField
+
+
+def _reference_minimal_poly(N):
+    """sympy's Phi_2N, then Phi_2N(z)/z^d written in y = z + 1/z through a
+    Dickson polynomial D_k (z^k + z^-k = D_k(y)) built afresh for every k."""
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    def dickson(k):
+        if k == 0:
+            return [2]
+        prev, cur = [2], [0, 1]
+        for _ in range(k - 1):
+            shifted = [0] + cur
+            prev = prev + [0] * (len(shifted) - len(prev))
+            prev, cur = cur, [s - p for s, p in zip(shifted, prev)]
+        return cur
+
+    z = Symbol("z")
+    phi = Poly(cyclotomic_poly(2 * N, z), z).all_coeffs()[::-1]  # low->high
+    d = (len(phi) - 1) // 2
+    out = [0] * (d + 1)
+    out[0] = int(phi[d])
+    for k in range(1, d + 1):
+        for i, co in enumerate(dickson(k)):
+            out[i] += int(phi[d + k]) * co
+    return out
 
 
 def test_minimal_polynomials_match_sympy():
@@ -16,6 +43,12 @@ def test_minimal_polynomials_match_sympy():
         mine = sum(c * x ** i for i, c in enumerate(F.minpoly))
         theirs = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / N), x)
         assert sympy.expand(mine - theirs) == 0, N
+    for N in list(range(3, 151)) + [210, 391, 400]:
+        assert list(RealCyclotomicField(N).minpoly) == _reference_minimal_poly(N), N
+
+
+def test_small_pi_bounds_enclose_the_fine_ones():
+    assert _PI_LO < intervals.PI_LO < intervals.PI_HI < _PI_HI
 
 
 def test_degenerate_conductors():
@@ -93,11 +126,11 @@ def test_scalar_normalization_and_hash():
     assert c == F.from_rational(Fraction(1, 2))
 
 
-def test_theta_isolation_for_every_conductor_up_to_150():
+def test_theta_isolation_for_every_conductor_up_to_400():
     import mpmath
 
     mpmath.mp.dps = 40
-    for N in range(3, 151):
+    for N in range(3, 401):
         F = RealCyclotomicField(N)
         if F.degree == 1:
             continue

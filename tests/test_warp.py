@@ -55,7 +55,7 @@ def test_joins_are_c2():
 
 def test_second_difference_tolerance():
     profile = warp_profile(6.5)
-    f = profile.f
+    f = np.asarray(profile.f)
     step = float(profile.grid[1] - profile.grid[0])
     d2 = (f[2:] - 2 * f[1:-1] + f[:-2]) / step ** 2
     assert d2.min() >= -1e-9 * float(np.abs(f).max())
@@ -84,3 +84,10 @@ def test_equal_lengths_give_identical_profiles():
     b = warp_profile(9.0)
     assert np.array_equal(a.f, b.f)
     assert a.bridge == b.bridge
+
+
+def test_profile_columns_are_tuples_of_floats():
+    profile = warp_profile(9.0, grid=64)
+    for column in (profile.grid, profile.f, profile.fp, profile.fpp):
+        assert type(column) is tuple and len(column) == 64
+        assert all(type(x) is float for x in column)
