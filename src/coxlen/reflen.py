@@ -24,18 +24,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import tits
 from .coxeter import CoxeterMatrix, Kind, classify_group
 from .errors import CertificateError, DomainError, ResourceCapError
-from .tits import (GroupElement, TitsGroup, canonical_key,
-                   enumerate_reflections, fixed_space_codim)
+from .tits import GroupElement, TitsGroup, canonical_key, fixed_space_codim
 
 _GROUP_CACHE = {}
+# group -> (depth cap, enumerate_reflections list): the deepest made so far
+_REFLECTION_CACHE = {}
 
 
 def get_group(cm: CoxeterMatrix) -> TitsGroup:
     if cm not in _GROUP_CACHE:
         _GROUP_CACHE[cm] = TitsGroup(cm)
     return _GROUP_CACHE[cm]
+
+
+def get_reflections(group: TitsGroup, D: int):
+    """The reflections of root depth <= D, as `enumerate_reflections` lists
+    them: the depth <= D prefix of the deepest enumeration made so far for
+    the group, enumerating again only for a deeper D."""
+    cached = _REFLECTION_CACHE.get(group.cm)
+    if cached is None or cached[0] < D:
+        cached = D, tits.enumerate_reflections(group.gram, D)
+        _REFLECTION_CACHE[group.cm] = cached
+    return [r for r in cached[1] if r.depth <= D]
 
 
 # the truncated ladder's schedule: D = 2, 4, ... up to ReflenProtocol.d_cap,
@@ -137,8 +150,22 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
     factors have word parity n).  Returns (hits, capped): hits[i] is
     (n, factor index tuple) for the least such n, or None when target i has
     no factorization of length <= its n_max.  Once the stored-element cap is
-    hit, every target not yet settled gets None and capped is True.  A
-    target's hit does not depend on the other targets.
+    hit, every target not yet settled gets None and capped is True.
+
+    Witness contract: the index tuple is the lexicographically least one of
+    length n.  Layer k holds every product of k factors, inserted in the
+    order of its least k-tuple, which is the tuple it stores (induction on
+    k); a probe at n = a + b walks layer a in that order and takes the first
+    x with x^-1 g in layer b, so the hit is the least n-tuple whatever the
+    split, and a target's hit does not depend on the other targets.
+
+    When a single target probes an odd n = 2a + 1 >= 3 and layer a + 1 is
+    not built yet, it is not built at all: x^-1 g lies in layer a + 1
+    exactly when t_j x^-1 g lies in layer a for some j, and its stored
+    witness there would be the least such j followed by that element's
+    witness in layer a.  The children of each prefix are tested in turn,
+    which stores nothing beyond layer a and costs at most the
+    |layer a| * |factors| products that building layer a + 1 costs.
     """
     hits = []
     pending = []        # (target index, element, n_max) still to settle
@@ -184,24 +211,40 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
             inverses[k][key] = inv
         return inv
 
+    def in_layer(k, y):
+        """y's witness in layer k, or None."""
+        hit = layers[k].get(y.key)
+        return None if hit is None else hit[0]
+
+    def in_next_layer(k, y):
+        """y's witness in layer k + 1, read from layer k, or None."""
+        layer = layers[k]
+        for j, t in enumerate(factors):
+            hit = layer.get((t * y).key)
+            if hit is not None:
+                return (j,) + hit[0]
+        return None
+
     for n in range(1, n_top + 1):
         probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
         if not probing:
             continue
         a = n // 2
         b = n - a
-        if not extend(b):
+        walk = len(probing) == 1 and 0 < a < b and b not in layers
+        if not extend(a if walk else b):
             return hits, True
         for i, g, _ in probing:
             if a == 0:
-                hit = layers[b].get(g.key)
-                if hit is not None:
-                    hits[i] = n, hit[0]
+                wit = in_layer(b, g)
+                if wit is not None:
+                    hits[i] = n, wit
                 continue
             for key, (wit_a, _, _) in layers[a].items():
-                hit = layers[b].get((inverse(a, key) * g).key)
-                if hit is not None:
-                    hits[i] = n, wit_a + hit[0]
+                y = inverse(a, key) * g
+                wit_b = in_next_layer(a, y) if walk else in_layer(b, y)
+                if wit_b is not None:
+                    hits[i] = n, wit_a + wit_b
                     break
         pending = [p for p in pending if hits[p[0]] is None]
     return hits, False
@@ -315,7 +358,7 @@ def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
     """
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
-    factors = [r.element for r in enumerate_reflections(group.gram, D)]
+    factors = [r.element for r in get_reflections(group, D)]
     hits, capped = min_product_length(group, list(ball.values()), factors, node_cap)
     results = {}
     for (key, (elt, len_s)), hit in zip(ball.items(), hits):
@@ -374,15 +417,15 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
                                  tuple(sources) + ("inversion-complete",))
 
     # truncated-reflection ladder with the two-stable-increments stopping
-    # rule; one enumeration at the top rung serves every rung, because the
-    # depth <= D prefix of it is the enumeration at D
+    # rule; the group's reflections at the top rung serve every rung, because
+    # the depth <= D prefix of them is the enumeration at D
     upper = None
     witness = None
     stable = 0
     depth_used = _D_START
     capped = False
     rungs = range(_D_START, protocol.d_cap + 1, _D_STEP)
-    deepest = enumerate_reflections(group.gram, rungs[-1]) if rungs else []
+    deepest = get_reflections(group, rungs[-1]) if rungs else []
     for D in rungs:
         factors = [r.element for r in deepest if r.depth <= D]
         (hit,), rung_capped = min_product_length(group, [(g, len_s)], factors,

@@ -2,14 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxlen.coxeter import parse_coxeter_matrix
+from coxlen.coxeter import INF, CoxeterMatrix, parse_coxeter_matrix
 from coxlen.errors import CertificateError, DomainError
 from coxlen.reflen import (ReflenProtocol, affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
-                           get_group, growth_profile, min_product_length,
-                           reflection_distances, reflen_ball, reflen_element,
-                           standard_ball)
+                           get_group, growth_profile, inversion_reflections,
+                           min_product_length, reflection_distances,
+                           reflen_ball, reflen_element, standard_ball)
 from coxlen.tits import enumerate_reflections, fixed_space_codim
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
@@ -423,3 +424,119 @@ def test_ladder_matches_one_enumeration_per_rung(cm, d_cap):
         res = reflen_element(cm, word, protocol)
         assert (res.upper, res.witness, res.depth_used) == _reference_ladder(
             group, res.element, res.len_s, d_cap), word
+
+
+# -- the search's witness contract against brute force --------------------------
+
+
+def _least_factorizations(group, targets, factors):
+    """Brute force per (g, n_max) target: the least n of n_max's parity, then
+    the lexicographically least index tuple of length n whose product is g,
+    or None."""
+    products = {(): group.identity}
+
+    def product(indices):
+        if indices not in products:
+            products[indices] = product(indices[:-1]) * factors[indices[-1]]
+        return products[indices]
+
+    def least(g, n_max):
+        if g.is_identity():
+            return 0, ()
+        for n in range(2 - n_max % 2, n_max + 1, 2):
+            for indices in itertools.product(range(len(factors)), repeat=n):
+                if product(indices).key == g.key:
+                    return n, indices
+        return None
+
+    return [least(g, n_max) for g, n_max in targets]
+
+
+T334 = parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4")
+H3 = parse_coxeter_matrix("rank 3; m12=3 m23=5")
+
+
+def _witness_cases():
+    """(group, factors, targets): R_2 of four groups against their radius-3
+    balls, and the inversion sets of a few words against their own word and
+    a radius-2 ball, at n_max from l_S to l_S + 3 (mostly misses)."""
+    for cm in (W3, AT2, T334, H3):
+        group = get_group(cm)
+        factors = [r.element for r in enumerate_reflections(group.gram, 2)]
+        yield group, factors, [(elt, len_s) for elt, len_s
+                               in standard_ball(group, 3).values()]
+    for cm, word in ((W3, (0, 1, 2, 0, 1)), (AT2, (0, 1, 2, 0, 1, 2)),
+                     (T334, (0, 1, 2, 1, 0)), (H3, (0, 1, 2, 1))):
+        group = get_group(cm)
+        g = group.element(word)
+        rw = group.reduced_word(g)
+        factors = inversion_reflections(group, rw)
+        ball = standard_ball(group, 2).values()
+        targets = [(g, len(rw))] + [(elt, len_s + extra) for (elt, len_s), extra
+                                    in zip(ball, itertools.cycle((0, 1, 2, 3)))]
+        yield group, factors, targets
+
+
+def test_search_hit_is_the_least_index_tuple_of_least_length():
+    lengths = set()
+    for group, factors, targets in _witness_cases():
+        oracle = _least_factorizations(group, targets, factors)
+        lengths.update(h and h[0] for h in oracle)
+        # one target at a time (odd n walks the children of each prefix) ...
+        for target, expected in zip(targets, oracle):
+            assert min_product_length(group, [target], factors) == ([expected], False)
+        # ... and all of them in one shared search
+        assert min_product_length(group, targets, factors) == (oracle, False)
+    # misses, and hits at odd and even n beyond a single factor
+    assert {None, 2, 3, 4} <= lengths
+
+
+def test_single_odd_target_settles_without_the_next_layer():
+    # l_R(abc) = 3 in W3; over the 93 reflections of R_4 the odd probe at
+    # n = 3 needs only layer 1 and the children of its first few prefixes,
+    # so a cap far below the 93^2 products of layer 2 does not stop it
+    group = get_group(W3)
+    factors = [r.element for r in enumerate_reflections(group.gram, 4)]
+    assert len(factors) == 93
+    target = group.element((0, 1, 2))
+    assert min_product_length(group, [(target, 3)], factors, cap=1000) == \
+        ([(3, (0, 3, 11))], False)
+    assert min_product_length(group, [(target, 3)], factors) == \
+        ([(3, (0, 3, 11))], False)
+
+
+# -- properties over random small Coxeter matrices --------------------------------
+
+
+@st.composite
+def _matrix_and_word(draw):
+    n = draw(st.integers(3, 4))
+    entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i][j] = entries[j][i] = draw(st.sampled_from([2, 3, 4, 6, INF]))
+    word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=6)))
+    return CoxeterMatrix.make(entries), word
+
+
+@settings(max_examples=50, deadline=None)
+@given(_matrix_and_word())
+def test_reflection_length_properties(case):
+    # codim <= l_R <= l_S with l_R = l_S mod 2, l_R(w) = l_R(w^-1), and the
+    # exact value below the ladder's upper bound; the ladder runs under a
+    # small node cap, so a rung whose layers outgrow it reports no bound
+    cm, word = case
+    group = get_group(cm)
+    g = group.element(word)
+    len_s = group.length(g)
+    value, _ = exact_reflection_length(group, g)
+    assert fixed_space_codim(g) <= value <= len_s
+    assert value % 2 == len_s % 2
+    inverse = group.element(tuple(reversed(word)))
+    assert exact_reflection_length(group, inverse)[0] == value
+    ladder = reflen_element(cm, word, ReflenProtocol(use_exact_solver=False,
+                                                      d_cap=4, node_cap=5_000))
+    if ladder.upper is None:
+        assert ladder.capped
+    else:
+        assert value <= ladder.upper

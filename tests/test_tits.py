@@ -5,7 +5,7 @@ import pytest
 
 from coxlen.coxeter import parse_coxeter_matrix, gram_matrix
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
-from coxlen.reflen import get_group
+from coxlen.reflen import get_group, get_reflections
 from coxlen.tits import (_entry_rows, canonical_key, enumerate_reflections,
                          evaluate_word, fixed_space_codim, gram_signature)
 
@@ -279,3 +279,23 @@ def test_depth_prefix_is_the_shallower_enumeration(name):
         prefix = [r for r in deepest if r.depth <= D]
         assert deepest[:len(prefix)] == prefix
         assert _enum_rows(prefix) == _enum_rows(enumerate_reflections(gram, D))
+
+
+def test_reflections_are_enumerated_once_per_group_and_depth(monkeypatch):
+    import coxlen.reflen
+    import coxlen.tits
+
+    real = coxlen.tits.enumerate_reflections
+    calls = []
+
+    def counting(gram, depth_cap):
+        calls.append(depth_cap)
+        return real(gram, depth_cap)
+
+    monkeypatch.setattr(coxlen.tits, "enumerate_reflections", counting)
+    monkeypatch.setattr(coxlen.reflen, "_REFLECTION_CACHE", {})
+    group = get_group(parse_coxeter_matrix(ENUM_GROUPS["T334"]))
+    for D in (4, 2, 6):
+        assert _enum_rows(get_reflections(group, D)) == \
+            _enum_rows(real(group.gram, D)), D
+    assert calls == [4, 6]
