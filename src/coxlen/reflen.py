@@ -144,28 +144,40 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
     """Shortest factorizations of several targets over the given involutions.
 
     `targets` lists (element, n_max) pairs.  One meet-in-the-middle search
-    serves them all: the layers of half products (and their inverses) are
-    built once and shared, and each target is probed at n = its parity
-    minimum, +2, ..., n_max (every factor is a reflection, so products of n
-    factors have word parity n).  Returns (hits, capped): hits[i] is
-    (n, factor index tuple) for the least such n, or None when target i has
-    no factorization of length <= its n_max.  Once the stored-element cap is
-    hit, every target not yet settled gets None and capped is True.
+    serves them all: the layers of half products are built once and shared,
+    and each target is probed at n = its parity minimum, +2, ..., n_max
+    (every factor is a reflection, so products of n factors have word
+    parity n).  Returns (hits, capped): hits[i] is (n, factor index tuple)
+    for the least such n, or None when target i has no factorization of
+    length <= its n_max.  Once the stored-element cap is hit, every target
+    not yet settled gets None and capped is True.
+
+    Row keys.  A layer element x is stored as its row key K(x) = 1^T M(x)
+    (`tits.row_key`), which is injective on W by Tits' theorem (see the
+    `tits` module docstring), with its least factor index tuple and its
+    prefix's key; it is never a matrix.  K(x t) = K(x) M(t),
+    so a layer is extended by one row product per element and factor.
 
     Witness contract: the index tuple is the lexicographically least one of
     length n.  Layer k holds every product of k factors, inserted in the
     order of its least k-tuple, which is the tuple it stores (induction on
     k); a probe at n = a + b walks layer a in that order and takes the first
     x with x^-1 g in layer b, so the hit is the least n-tuple whatever the
-    split, and a target's hit does not depend on the other targets.
+    split, and a target's hit does not depend on the other targets.  Every
+    factor is an involution, so every layer is closed under inversion and
+    the probe tests g^-1 x instead, whose key K(g^-1) M(x) is carried down
+    the prefixes of layer a (a layer lists the children of each prefix
+    together, so each prefix costs one row product per walk).  Only on a
+    hit is x^-1 g formed as a matrix, to read its stored tuple in layer b.
 
     When a single target probes an odd n = 2a + 1 >= 3 and layer a + 1 is
-    not built yet, it is not built at all: x^-1 g lies in layer a + 1
-    exactly when t_j x^-1 g lies in layer a for some j, and its stored
-    witness there would be the least such j followed by that element's
-    witness in layer a.  The children of each prefix are tested in turn,
-    which stores nothing beyond layer a and costs at most the
-    |layer a| * |factors| products that building layer a + 1 costs.
+    not built yet, it is not built at all: g^-1 x lies in layer a + 1
+    exactly when g^-1 x t_j lies in layer a for some j, and the stored
+    witness of x^-1 g there would be the least j with t_j x^-1 g in layer a
+    followed by that element's witness in layer a.  The children of each
+    prefix are tested in turn, which stores nothing beyond layer a and
+    costs at most the |layer a| * |factors| row products that building
+    layer a + 1 costs.
     """
     hits = []
     pending = []        # (target index, element, n_max) still to settle
@@ -176,54 +188,76 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
             hits.append(None)
             pending.append((i, g, n_max))
     n_top = max((n_max for _, _, n_max in pending), default=0)
-    # the products' words are never read, so the layers carry none
-    factors = [GroupElement(t.gram, t.packed) for t in factors]
-    # layer k: key -> (factor index tuple, element, key of its prefix in k-1)
-    layers = {1: {t.key: ((i,), t, None) for i, t in enumerate(factors)}}
-    # inverses of layer elements, built on first probe: every factor is an
-    # involution, so (x t)^-1 = t x^-1
-    inverses = {1: {t.key: t for t in factors}}
+    field = group.field
+    row_mul = tits.row_mul
+    row_factors = [tits.row_factor(t) for t in factors]
+    factor_keys = [tits.row_key(t) for t in factors]
+    # layer k: row key -> (least factor index tuple, row key of its prefix)
+    layers = {1: {key: ((i,), None) for i, key in enumerate(factor_keys)}}
     stored = len(factors)
+    inverse_keys = {}   # target index -> K(g^-1), made on its first walk of a layer
 
     def extend(k):
         """Build the layers up to k; False when the cap is hit first."""
         nonlocal stored
         for j in range(len(layers) + 1, k + 1):
             new = {}
-            for key, (wit, x, _) in layers[j - 1].items():
-                for i, t in enumerate(factors):
-                    y = x * t
-                    y_key = y.key
-                    if y_key not in new:
-                        new[y_key] = (wit + (i,), y, key)
+            for key, (wit, _) in layers[j - 1].items():
+                for i, factor in enumerate(row_factors):
+                    y = row_mul(key, factor, field)
+                    if y not in new:
+                        new[y] = (wit + (i,), key)
                         stored += 1
                         if stored > cap:
                             return False
             layers[j] = new
-            inverses[j] = {}
         return True
 
-    def inverse(k, key):
-        inv = inverses[k].get(key)
-        if inv is None:
-            wit, _, parent = layers[k][key]
-            inv = factors[wit[-1]] * inverse(k - 1, parent)
-            inverses[k][key] = inv
-        return inv
+    def first_hit(start, a, b, walk):
+        """The stored tuple of the first x in layer a with g^-1 x in layer b
+        (with g^-1 x t_j in layer a for some j when walking), where start =
+        K(g^-1); or None."""
+        last = [None] * a   # level k: (key, K(g^-1 y)) of the last prefix y
 
-    def in_layer(k, y):
-        """y's witness in layer k, or None."""
-        hit = layers[k].get(y.key)
-        return None if hit is None else hit[0]
+        def shifted(k, key):
+            if k == 0:
+                return start
+            memo = last[k]
+            if memo is not None and memo[0] is key:
+                return memo[1]
+            wit, parent = layers[k][key]
+            value = row_mul(shifted(k - 1, parent), row_factors[wit[-1]], field)
+            last[k] = key, value
+            return value
 
-    def in_next_layer(k, y):
-        """y's witness in layer k + 1, read from layer k, or None."""
-        layer = layers[k]
-        for j, t in enumerate(factors):
-            hit = layer.get((t * y).key)
-            if hit is not None:
-                return (j,) + hit[0]
+        inner = layers[a if walk else b]
+        for wit, parent in layers[a].values():
+            y = row_mul(shifted(a - 1, parent), row_factors[wit[-1]], field)
+            if walk:
+                for factor in row_factors:
+                    if row_mul(y, factor, field) in inner:
+                        return wit
+            elif y in inner:
+                return wit
         return None
+
+    def witness_in(k, g, wit_a, walk):
+        """The stored tuple of x^-1 g in layer k (k + 1 when walking), where
+        x is the product of the factors at wit_a."""
+        y = GroupElement(group.gram, g.packed)
+        for i in wit_a:
+            y = factors[i] * y
+        if walk:
+            factor = tits.row_factor(y)
+            for j, key in enumerate(factor_keys):
+                hit = layers[k].get(row_mul(key, factor, field))
+                if hit is not None:
+                    return (j,) + hit[0]
+        else:
+            hit = layers[k].get(tits.row_key(y))
+            if hit is not None:
+                return hit[0]
+        raise CertificateError("a row-key hit has no stored witness")
 
     for n in range(1, n_top + 1):
         probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
@@ -236,16 +270,16 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
             return hits, True
         for i, g, _ in probing:
             if a == 0:
-                wit = in_layer(b, g)
-                if wit is not None:
-                    hits[i] = n, wit
+                hit = layers[b].get(tits.row_key(g))
+                if hit is not None:
+                    hits[i] = n, hit[0]
                 continue
-            for key, (wit_a, _, _) in layers[a].items():
-                y = inverse(a, key) * g
-                wit_b = in_next_layer(a, y) if walk else in_layer(b, y)
-                if wit_b is not None:
-                    hits[i] = n, wit_a + wit_b
-                    break
+            start = inverse_keys.get(i)
+            if start is None:
+                start = inverse_keys[i] = group.inverse_row_key(g)
+            wit_a = first_hit(start, a, b, walk)
+            if wit_a is not None:
+                hits[i] = n, wit_a + witness_in(a if walk else b, g, wit_a, walk)
         pending = [p for p in pending if hits[p[0]] is None]
     return hits, False
 

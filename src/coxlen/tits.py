@@ -5,16 +5,27 @@ Q(theta), theta = 2cos(pi/N).  Generator matrices have entries in Z[theta]
 (the minimal polynomial is monic), so every product stays integral, and an
 element is stored packed: one flat tuple of Python ints, the `degree`
 coefficients (theta^0 first) of each entry in row-major order.
-Multiplication works on those ints directly, accumulating each entry's
-convolution over the inner index and reducing it once modulo the minimal
-polynomial; a non-integral entry raises CertificateError instead of being
-packed.  Roots are packed the same way, as one-column matrices.
+Multiplication works on those ints directly, one row at a time
+(`row_mul`), accumulating each entry's convolution over the inner index and
+reducing it once modulo the minimal polynomial; a non-integral entry raises
+CertificateError instead of being packed.  Roots are packed the same way,
+as one-column matrices.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
   matrices, so key equality is the word problem.
 * `canonical_key(g)` is the canonical byte serialization of the normalized
   entries; it orders frontiers deterministically and names elements in
   reports (the CSV key digest), independently of the packing.
+* `row_key(g)` is K(g) = 1^T M(g), the column sums of g's matrix: rank *
+  degree ints instead of rank^2 * degree.  It is injective on W for every
+  Coxeter matrix, degenerate and indefinite forms included: K(g) is the
+  functional p o g with p(alpha_s) = 1 for every s, so p lies in the open
+  fundamental chamber of the contragredient action, where W acts simply
+  transitively on the chambers of the Tits cone (Tits' theorem; Humphreys,
+  Reflection Groups and Coxeter Groups, 5.13).  K(g h) = K(g) M(h), one
+  row-matrix product (`row_mul`, n^2 entry products where a matrix
+  product takes n^3); the matrix side of it (`row_factor`) is built
+  once per element and kept on the element.
 * `ExactScalar` appears only where exact field arithmetic is read: the Gram
   form the generators are built from, `Reflection.root`, and the rows of
   M - I that `fixed_space_codim` hands to `linalg.matrix_rank`.
@@ -32,38 +43,54 @@ from .errors import CertificateError, DomainError
 from .exactfield import ExactScalar
 
 
-def _mat_mul(A, B, n, field):
-    """Product of a packed rank-n matrix A and a packed matrix B of n rows
-    (a rank-n matrix, or a root as one column)."""
-    d = field.degree
+def _matrix_side(B, n, d):
+    """The matrix side of `row_mul` for a packed matrix B of n rows: for
+    degree 1 its columns; otherwise, per column, the (row index, nonzero
+    (power, coefficient) terms) of each nonzero entry."""
     m = len(B) // (n * d)
     if d == 1:
-        rows = [A[r:r + n] for r in range(0, n * n, n)]
-        cols = [B[j::m] for j in range(m)]
-        return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
-    # nonzero (power, coefficient) terms of every entry
-    a_terms = [[(p, c) for p, c in enumerate(A[t:t + d]) if c]
-               for t in range(0, n * n * d, d)]
-    b_terms = [[(p, c) for p, c in enumerate(B[t:t + d]) if c]
-               for t in range(0, len(B), d)]
+        return [B[j::m] for j in range(m)]
+    terms = [[(q, y) for q, y in enumerate(B[t:t + d]) if y]
+             for t in range(0, len(B), d)]
+    return [[(i, e) for i, e in enumerate(terms[j::m]) if e] for j in range(m)]
+
+
+def row_mul(row, factor, field):
+    """The packed row vector `row` times the matrix whose matrix side
+    (`row_factor`) is `factor`: n^2 entry products for a rank-n matrix,
+    where a matrix product takes n^3.  The one multiplication kernel."""
+    d = field.degree
+    if d == 1:
+        return tuple([sum(map(mul, row, col)) for col in factor])
+    terms = [[(p, c) for p, c in enumerate(row[t:t + d]) if c]
+             for t in range(0, len(row), d)]
     reduction = field._reduction_terms
     width = 2 * d - 1
     out = []
-    for r in range(0, n * n, n):
-        a_row = a_terms[r:r + n]
-        for j in range(m):
-            conv = [0] * width
-            for a, b in zip(a_row, b_terms[j::m]):
-                if a:
-                    for q, y in b:
-                        for p, x in a:
-                            conv[p + q] += x * y
-            for top, terms in zip(conv[d:], reduction):
-                if top:
-                    for i, c in terms:
-                        conv[i] += top * c
-            out += conv[:d]
+    for col in factor:
+        conv = [0] * width
+        for i, b in col:
+            a = terms[i]
+            for q, y in b:
+                for p, x in a:
+                    conv[p + q] += x * y
+        for top, red in zip(conv[d:], reduction):
+            if top:
+                for i, c in red:
+                    conv[i] += top * c
+        out += conv[:d]
     return tuple(out)
+
+
+def _mat_mul(A, B, n, field):
+    """Product of a packed rank-n matrix A and a packed matrix B of n rows
+    (a rank-n matrix, or a root as one column): `row_mul` of each row of A."""
+    factor = _matrix_side(B, n, field.degree)
+    step = n * field.degree
+    out = ()
+    for r in range(0, len(A), step):
+        out += row_mul(A[r:r + step], factor, field)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +123,7 @@ def _pack(matrix):
 class GroupElement:
     """An element of W as a packed exact matrix, with an optional defining word."""
 
-    __slots__ = ("gram", "packed", "word")
+    __slots__ = ("gram", "packed", "word", "_factor")   # _factor: see row_factor
 
     def __init__(self, gram, packed, word=None):
         self.gram = gram
@@ -135,6 +162,25 @@ class GroupElement:
         return "GroupElement(word=%r)" % (self.word,)
 
 
+def row_key(g: GroupElement) -> tuple:
+    """K(g) = 1^T M(g), the column sums of g's matrix: rank * degree ints,
+    injective on W (see the module docstring)."""
+    step = g.gram.cm.rank * g.gram.field.degree
+    return tuple([sum(g.packed[t::step]) for t in range(step)])
+
+
+def row_factor(g: GroupElement):
+    """The matrix side of `row_mul` for g's matrix, built on first use and
+    kept on g, so it lives exactly as long as g: a group's generators, the
+    enumerated reflections `reflen` holds per group, or the inversion set of
+    one exact solve."""
+    try:
+        return g._factor
+    except AttributeError:
+        g._factor = factor = _matrix_side(g.packed, g.gram.cm.rank, g.gram.field.degree)
+        return factor
+
+
 def tits_generator(gram: GramMatrix, s: int) -> GroupElement:
     """sigma_s(x) = x - 2 B(e_s, x) e_s as an exact matrix."""
     field = gram.field
@@ -162,6 +208,16 @@ class TitsGroup:
         self.field = self.gram.field
         self.generators = tuple(tits_generator(self.gram, s) for s in range(cm.rank))
         self.identity = GroupElement(self.gram, _identity(cm.rank, self.field.degree), ())
+
+    def inverse_row_key(self, g: GroupElement) -> tuple:
+        """K(g^-1) = 1^T M(s_k) ... M(s_1) for a word s_1 ... s_k of g, one
+        row product per letter; an element without a word is given its
+        reduced word."""
+        word = self.reduced_word(g) if g.word is None else g.word
+        row = row_key(self.identity)
+        for s in reversed(word):
+            row = row_mul(row, row_factor(self.generators[s]), self.field)
+        return row
 
     def element(self, word) -> GroupElement:
         return evaluate_word(self.generators, word, identity=self.identity)

@@ -1,5 +1,6 @@
-"""The packed Z[theta] element kernel against exact scalar arithmetic, and
-pins of key bytes and solver witnesses recorded before the packing."""
+"""The packed Z[theta] element kernel against exact scalar arithmetic, the
+row kernel and row keys of the search, and pins of key bytes and solver
+witnesses recorded before the packing."""
 
 import hashlib
 from fractions import Fraction
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from coxlen.coxeter import parse_coxeter_matrix
 from coxlen.errors import CertificateError
-from coxlen.reflen import exact_reflection_length, get_group
+from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
+                           inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar
-from coxlen.tits import _entry_rows, _pack, canonical_key
+from coxlen.tits import (GroupElement, _entry_rows, _pack, canonical_key,
+                         row_factor, row_key, row_mul)
 
 GROUPS = {
     "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
@@ -89,6 +92,69 @@ def test_non_integral_entries_are_refused():
     with pytest.raises(CertificateError):
         _pack(((field.one, field.from_rational(Fraction(1, 2))),
                (field.zero, field.one)))
+
+
+@st.composite
+def _row_case(draw):
+    """(group, x, t): x from a random word, t a random element, an
+    enumerated reflection of root depth <= 2, or an inversion of x."""
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    group = _group(name)
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    x = group.element(tuple(draw(st.lists(letters, max_size=12))))
+    kind = draw(st.sampled_from(("word", "enumerated", "inversion")))
+    if kind == "word":
+        t = group.element(tuple(draw(st.lists(letters, max_size=12))))
+    elif kind == "enumerated":
+        t = draw(st.sampled_from(get_reflections(group, 2))).element
+    else:
+        rw = group.reduced_word(x) or (0,)
+        t = draw(st.sampled_from(inversion_reflections(group, rw)))
+    return group, x, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_case())
+def test_row_product_extends_the_row_key(case):
+    # K(x t) = K(x) M(t), with the factor side built on first use and then
+    # read back from the element
+    group, x, t = case
+    expected = row_key(x * t)
+    t = GroupElement(group.gram, t.packed)
+    for _ in range(2):
+        assert row_mul(row_key(x), row_factor(t), group.field) == expected
+    assert len(expected) == group.cm.rank * group.field.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_pair())
+def test_inverse_row_key_reads_any_word(pair):
+    # K(g^-1) from g's word, reduced or not, and from g's reduced word when
+    # g carries no word
+    name, u, v = pair
+    group = _group(name)
+    g = group.element(u + v + v[::-1])
+    expected = row_key(group.element(tuple(reversed(u))))
+    assert group.inverse_row_key(g) == expected
+    assert group.inverse_row_key(GroupElement(group.gram, g.packed)) == expected
+
+
+# (diagram, L, |ball|): the row key is injective on these balls, among them
+# a whole finite group (H3), two affine groups with a degenerate form (A2T
+# and "m12=4 m23=4") and groups with a hyperbolic form
+ROW_KEY_BALLS = (
+    (GROUPS["W3"], 9, 1534), (GROUPS["A2T"], 12, 235), (GROUPS["H3"], 15, 120),
+    (GROUPS["T334"], 10, 403), (GROUPS["B4H"], 7, 605), (GROUPS["W4"], 6, 1457),
+    ("rank 3; m12=4 m23=4", 14, 281),
+)
+
+
+@pytest.mark.parametrize("text,L,size", ROW_KEY_BALLS)
+def test_row_key_is_injective_on_balls(text, L, size):
+    group = get_group(parse_coxeter_matrix(text))
+    ball = standard_ball(group, L)
+    assert len(ball) == size
+    assert len({row_key(elt) for elt, _ in ball.values()}) == size
 
 
 # sha256 of canonical_key(element(word)), recorded before elements were packed

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,10 +9,11 @@ from coxlen.coxeter import INF, CoxeterMatrix, parse_coxeter_matrix
 from coxlen.errors import CertificateError, DomainError
 from coxlen.reflen import (ReflenProtocol, affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
-                           get_group, growth_profile, inversion_reflections,
-                           min_product_length, reflection_distances,
-                           reflen_ball, reflen_element, standard_ball)
-from coxlen.tits import enumerate_reflections, fixed_space_codim
+                           get_group, get_reflections, growth_profile,
+                           inversion_reflections, min_product_length,
+                           reflection_distances, reflen_ball, reflen_element,
+                           standard_ball)
+from coxlen.tits import GroupElement, enumerate_reflections, fixed_space_codim
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
 B2 = parse_coxeter_matrix("rank 2; m12=4")
@@ -477,16 +479,28 @@ def _witness_cases():
         yield group, factors, targets
 
 
+def _target_forms(group, targets):
+    """The targets as given, without a word (as `reflection_distances`
+    builds them) and with a non-reduced word."""
+    rank = group.cm.rank
+    yield targets
+    yield [(GroupElement(group.gram, g.packed), n_max) for g, n_max in targets]
+    yield [(group.element(g.word[:i % 3] + (i % rank,) * 2 + g.word[i % 3:]), n_max)
+           for i, (g, n_max) in enumerate(targets)]
+
+
 def test_search_hit_is_the_least_index_tuple_of_least_length():
     lengths = set()
     for group, factors, targets in _witness_cases():
         oracle = _least_factorizations(group, targets, factors)
         lengths.update(h and h[0] for h in oracle)
-        # one target at a time (odd n walks the children of each prefix) ...
-        for target, expected in zip(targets, oracle):
-            assert min_product_length(group, [target], factors) == ([expected], False)
-        # ... and all of them in one shared search
-        assert min_product_length(group, targets, factors) == (oracle, False)
+        for form in _target_forms(group, targets):
+            # one target at a time (odd n walks the children of each prefix) ...
+            for target, expected in zip(form, oracle):
+                assert min_product_length(group, [target], factors) == \
+                    ([expected], False)
+            # ... and all of them in one shared search
+            assert min_product_length(group, form, factors) == (oracle, False)
     # misses, and hits at odd and even n beyond a single factor
     assert {None, 2, 3, 4} <= lengths
 
@@ -503,6 +517,54 @@ def test_single_odd_target_settles_without_the_next_layer():
         ([(3, (0, 3, 11))], False)
     assert min_product_length(group, [(target, 3)], factors) == \
         ([(3, (0, 3, 11))], False)
+
+
+# stored-element caps just below and above the count after each layer: T334
+# over R_4 has layers of 24, 355 and 3960 elements, W3 over R_4 a first
+# layer of 93; sha256 of repr(hits) and capped, recorded before the layers
+# held row keys
+T334_CAP_PINS = {
+    23: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
+    25: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
+    378: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
+    380: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
+    4338: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
+    4340: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
+}
+# sha256 of repr((upper, witness, capped) per row) of reflen_ball(T334, 5, 4)
+T334_BALL_CAP_PINS = {
+    378: ("ad0634eeac147005997c8c5b9fa50c6d51264b0c1ea55778d27e753a12592865", True),
+    380: ("a6b57dfa628d516fbde45ecfbd87d92b37c68e3b2f6e938fef9144fb9cd96607", False),
+}
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_search_caps_are_pinned():
+    group = get_group(T334)
+    factors = [r.element for r in get_reflections(group, 4)]
+    targets = [(elt, len_s) for elt, len_s in standard_ball(group, 5).values()]
+    assert len(factors) == 24 and len(targets) == 57
+    for cap, (digest, capped) in T334_CAP_PINS.items():
+        hits, got = min_product_length(group, targets, factors, cap)
+        assert (_sha(hits), got) == (digest, capped), cap
+    for cap, (digest, capped) in T334_BALL_CAP_PINS.items():
+        ball = reflen_ball(T334, 5, 4, node_cap=cap)
+        rows = [(r.upper, r.witness, r.capped) for r in ball.results.values()]
+        assert (_sha(rows), ball.capped) == (digest, capped), cap
+    # the single odd probe stores layer 1 only, so no cap stops it
+    group = get_group(W3)
+    factors = [r.element for r in get_reflections(group, 4)]
+    abc = group.element((0, 1, 2))
+    for cap in (92, 94, 7785, 7787):
+        assert min_product_length(group, [(abc, 3)], factors, cap) == \
+            ([(3, (0, 3, 11))], False)
+        res = reflen_element(W3, (0, 1, 2), ReflenProtocol(use_exact_solver=False,
+                                                           d_cap=4, node_cap=cap))
+        assert (res.upper, res.witness, res.depth_used, res.capped) == \
+            (3, ((2,), (2, 1, 2), (2, 1, 0, 1, 2)), 4, False)
 
 
 # -- properties over random small Coxeter matrices --------------------------------
