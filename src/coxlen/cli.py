@@ -22,8 +22,8 @@ from .errors import (CertificateError, CoxlenError, InputError,
 from .filling import (boundary_circle_length, build_triangle_model,
                       congruence_search, two_pi_certificate)
 from .quasimorphism import build_certificate, certify_lower_bound, reduce_word
-from .reflen import (ReflenProtocol, affine_bound_experiment, growth_profile,
-                     reflen_ball, reflen_element)
+from .reflen import (NODE_CAP, ReflenProtocol, affine_bound_experiment,
+                     growth_profile, reflen_ball, reflen_element)
 from .reports import (csv_report, format_interval, format_rational,
                       json_report, write_report)
 from .tits import canonical_key
@@ -64,8 +64,8 @@ def _config(args, keys):
 
 
 def _protocol(args):
-    return ReflenProtocol(d_cap=getattr(args, "D", 6) or 6,
-                          node_cap=getattr(args, "node_cap", 5_000_000))
+    return ReflenProtocol(d_cap=getattr(args, "D", ReflenProtocol.d_cap),
+                          node_cap=getattr(args, "node_cap", NODE_CAP))
 
 
 def cmd_classify(args):
@@ -101,9 +101,7 @@ def cmd_subgroups(args):
 
 def _result_row(res):
     digest = hashlib.sha256(canonical_key(res.element)).hexdigest()[:16]
-    return (digest, res.len_s,
-            res.upper if res.upper is not None else None,
-            res.lower, res.status)
+    return digest, res.len_s, res.upper, res.lower, res.status
 
 
 def cmd_reflen(args):
@@ -124,8 +122,7 @@ def cmd_reflen(args):
         }
         return json_report(report, config), 0
     ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap)
-    rows = [( _result_row(res)) for res in ball.results.values()]
-    rows = [("%s" % r[0], r[1], "inf" if r[2] is None else r[2], r[3], r[4]) for r in rows]
+    rows = [_result_row(res) for res in ball.results.values()]
     data = csv_report("key,len_S,upper,lower,status", rows, config)
     return data, (2 if ball.capped else 0)
 
@@ -137,8 +134,7 @@ def cmd_growth(args):
     if args.pattern:
         certs = (build_certificate(cm.rank, args.pattern, window=args.window),)
     record = growth_profile(cm, word, args.K, _protocol(args), certs)
-    rows = [(k, "inf" if r.upper is None else r.upper, r.lower, r.status)
-            for k, r in record.powers]
+    rows = [(k, r.upper, r.lower, r.status) for k, r in record.powers]
     config = _config(args, ("inline", "input", "word", "K", "pattern"))
     return csv_report("k,upper,lower,status", rows, config), 0
 
@@ -206,8 +202,7 @@ def cmd_filling(args):
                 boundary_circle_length(model, cert, s)),
         }
     report = {
-        "model": {"p": order_text(p if p != INF else INF),
-                  "q": order_text(q if q != INF else INF),
+        "model": {"p": order_text(p), "q": order_text(q),
                   "matrix": [[order_text(m) for m in row] for row in model.cm.entries]},
         "h": format_rational(h),
         "prime": cert.prime,
@@ -266,7 +261,7 @@ def build_parser():
     p.add_argument("--word", help="generator word, e.g. abc or \"1 2 3\"")
     p.add_argument("-L", type=int, default=8, help="ball radius (default 8)")
     p.add_argument("-D", type=int, default=6, help="reflection depth cap (default 6)")
-    p.add_argument("--node-cap", type=int, default=5_000_000)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP)
     p.set_defaults(fn=cmd_reflen)
 
     p = sub.add_parser("growth", help="reflection length of powers g^1..g^K")

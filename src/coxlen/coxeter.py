@@ -22,8 +22,6 @@ from .exactfield import RealCyclotomicField
 
 INF = 0  # sentinel bond order for m_ij = infinity
 
-GENERATOR_NAMES = "abcdefghijklmnopqrstuvwxyz"
-
 
 def order_text(m: int) -> str:
     return "inf" if m == INF else str(m)
@@ -35,10 +33,9 @@ class CoxeterMatrix:
 
     rank: int
     entries: tuple  # tuple of tuples of ints, 0 = infinity
-    labels: tuple
 
     @classmethod
-    def make(cls, entries, labels=None):
+    def make(cls, entries):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
         rank = len(entries)
         if rank < 1:
@@ -57,10 +54,7 @@ class CoxeterMatrix:
                 if i != j and entries[i][j] != INF and entries[i][j] < 2:
                     raise InputError("m_%d%d = %s but off-diagonal orders must be >= 2 or inf"
                                      % (i + 1, j + 1, order_text(entries[i][j])))
-        if labels is None:
-            labels = tuple(GENERATOR_NAMES[i] if rank <= 26 else "s%d" % (i + 1)
-                           for i in range(rank))
-        return cls(rank, entries, tuple(labels))
+        return cls(rank, entries)
 
     def order(self, i, j):
         return self.entries[i][j]
@@ -68,7 +62,7 @@ class CoxeterMatrix:
     def submatrix(self, subset):
         subset = tuple(subset)
         rows = tuple(tuple(self.entries[i][j] for j in subset) for i in subset)
-        return CoxeterMatrix.make(rows, labels=tuple(self.labels[i] for i in subset))
+        return CoxeterMatrix.make(rows)
 
     def conductor(self):
         """lcm of the finite off-diagonal bond orders (2 when there are none)."""

@@ -50,4 +50,5 @@ class SearchExhaustedError(CoxlenError):
 
 
 class NotCertifiedError(CoxlenError):
-    """Refusal to build a certificate from non-certified (sampled) data."""
+    """Refusal to certify: the defect has not stabilized, or no positive
+    constant exists."""

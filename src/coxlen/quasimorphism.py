@@ -16,8 +16,6 @@ B = 3|w| already attains the global defect.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -131,7 +129,6 @@ class DefectResult:
     value: int
     pair: tuple          # (g, h) strings attaining the value
     stabilized: bool
-    certified: bool      # False when obtained by sampling
 
 
 def _defect_over_window(w: FreeCoxeterWord, B: int):
@@ -186,31 +183,17 @@ def _defect_over_window(w: FreeCoxeterWord, B: int):
     return best, best_pair
 
 
-def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000,
-                  sample=False, sample_pairs=200_000, seed=0) -> DefectResult:
+def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000) -> DefectResult:
     """Exact defect of H_w over the window of reduced words of length <= B.
 
-    The result is flagged stabilized when the value is unchanged from window
-    B-1 and B >= 3|w|.  The exhaustive enumeration is junction-based and
-    exact; `sample=True` switches to random pairs and is never certified.
+    The enumeration is junction-based and exhaustive; `cap` bounds the
+    (a, c, b) combinations it may visit.  The result is flagged stabilized
+    when the value is unchanged from window B-1 and B >= 3|w|.
     """
     if len(w) == 0:
         raise DomainError("empty pattern")
     if B < len(w):
         raise DomainError("window must be at least the pattern length")
-    if sample:
-        rng = random.Random(seed)
-        best = 0
-        best_pair = ("", "")
-        for _ in range(sample_pairs):
-            g = random_reduced_word(w.k, rng.randrange(B + 1), rng)
-            h = random_reduced_word(w.k, rng.randrange(B + 1), rng)
-            d = abs(counting_qm(w, reduce_word(g + h, w.k)) -
-                    counting_qm(w, reduce_word(g, w.k)) -
-                    counting_qm(w, reduce_word(h, w.k)))
-            if d > best:
-                best, best_pair = d, (g, h)
-        return DefectResult(w, B, best, best_pair, stabilized=False, certified=False)
     m = len(w)
     side_count = sum((w.k - 1) ** max(0, i - 1) * (w.k if i else 1)
                      for i in range(min(B, m - 1) + 1))
@@ -219,20 +202,11 @@ def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000,
     if side_count * side_count * mid_count > cap:
         raise ResourceCapError(
             "window enumeration would exceed %d combinations; "
-            "use a smaller window or sample=True (non-certified)" % cap)
+            "use a smaller window" % cap)
     value, pair = _defect_over_window(w, B)
     prev, _ = _defect_over_window(w, B - 1)
     return DefectResult(w, B, value, pair,
-                        stabilized=(value == prev and B >= 3 * m),
-                        certified=True)
-
-
-def random_reduced_word(k, length, rng):
-    out = []
-    for _ in range(length):
-        choices = [c for c in _ALPHABET[:k] if not out or c != out[-1]]
-        out.append(rng.choice(choices))
-    return "".join(out)
+                        stabilized=(value == prev and B >= 3 * m))
 
 
 def homogenize(w: FreeCoxeterWord, g) -> Fraction:
@@ -302,8 +276,7 @@ class QuasimorphismCert:
         return self.bound_for(g)
 
 
-def build_certificate(k: int, pattern, window=None,
-                      cap=5_000_000) -> QuasimorphismCert:
+def build_certificate(k: int, pattern, window=None) -> QuasimorphismCert:
     """Compute defect and constant for a counting quasimorphism on W_k.
 
     Requires k >= 3 (W_2 is affine and carries no useful homogeneous
@@ -321,7 +294,7 @@ def build_certificate(k: int, pattern, window=None,
         raise DomainError("pattern must be cyclically reduced "
                           "(first and last letters differ)")
     window = 3 * len(w) if window is None else window
-    defect = defect_window(w, window, cap=cap)
+    defect = defect_window(w, window)
     if not defect.stabilized:
         raise NotCertifiedError(
             "defect value not stabilized at window %d; refusing to certify" % window)
@@ -342,19 +315,3 @@ def certify_lower_bound(cert: QuasimorphismCert, g, K: int):
     g = reduce_word(g, cert.k)
     return cert.constant, [cert.bound_for(g, k) for k in range(1, K + 1)]
 
-
-def defect_stress_sample(w: FreeCoxeterWord, claimed_defect: int, pairs: int,
-                         max_len: int, seed: int = 0):
-    """Count violations of |H(gh)-H(g)-H(h)| <= claimed defect on random pairs."""
-    rng = random.Random(seed)
-    violations = 0
-    worst = 0
-    for _ in range(pairs):
-        g = random_reduced_word(w.k, rng.randrange(max_len + 1), rng)
-        h = random_reduced_word(w.k, rng.randrange(max_len + 1), rng)
-        d = abs(counting_qm(w, g + h) - counting_qm(w, g) -
-                counting_qm(w, h))
-        worst = max(worst, d)
-        if d > claimed_defect:
-            violations += 1
-    return violations, worst

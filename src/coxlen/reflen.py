@@ -29,6 +29,10 @@ from .coxeter import CoxeterMatrix, Kind, classify_group
 from .errors import CertificateError, DomainError, ResourceCapError
 from .tits import GroupElement, TitsGroup, canonical_key, fixed_space_codim
 
+# the one cap of every search: elements stored by `min_product_length` and
+# the standard ball, unless the caller gives another
+NODE_CAP = 5_000_000
+
 _GROUP_CACHE = {}
 # group -> (depth cap, enumerate_reflections list): the deepest made so far
 _REFLECTION_CACHE = {}
@@ -60,12 +64,13 @@ _STABLE_INCREMENTS = 2
 
 @dataclass
 class ReflenProtocol:
-    """Caps for reflection-length computations."""
+    """Caps for reflection-length computations: `d_cap` is the deepest rung
+    of the truncated ladder, and `node_cap` bounds every search (the exact
+    solver, each ladder rung, and the standard ball)."""
 
     d_cap: int = 6
-    node_cap: int = 5_000_000
+    node_cap: int = NODE_CAP
     use_exact_solver: bool = True
-    solver_cap: int = 2_000_000
 
 
 @dataclass
@@ -98,6 +103,11 @@ class ReflLenResult:
 def _require(ok, message):
     if not ok:
         raise CertificateError(message)
+
+
+def _check_depth(D):
+    if D < 0:
+        raise DomainError("reflection depth cap must be >= 0, got %d" % D)
 
 
 @dataclass
@@ -140,7 +150,7 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     return out
 
 
-def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
+def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     """Shortest factorizations of several targets over the given involutions.
 
     `targets` lists (element, n_max) pairs.  One meet-in-the-middle search
@@ -284,7 +294,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=2_000_000):
     return hits, False
 
 
-def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=2_000_000,
+def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=NODE_CAP,
                             reduced_word=None):
     """(value, witness reflection elements) or None if the cap is hit.
 
@@ -327,7 +337,7 @@ def _witness(group, factors, indices, g):
 
 
 def reflection_distances(group: TitsGroup, reflections, targets, level_cap,
-                         node_cap=5_000_000):
+                         node_cap=NODE_CAP):
     """Distances in Cayley(W, reflections) of the target keys, where at most
     level_cap.
 
@@ -348,7 +358,7 @@ def reflection_distances(group: TitsGroup, reflections, targets, level_cap,
     return dist, capped
 
 
-def standard_ball(group: TitsGroup, L: int, node_cap=5_000_000):
+def standard_ball(group: TitsGroup, L: int, node_cap=NODE_CAP):
     """Elements of standard length <= L as an insertion-ordered dict."""
     out = {group.identity.key: (group.identity, 0)}
     frontier = {group.identity.key: group.identity}
@@ -378,7 +388,7 @@ class BallResult:
 
 
 def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
-                node_cap=5_000_000) -> BallResult:
+                node_cap=NODE_CAP) -> BallResult:
     """l_R^(D) over the ball of standard length <= L.
 
     Upper bounds come from one `min_product_length` search over the
@@ -390,6 +400,7 @@ def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
     elements the search stores; elements the search could not settle under
     it are reported with upper = None.
     """
+    _check_depth(D)
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
     factors = [r.element for r in get_reflections(group, D)]
@@ -419,13 +430,14 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     """Certified reflection length of the element given by a generator word.
 
     With the exact solver enabled (default) the result is Exact whenever the
-    solver finishes under its cap; otherwise upper bounds l_R^(D) are
-    computed for D = 2, 4, ... <= protocol.d_cap, stopping once a bound has
-    held for two further rungs, every witness re-multiplied and checked; the
-    result is Bracketed unless the unconditional lower bounds happen to meet
-    the upper bound.
+    solver finishes under protocol.node_cap; otherwise upper bounds l_R^(D)
+    are computed for D = 2, 4, ... <= protocol.d_cap, stopping once a bound
+    has held for two further rungs, every witness re-multiplied and checked;
+    the result is Bracketed unless the unconditional lower bounds happen to
+    meet the upper bound.  Every search runs under protocol.node_cap.
     """
     protocol = protocol or ReflenProtocol()
+    _check_depth(protocol.d_cap)
     group = get_group(cm)
     g = group.element(tuple(word))
     reduced = group.reduced_word(g)
@@ -441,7 +453,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     lower = combine_lower(len_s, parity_lower(len_s), codim, *cert_bounds)
 
     if protocol.use_exact_solver:
-        solved = exact_reflection_length(group, g, cap=protocol.solver_cap,
+        solved = exact_reflection_length(group, g, cap=protocol.node_cap,
                                          reduced_word=reduced)
         if solved is not None:
             value, parts = solved
@@ -525,7 +537,10 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
     counts = {}
     exact_seen = 0
     for key, (elt, len_s) in ball.items():
-        solved = exact_reflection_length(group, elt, cap=protocol.solver_cap)
+        # a ball element is first reached at its own level, so its BFS
+        # word is reduced
+        solved = exact_reflection_length(group, elt, cap=protocol.node_cap,
+                                         reduced_word=elt.word)
         if solved is None:
             continue
         value, _ = solved

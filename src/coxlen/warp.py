@@ -158,7 +158,7 @@ def _solve_bridge(L, r_T, r_a, r_b, w1, w3, w2):
     return BridgeSpec(r_a, r_b, knots, va, sa)
 
 
-def _default_schedule(L, r_T):
+def _schedule(L, r_T):
     """Deterministic (r_a, r_b, w1, w3, w2) candidates, best-first."""
     span = -r_T
     amp = 2 * math.pi / L
@@ -197,7 +197,7 @@ def _default_schedule(L, r_T):
                             yield (r_a, r_b, w1, w3, w2)
 
 
-def warp_profile(L, r_T=None, grid=512, schedule=None) -> WarpProfile:
+def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
     """Construct and grid-verify the radial warp factor for the cone metric.
 
     Preconditions: L > 2*pi and r_T in (-L/(2*pi), -1); r_T defaults to the
@@ -217,11 +217,10 @@ def warp_profile(L, r_T=None, grid=512, schedule=None) -> WarpProfile:
         raise DomainError("r_T must lie in (%r, %r), got %r" % (lo, hi, r_T))
     if grid < 8:
         raise DomainError("grid too small")
-    candidates = schedule if schedule is not None else _default_schedule(L, r_T)
     rs = tuple(r_T + (i + 1) * (0.0 - r_T) / grid for i in range(grid))
     best_violation = None
     attempts = 0
-    for (r_a, r_b, w1, w3, w2) in candidates:
+    for (r_a, r_b, w1, w3, w2) in _schedule(L, r_T):
         attempts += 1
         spec = _solve_bridge(L, r_T, r_a, r_b, w1, w3, w2)
         if spec is None:
@@ -237,11 +236,11 @@ def warp_profile(L, r_T=None, grid=512, schedule=None) -> WarpProfile:
     if best_violation is None:
         raise ConstructionFailedError(
             "none of the %d candidates in the schedule gave a feasible bridge for "
-            "L = %r, r_T = %r; adjust (L, r_T) or supply a schedule"
+            "L = %r, r_T = %r; adjust (L, r_T)"
             % (attempts, L, r_T), best_violation=None)
     raise ConstructionFailedError(
         "no bridge in the schedule passed the grid checks (worst remaining "
-        "violation: %s); adjust (L, r_T) or supply a schedule" % (best_violation,),
+        "violation: %s); adjust (L, r_T)" % (best_violation,),
         best_violation=best_violation)
 
 

@@ -17,12 +17,12 @@ from coxlen.coxeter import (INF, CoxeterMatrix, Kind, classify_group,
                             gram_matrix, parse_coxeter_matrix)
 from coxlen.filling import build_triangle_model, congruence_search, two_pi_certificate
 from coxlen.quasimorphism import (build_certificate, certify_lower_bound,
-                                  counting_qm, defect_stress_sample,
-                                  homogenize, random_reduced_word, reduce_word)
+                                  counting_qm, homogenize, reduce_word)
 from coxlen.reflen import (affine_bound_experiment, carter_length_finite,
                            exact_reflection_length, get_group, growth_profile,
                            standard_ball)
 from coxlen.tits import fixed_space_codim, gram_signature
+from qm_oracles import defect_stress_sample, random_reduced_word
 
 
 def _report(n, text):

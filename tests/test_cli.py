@@ -201,6 +201,36 @@ def test_reflen_ball_honours_node_cap(tmp_path):
     assert code == 2
 
 
+def test_reflen_word_runs_every_search_under_node_cap(tmp_path, monkeypatch):
+    # the exact solver and each ladder rung answer to --node-cap alike
+    import inspect
+
+    import coxlen.reflen
+
+    real = coxlen.reflen.min_product_length
+    caps = []
+
+    def recording(*args, **kwargs):
+        call = inspect.signature(real).bind(*args, **kwargs)
+        call.apply_defaults()
+        caps.append(call.arguments["cap"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coxlen.reflen, "min_product_length", recording)
+    code, _ = run_cli(["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+                       "--word", "abcabcabcacb", "--node-cap", "10"], tmp_path)
+    assert code == 0
+    assert caps and max(caps) <= 10
+
+
+@pytest.mark.parametrize("mode", [["-L", "2"], ["--word", "ab"]])
+def test_reflen_negative_depth_is_a_domain_error(tmp_path, capsys, mode):
+    code, _ = run_cli(["reflen", "--inline", "rank 2; m12=3", "-D", "-1"] + mode,
+                      tmp_path)
+    assert code == 1
+    assert "depth" in capsys.readouterr().err
+
+
 def test_exit_code_certificate_error(tmp_path, capsys, monkeypatch):
     import coxlen.cli
 

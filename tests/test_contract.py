@@ -1,0 +1,183 @@
+"""The public API, pinned in one table.
+
+The names in `coxlen.__all__`, the parameters and defaults of every public
+callable (each exported function and class, and each public method of an
+exported class) and the fields of every dataclass in the package are
+compared with the tables below.  A parameter, field or name cannot be added
+or removed without editing these tables, and each such edit is a change to
+the behaviour contract that CHANGES.md records.
+"""
+
+import dataclasses
+import enum
+import importlib
+import inspect
+import pkgutil
+
+import coxlen
+
+PUBLIC_NAMES = [
+    "AvoidanceCertificate", "CoxeterMatrix", "ExactScalar", "FreeCoxeterWord",
+    "GramMatrix", "GroupElement", "GrowthRecord", "Kind", "QuasimorphismCert",
+    "RealCyclotomicField", "ReflLenResult", "Reflection", "ReflenProtocol",
+    "TitsGroup", "TriangleModel", "TypeVerdict", "WarpProfile",
+    "affine_bound_experiment", "build_certificate", "build_triangle_model",
+    "canonical_key", "carter_length_finite", "certify_lower_bound",
+    "classify_component", "classify_group", "compute_short_elements",
+    "congruence_search", "counting_qm", "defect_window",
+    "enumerate_reflections", "evaluate_word", "exact_reflection_length",
+    "fixed_space_codim", "gram_matrix", "gram_signature", "growth_profile",
+    "homogenize", "irreducible_components", "minimal_nonaffine_subsets",
+    "parse_coxeter_matrix", "reduce_word", "reflen_ball", "reflen_element",
+    "tits_generator", "two_pi_certificate", "warp_profile",
+]
+
+SIGNATURES = {
+    "AvoidanceCertificate": ("(model_params, h, prime, short_sets, "
+                             "nontrivial_mod_p, parabolic_table, "
+                             "kernel_min_displacement, per_cusp_margin, "
+                             "margin_interval)"),
+    "CoxeterMatrix": "(rank, entries)",
+    "CoxeterMatrix.make": "(entries)",
+    "CoxeterMatrix.order": "(self, i, j)",
+    "CoxeterMatrix.submatrix": "(self, subset)",
+    "CoxeterMatrix.conductor": "(self)",
+    "CoxeterMatrix.describe": "(self)",
+    "ExactScalar": "(field, num, den=1)",
+    "ExactScalar.is_zero": "(self)",
+    "ExactScalar.sign": "(self)",
+    "ExactScalar.as_fraction": "(self)",
+    "FreeCoxeterWord": "(letters, k)",
+    "FreeCoxeterWord.inverse": "(self)",
+    "GramMatrix": "(cm, field, entries)",
+    "GroupElement": "(gram, packed, word=None)",
+    "GroupElement.inverse": "(self)",
+    "GroupElement.is_identity": "(self)",
+    "GrowthRecord": "(base_word, metric_name, powers)",
+    "QuasimorphismCert": ("(k, pattern, raw_defect, window, "
+                          "homogeneous_defect, generator_max, constant, "
+                          "stabilized, defect_pair)"),
+    "QuasimorphismCert.pattern_text": "(self)",
+    "QuasimorphismCert.phi": "(self, g)",
+    "QuasimorphismCert.bound_for": "(self, g, power=1)",
+    "QuasimorphismCert.lower_bound_for_word": "(self, cm, word)",
+    "RealCyclotomicField": "(N)",
+    "RealCyclotomicField.refine_theta": "(self, width)",
+    "RealCyclotomicField.scalar": "(self, num, den=1)",
+    "RealCyclotomicField.from_rational": "(self, q)",
+    "RealCyclotomicField.dickson": "(self, k)",
+    "RealCyclotomicField.cos_pi_over": "(self, m)",
+    "RealCyclotomicField.sign_of": "(self, num, den)",
+    "ReflLenResult": ("(element, upper, lower, status, witness, depth_used, "
+                      "len_s, lower_sources=(), capped=False)"),
+    "Reflection": "(element, root, depth, word)",
+    "ReflenProtocol": "(d_cap=6, node_cap=5000000, use_exact_solver=True)",
+    "TitsGroup": "(cm)",
+    "TitsGroup.inverse_row_key": "(self, g)",
+    "TitsGroup.element": "(self, word)",
+    "TitsGroup.right_descents": "(self, g)",
+    "TitsGroup.reduced_word": "(self, g)",
+    "TitsGroup.length": "(self, g)",
+    "TriangleModel": "(p, q, cm, generators, cusps)",
+    "TriangleModel.element": "(self, word)",
+    "TypeVerdict": "(kind, components, minimal_nonaffine, signature)",
+    "WarpProfile": "(L, r_T, bridge, grid, f, fp, fpp, attempts)",
+    "WarpProfile.value": "(self, r)",
+    "affine_bound_experiment": "(cm, L, protocol=None)",
+    "build_certificate": "(k, pattern, window=None)",
+    "build_triangle_model": "(p, q)",
+    "canonical_key": "(g)",
+    "carter_length_finite": "(cm, word)",
+    "certify_lower_bound": "(cert, g, K)",
+    "classify_component": "(cm, subset)",
+    "classify_group": "(cm)",
+    "compute_short_elements": "(model, s, h)",
+    "congruence_search": "(model, h, prime_cap=100)",
+    "counting_qm": "(w, g)",
+    "defect_window": "(w, B, cap=5000000)",
+    "enumerate_reflections": "(gram, depth_cap)",
+    "evaluate_word": "(gens, word, identity=None)",
+    "exact_reflection_length": "(group, g, cap=5000000, reduced_word=None)",
+    "fixed_space_codim": "(g)",
+    "gram_matrix": "(cm)",
+    "gram_signature": "(gram)",
+    "growth_profile": "(cm, base_word, K, protocol=None, certificates=())",
+    "homogenize": "(w, g)",
+    "irreducible_components": "(cm)",
+    "minimal_nonaffine_subsets": "(cm)",
+    "parse_coxeter_matrix": "(text)",
+    "reduce_word": "(letters, k)",
+    "reflen_ball": "(cm, L, D, node_cap=5000000)",
+    "reflen_element": "(cm, word, protocol=None, certificates=())",
+    "tits_generator": "(gram, s)",
+    "two_pi_certificate": "(model, cert, s)",
+    "warp_profile": "(L, r_T=None, grid=512)",
+}
+
+DATACLASS_FIELDS = {
+    "coxeter.CoxeterMatrix": "rank entries",
+    "coxeter.GramMatrix": "cm field entries",
+    "coxeter.TypeVerdict": "kind components minimal_nonaffine signature",
+    "filling.PlaneIsometry": "m reversing",
+    "filling.CuspData": "s vertex conjugator gen_indices mirror_offsets width",
+    "filling.TriangleModel": "p q cm generators cusps",
+    "filling.ShortElement": "word kind parameter displacement matrix",
+    "filling.AvoidanceCertificate": ("model_params h prime short_sets "
+                                     "nontrivial_mod_p parabolic_table "
+                                     "kernel_min_displacement "
+                                     "per_cusp_margin margin_interval"),
+    "quasimorphism.FreeCoxeterWord": "letters k",
+    "quasimorphism.DefectResult": "pattern window value pair stabilized",
+    "quasimorphism.QuasimorphismCert": ("k pattern raw_defect window "
+                                        "homogeneous_defect generator_max "
+                                        "constant stabilized defect_pair"),
+    "reflen.ReflenProtocol": "d_cap node_cap use_exact_solver",
+    "reflen.ReflLenResult": ("element upper lower status witness depth_used "
+                             "len_s lower_sources capped"),
+    "reflen.GrowthRecord": "base_word metric_name powers",
+    "reflen.BallResult": "cm L D results capped",
+    "reflen.AffineBoundRecord": ("cm L euclidean_dim bound max_value "
+                                 "attained value_counts ball_size"),
+    "tits.Reflection": "element root depth word",
+    "warp.BridgeSpec": "r_a r_b knots base_value base_slope",
+    "warp.WarpProfile": "L r_T bridge grid f fp fpp attempts",
+}
+
+
+def _bare(fn):
+    """The signature without annotations: names, kinds and defaults."""
+    sig = inspect.signature(fn)
+    return str(sig.replace(return_annotation=sig.empty, parameters=[
+        p.replace(annotation=p.empty) for p in sig.parameters.values()]))
+
+
+def test_public_names_are_pinned():
+    assert coxlen.__all__ == PUBLIC_NAMES
+
+
+def test_public_signatures_are_pinned():
+    seen = {}
+    for name in coxlen.__all__:
+        obj = getattr(coxlen, name)
+        if inspect.isclass(obj) and issubclass(obj, enum.Enum):
+            continue
+        seen[name] = _bare(obj)
+        if inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(value)
+                        or isinstance(value, (classmethod, staticmethod))):
+                    seen[name + "." + attr] = _bare(getattr(obj, attr))
+    assert seen == SIGNATURES
+
+
+def test_dataclass_fields_are_pinned():
+    seen = {}
+    for info in pkgutil.iter_modules(coxlen.__path__):
+        module = importlib.import_module("coxlen." + info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                seen[info.name + "." + name] = " ".join(
+                    f.name for f in dataclasses.fields(obj))
+    assert seen == DATACLASS_FIELDS
