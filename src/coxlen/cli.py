@@ -36,19 +36,22 @@ def _read_matrix(args):
     if args.inline:
         return parse_any(args.inline)
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_any(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError("cannot read --input %s: %s" % (args.input, e)) from None
+        return parse_any(text)
     raise InputError("provide --inline or --input")
 
 
 def _parse_word(text, rank):
-    text = text.strip()
-    if not text:
-        return ()
-    if all(ch.isdigit() or ch.isspace() for ch in text):
+    if all(ch.isspace() or "0" <= ch <= "9" for ch in text):
         word = tuple(int(tok) - 1 for tok in text.split())
-    else:
+    elif all(ch.isspace() or ch in _LETTERS for ch in text):
         word = tuple(_LETTERS.index(ch) for ch in text if not ch.isspace())
+    else:
+        raise InputError("word %r is neither letters a-z nor 1-based indices" % text)
     for s in word:
         if not 0 <= s < rank:
             raise InputError("generator %d out of range for rank %d" % (s + 1, rank))
@@ -182,11 +185,22 @@ def cmd_qm_certify(args):
     return json_report(report, config), 0
 
 
+def _order_arg(text, name):
+    if text in ("inf", "0"):
+        return INF
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("--%s must be an integer or inf, got %r" % (name, text)) from None
+
+
 def cmd_filling(args):
-    p = INF if args.p in ("inf", "0") else int(args.p)
-    q = INF if args.q in ("inf", "0") else int(args.q)
+    p, q = _order_arg(args.p, "p"), _order_arg(args.q, "q")
     model = build_triangle_model(p, q)
-    h = Fraction(args.h)
+    try:
+        h = Fraction(args.h)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("--h must be a rational number, got %r" % args.h) from None
     cert = congruence_search(model, h, args.prime_cap)
     cusps = {}
     for s, cusp in sorted(model.cusps.items()):

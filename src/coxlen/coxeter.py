@@ -36,6 +36,14 @@ class CoxeterMatrix:
 
     @classmethod
     def make(cls, entries):
+        """Validated matrix from rows of int bond orders (0 = infinity)."""
+        entries = tuple(entries)
+        for row in entries:
+            if not isinstance(row, (list, tuple)):
+                raise InputError("a row must be a list of bond orders, got %.40r" % (row,))
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise InputError("bond order %.40r is not an integer" % (x,))
         entries = tuple(tuple(int(x) for x in row) for row in entries)
         rank = len(entries)
         if rank < 1:
@@ -97,7 +105,7 @@ def parse_coxeter_matrix(text: str) -> CoxeterMatrix:
     tokens = text.replace(";", " ").split()
     if not tokens or tokens[0] != "rank":
         raise InputError("input must start with 'rank <k>'")
-    if len(tokens) < 2 or not tokens[1].isdigit():
+    if len(tokens) < 2 or not tokens[1].isdecimal():
         raise InputError("missing rank value")
     rank = int(tokens[1])
     if rank < 1:
@@ -124,7 +132,7 @@ def load_matrix_json(text: str) -> CoxeterMatrix:
     """Full symmetric integer matrix as JSON (0 encodes infinity)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputError("not valid JSON: %s" % e) from None
     if isinstance(data, dict):
         data = data.get("matrix")

@@ -7,13 +7,18 @@ Three mechanisms cooperate:
 * parity (l_R = l_S mod 2) and the fixed-space codimension rank(M - I) give
   unconditional lower bounds, optionally joined by registered quasimorphism
   certificates;
-* factorizations over the inversion set N(w) = {t : l(tw) < l(w)} give exact
-  values: by Dyer's minimal-length theorem a shortest reflection
-  factorization can always be drawn from N(w), which is finite (|N(w)| =
-  l_S(w)).  Every witness is re-multiplied and checked, so upper bounds never
-  depend on the theorem; only the Exact status does, and the test suite
-  cross-checks it against Carter's equality on finite groups, closed forms on
-  the infinite dihedral group, and plain BFS everywhere.
+* a search over any reflection set containing the inversion set N(w) =
+  {t : l(tw) < l(w)} gives the exact value: by Dyer's minimal-length theorem
+  a shortest reflection factorization can always be drawn from N(w), and
+  |N(w)| = l_S(w).  The exact solver searches N(w); the affine experiment
+  searches the reflections of root depth <= L - 1 once for the ball of
+  radius L, as the j-th inversion of a reduced word s_1 ... s_l reflects
+  the root s_1 ... s_(j-1)(alpha_(s_j)), which j - 1 simple reflections
+  reach from a simple root keeping it positive.  Every witness is
+  re-multiplied and checked, so upper bounds never depend on the theorem;
+  only the Exact status does, and the test suite cross-checks it against
+  Carter's equality on finite groups, closed forms on the infinite dihedral
+  group, and plain BFS.
 
 Both the upper bounds and the exact values come from one search primitive,
 `min_product_length`: a meet-in-the-middle search over layers of half
@@ -66,7 +71,7 @@ _STABLE_INCREMENTS = 2
 class ReflenProtocol:
     """Caps for reflection-length computations: `d_cap` is the deepest rung
     of the truncated ladder, and `node_cap` bounds every search (the exact
-    solver, each ladder rung, and the standard ball)."""
+    solver, each ladder rung, and the ball and its shared search)."""
 
     d_cap: int = 6
     node_cap: int = NODE_CAP
@@ -318,17 +323,12 @@ def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=NODE_CAP,
     return _witness(group, invs, indices, g)
 
 
-def _product(group, elements):
-    out = group.identity
-    for e in elements:
-        out = out * e
-    return out
-
-
 def _witness(group, factors, indices, g):
     """(length, factors at `indices`), once their product is checked to be g."""
     parts = [factors[i] for i in indices]
-    check = _product(group, parts)
+    check = group.identity
+    for part in parts:
+        check = check * part
     _require(check.key == g.key, "witness product must equal the element")
     return len(indices), tuple(parts)
 
@@ -434,7 +434,8 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     are computed for D = 2, 4, ... <= protocol.d_cap, stopping once a bound
     has held for two further rungs, every witness re-multiplied and checked;
     the result is Bracketed unless the unconditional lower bounds happen to
-    meet the upper bound.  Every search runs under protocol.node_cap.
+    meet the upper bound.  depth_used is the rung that gave the upper bound,
+    None when none did.  Every search runs under protocol.node_cap.
     """
     protocol = protocol or ReflenProtocol()
     _check_depth(protocol.d_cap)
@@ -468,7 +469,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     upper = None
     witness = None
     stable = 0
-    depth_used = _D_START
+    depth_used = None
     capped = False
     rungs = range(_D_START, protocol.d_cap + 1, _D_STEP)
     deepest = get_reflections(group, rungs[-1]) if rungs else []
@@ -523,37 +524,33 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
                             protocol: ReflenProtocol = None) -> AffineBoundRecord:
     """Maximum exact reflection length over the ball of radius L.
 
-    Requires every component Euclidean; checks the 2n ceiling on every
-    element (a violation would falsify the experiment, not flag it) and
-    raises CertificateError when it fails.
+    One `reflen_ball` search at D = L - 1 gives each exact value as its
+    upper bound: the reflections of root depth <= L - 1 hold the inversion
+    set of every ball element (see the module docstring).  Requires every
+    component Euclidean; checks the 2n ceiling on every element (a violation
+    would falsify the experiment, not flag it) and raises CertificateError
+    when it fails.  protocol.node_cap bounds the ball and the search, whose
+    unsettled rows are skipped.
     """
     protocol = protocol or ReflenProtocol()
     verdict = classify_group(cm)
     if any(k != Kind.AFFINE_EUCLIDEAN for _, k in verdict.components):
         raise DomainError("affine bound experiment needs every component Euclidean")
     n = cm.rank - len(verdict.components)
-    group = get_group(cm)
-    ball = standard_ball(group, L, protocol.node_cap)
+    ball = reflen_ball(cm, L, max(L - 1, 0), protocol.node_cap)
     counts = {}
-    exact_seen = 0
-    for key, (elt, len_s) in ball.items():
-        # a ball element is first reached at its own level, so its BFS
-        # word is reduced
-        solved = exact_reflection_length(group, elt, cap=protocol.node_cap,
-                                         reduced_word=elt.word)
-        if solved is None:
+    for res in ball.results.values():
+        if res.upper is None:
             continue
-        value, _ = solved
-        exact_seen += 1
-        _require(value <= 2 * n,
+        _require(res.upper <= 2 * n,
                  "element of reflection length %d exceeds the affine maximum %d"
-                 % (value, 2 * n))
-        counts[value] = counts.get(value, 0) + 1
-    if not exact_seen:
+                 % (res.upper, 2 * n))
+        counts[res.upper] = counts.get(res.upper, 0) + 1
+    if not counts:
         raise DomainError("no exact values obtained at L=%d" % L)
     max_value = max(counts)
     return AffineBoundRecord(cm, L, n, 2 * n, max_value, max_value == 2 * n,
-                             dict(sorted(counts.items())), len(ball))
+                             dict(sorted(counts.items())), len(ball.results))
 
 
 def growth_profile(cm: CoxeterMatrix, base_word, K: int,

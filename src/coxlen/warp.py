@@ -182,7 +182,10 @@ def _schedule(L, r_T):
             if h <= 0:
                 continue
             x = r_a - r_T
-            J = math.exp(r_b) - amp * math.cosh(x)
+            try:
+                J = math.exp(r_b) - amp * math.cosh(x)
+            except OverflowError:   # amp cosh(x) > 1 >= e^r_b, so J < 0
+                continue
             B = math.exp(r_b)
             if J <= 0:
                 continue

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlen.cli import build_parser, main
 from coxlen.errors import CertificateError
@@ -280,3 +283,128 @@ def test_classify_computes_each_signature_once(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(data)["report"]["signature"] == [5, 1, 0]
     assert sorted(calls) == alone and alone.count(6) == 1
+
+
+def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
+    code, data = run_cli(["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+                          "--word", "abcabc", "-D", "0", "--node-cap", "5"], tmp_path)
+    assert code == 0
+    report = json.loads(data)["report"]
+    assert (report["upper"], report["depth_used"]) == (None, None)
+
+
+# -- parsed inputs end in a report or an error line, never a traceback ----------
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", "/nonexistent/matrix.txt"],
+    ["classify", "--input", "."],
+    ["filling", "--h", "abc"], ["filling", "--h", "1/0"],
+    ["filling", "--p", "x"], ["filling", "--q", "2.5"],
+    ["warp", "--L", "1e5"], ["warp", "--L", "1e308"],
+    ["classify", "--inline", "rank \u00b2"],
+    ["reflen", "--inline", "rank 2", "--word", "a!"],
+    ["reflen", "--inline", "rank 2", "--word", "1a"],
+    ["reflen", "--inline", "rank 2", "--word", "\u00b2"],
+    ["classify", "--inline", "[" * 100_000],
+] + [["classify", "--inline", json.dumps([[1, x], [x, 1]])]
+     for x in (None, [3], "3", 2.5, True)])
+def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "m.txt"
+    src.write_bytes(b"rank 2; m12=\xff")
+    code, _ = run_cli(["classify", "--input", str(src)], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_ORDERS = ["2", "3", "4", "6", "inf", "0", "1", "-3", "2.5", "x", "\u00b2", ""]
+_JUNK = ["", " ", "rank", "rank x", "rank -1", "rank \u00b2", "m12=3", ";", "[",
+         "{", "[[1,", "null", "[]", "{}", '{"matrix": 3}', "[[]]", "\u00e9", "1/0"]
+_JSON_ORDERS = [1, 2, 3, 4, 6, 0, -1, 2.5, None, True, "3", [], {}]
+
+
+@st.composite
+def _matrix_text(draw):
+    kind = draw(st.sampled_from(["text", "json", "junk"]))
+    if kind == "junk":
+        return draw(st.sampled_from(_JUNK) | st.text(max_size=8))
+    n = draw(st.integers(0, 4))
+    if kind == "text":
+        parts = ["rank %d" % n] + [
+            "m%d%d=%s" % (draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                          draw(st.sampled_from(_ORDERS)))
+            for _ in range(draw(st.integers(0, 4)))]
+        return draw(st.sampled_from(["; ", " "])).join(parts)
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from([1, 1, 1, 2, None]))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(_JSON_ORDERS))
+    return json.dumps({"matrix": rows} if draw(st.booleans()) else rows)
+
+
+def _pick(draw, *options):
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def _argv(draw):
+    cmd = _pick(draw, "classify", "subgroups", "reflen", "qm-certify", "filling", "warp")
+    argv = [cmd]
+    if cmd in ("classify", "subgroups", "reflen"):
+        if draw(st.integers(0, 9)):
+            argv += ["--inline", draw(_matrix_text())]
+        else:
+            argv += ["--input", _pick(draw, "/nonexistent/m.txt", ".", "")]
+    if cmd == "reflen":
+        if draw(st.booleans()):
+            argv += ["--word", draw(st.text("abcdez129 !", max_size=5))]
+        argv += ["-L", _pick(draw, "0", "1", "2", "3", "4", "-1", "x"),
+                 "-D", _pick(draw, "0", "1", "2", "3", "-1")]
+        cap = _pick(draw, None, "0", "1", "50", "2000", "-5")
+        argv += ["--node-cap", cap] if cap else []
+    elif cmd == "qm-certify":
+        argv += ["--k", _pick(draw, "0", "1", "2", "3", "4", "x"),
+                 "--pattern", draw(st.text("abcdz", max_size=4)),
+                 "--g", draw(st.text("abcdz", max_size=5)),
+                 "--K", _pick(draw, "1", "3", "0", "-1")]
+        window = _pick(draw, None, "1", "4", "8", "-1")
+        argv += ["--window", window] if window else []
+    elif cmd == "filling":
+        argv += ["--p", _pick(draw, "2", "3", "inf", "0", "x", "2.5", "-1", "5"),
+                 "--q", _pick(draw, "3", "inf", "0", "2", "x", "1e2"),
+                 "--h", _pick(draw, "1", "2", "3/2", "1/2", "0", "-1", "abc", "1/0", "nan"),
+                 "--prime-cap", _pick(draw, "5", "30", "4", "-1", "x")]
+    elif cmd == "warp":
+        argv += ["--L", _pick(draw, "6.5", "7", "20", "1e5", "1e308", "inf", "nan",
+                              "-3", "x", "6.2")]
+        r_t = _pick(draw, None, "-1.5", "-0.5", "nan", "inf", "-1e9")
+        argv += ["--rT", r_t] if r_t else []
+        argv += ["--grid", _pick(draw, "8", "16", "64", "7", "0", "-4")]
+    return argv + draw(st.lists(st.sampled_from(["--bogus", "-L", "--word", "3", "abc"]),
+                                max_size=1))
+
+
+@pytest.fixture(scope="module")
+def fuzz_output(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "out")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_generated_argv_ends_in_a_report_or_an_error(fuzz_output, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--output", fuzz_output])
+        except SystemExit as e:    # argparse rejecting the command line
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ def test_parse_defaults_to_order_two():
     "rank 2; m12=1",              # below 2
     "rank 2; m13=3",              # out of range
     "rank 2; m12=x",
+    "rank \u00b2",                # a digit that int() does not read
 ])
 def test_parse_errors(text):
     with pytest.raises(InputError):
@@ -65,6 +67,17 @@ def test_matrix_validation_errors():
         CoxeterMatrix.make([[2, 3], [3, 1]])      # diagonal
     with pytest.raises(InputError):
         CoxeterMatrix.make([[1, 1], [1, 1]])      # off-diagonal below 2
+
+
+@pytest.mark.parametrize("x", [2.5, 3.0, "3", None, True, [3]])
+def test_matrix_entries_must_be_integers(x):
+    # no truncation: 2.5 is not read as 2
+    with pytest.raises(InputError):
+        CoxeterMatrix.make([[1, x], [x, 1]])
+    with pytest.raises(InputError):
+        parse_any(json.dumps({"matrix": [[1, x], [x, 1]]}))
+    with pytest.raises(InputError):
+        CoxeterMatrix.make([[1, 3], x])
 
 
 def test_multidigit_indices_use_separator():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -5,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlen.coxeter import INF, CoxeterMatrix, parse_coxeter_matrix
+from coxlen.coxeter import INF, CoxeterMatrix, classify_group, parse_coxeter_matrix
 from coxlen.errors import CertificateError, DomainError
-from coxlen.reflen import (ReflenProtocol, affine_bound_experiment,
+from coxlen.reflen import (AffineBoundRecord, ReflenProtocol, affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
                            get_group, get_reflections, growth_profile,
                            inversion_reflections, min_product_length,
@@ -324,6 +325,64 @@ def test_affine_bound_rejects_bad_inputs():
         affine_bound_experiment(parse_coxeter_matrix("rank 3; m12=inf"), 4)
 
 
+# -- the affine experiment reads one shared search at D = L - 1 ---------------
+
+CT2 = parse_coxeter_matrix("rank 3; m12=4 m23=4")
+GT2 = parse_coxeter_matrix("rank 3; m12=6 m23=3")
+AT3 = parse_coxeter_matrix("rank 4; m12=3 m23=3 m34=3 m14=3")
+
+
+def _affine_bound_oracle(cm, L):
+    """The experiment as a per-element loop: the exact solver on each ball
+    element.  Returns (value by key, AffineBoundRecord)."""
+    n = cm.rank - len(classify_group(cm).components)
+    group = get_group(cm)
+    ball = standard_ball(group, L)
+    values = {}
+    for key, (elt, _) in ball.items():
+        # a ball element is first reached at its own level, so its BFS
+        # word is reduced
+        values[key] = exact_reflection_length(group, elt, reduced_word=elt.word)[0]
+    counts = collections.Counter(values.values())
+    max_value = max(counts)
+    return values, AffineBoundRecord(cm, L, n, 2 * n, max_value, max_value == 2 * n,
+                                     dict(sorted(counts.items())), len(ball))
+
+
+@pytest.mark.parametrize("text,L", [
+    ("rank 2; m12=inf", 12), ("rank 3; m12=3 m13=3 m23=3", 8),
+    ("rank 3; m12=4 m23=4", 10), ("rank 3; m12=6 m23=3", 10),
+    ("rank 3; m12=inf m13=inf m23=inf", 5), ("rank 3; m12=3 m23=5", 8),
+    ("rank 3; m12=3 m13=3 m23=4", 6), ("rank 4; m12=4 m23=3 m34=4 m14=3", 4)])
+def test_ball_inversions_have_root_depth_below_the_radius(text, L):
+    # the j-th inversion of a reduced word has root depth <= j - 1 <= L - 1
+    group = get_group(parse_coxeter_matrix(text))
+    keys = {r.element.key for r in get_reflections(group, max(L - 1, 0))}
+    for elt, _ in standard_ball(group, L).values():
+        for t in inversion_reflections(group, elt.word):
+            assert t.key in keys, elt.word
+
+
+@pytest.mark.parametrize("cm,L", [(AT1, 12), (AT2, 8), (CT2, 10), (GT2, 10), (AT3, 6)])
+def test_affine_bound_matches_the_per_element_solver(cm, L):
+    values, record = _affine_bound_oracle(cm, L)
+    ball = reflen_ball(cm, L, L - 1)
+    assert {key: res.upper for key, res in ball.results.items()} == values
+    assert affine_bound_experiment(cm, L) == record
+
+
+def test_affine_bound_runs_no_per_element_solve(monkeypatch):
+    import coxlen.reflen
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the affine experiment solved an element on its own")
+
+    monkeypatch.setattr(coxlen.reflen, "exact_reflection_length", refuse)
+    monkeypatch.setattr(coxlen.reflen, "inversion_reflections", refuse)
+    rec = affine_bound_experiment(AT2, 8)
+    assert (rec.max_value, rec.bound, rec.attained) == (4, 4, True)
+
+
 def test_growth_profiles():
     rec = growth_profile(AT1, (0, 1), 10)
     assert all(r.upper == 2 and r.status == "Exact" for _, r in rec.powers)
@@ -400,7 +459,7 @@ def test_ball_remultiplies_its_witnesses(monkeypatch):
 def _reference_ladder(group, g, len_s, d_cap):
     """The ladder with a fresh enumeration per rung D = 2, 4, ... <= d_cap,
     stopping after two stable increments: (upper, witness, depth_used)."""
-    upper, witness, depth_used, stable = None, None, 2, 0
+    upper, witness, depth_used, stable = None, None, None, 0
     for D in range(2, d_cap + 1, 2):
         reflections = enumerate_reflections(group.gram, D)
         (hit,), _ = min_product_length(group, [(g, len_s)],
@@ -426,6 +485,15 @@ def test_ladder_matches_one_enumeration_per_rung(cm, d_cap):
         res = reflen_element(cm, word, protocol)
         assert (res.upper, res.witness, res.depth_used) == _reference_ladder(
             group, res.element, res.len_s, d_cap), word
+
+
+def test_depth_used_is_none_when_no_rung_gives_the_bound():
+    # no rung runs below D = 2; every rung (and the solver) hits a cap of 5
+    for protocol in (ReflenProtocol(use_exact_solver=False, d_cap=0),
+                     ReflenProtocol(use_exact_solver=False, d_cap=1),
+                     ReflenProtocol(d_cap=4, node_cap=5)):
+        res = reflen_element(W3, (0, 1, 2, 0, 1, 2), protocol)
+        assert (res.upper, res.witness, res.depth_used) == (None, None, None)
 
 
 # -- the search's witness contract against brute force --------------------------
@@ -578,7 +646,7 @@ def _matrix_and_word(draw):
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw(st.sampled_from([2, 3, 4, 6, INF]))
     word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=6)))
-    return CoxeterMatrix.make(entries), word
+    return CoxeterMatrix.make(entries), word, draw(st.integers(0, 3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -586,8 +654,9 @@ def _matrix_and_word(draw):
 def test_reflection_length_properties(case):
     # codim <= l_R <= l_S with l_R = l_S mod 2, l_R(w) = l_R(w^-1), and the
     # exact value below the ladder's upper bound; the ladder runs under a
-    # small node cap, so a rung whose layers outgrow it reports no bound
-    cm, word = case
+    # small node cap, so a rung whose layers outgrow it reports no bound.
+    # Over the ball of radius L, the search at D = L - 1 gives each exact value.
+    cm, word, L = case
     group = get_group(cm)
     g = group.element(word)
     len_s = group.length(g)
@@ -602,3 +671,5 @@ def test_reflection_length_properties(case):
         assert ladder.capped
     else:
         assert value <= ladder.upper
+    for res in reflen_ball(cm, L, max(L - 1, 0)).results.values():
+        assert res.upper == exact_reflection_length(group, res.element)[0]

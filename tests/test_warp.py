@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coxlen.errors import DomainError
+from coxlen.errors import ConstructionFailedError, DomainError
 from coxlen.warp import (_apex, _boundary, _bridge_eval, grid_checks,
                          warp_profile)
 
@@ -68,6 +68,13 @@ def test_preconditions():
         warp_profile(6.5, r_T=-0.9)       # above -1
     with pytest.raises(DomainError):
         warp_profile(6.5, r_T=-1.2)       # below -L/2pi
+
+
+@pytest.mark.parametrize("L", [1e5, 1e308])
+def test_lengths_beyond_float_cosh_fail_the_construction(L):
+    # amp cosh(r_a - r_T) overflows for every candidate: no feasible bridge
+    with pytest.raises(ConstructionFailedError):
+        warp_profile(L)
 
 
 def test_profile_positive_and_increasing_everywhere():
