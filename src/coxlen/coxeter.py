@@ -17,10 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import CertificateError, DomainError, InputError
+from .errors import CertificateError, DomainError, InputError, ResourceCapError
 from .exactfield import RealCyclotomicField
 
 INF = 0  # sentinel bond order for m_ij = infinity
+
+# the largest rank accepted, checked before a matrix of that rank is built
+MAX_RANK = 64
+
+
+def _check_rank(rank):
+    if rank > MAX_RANK:
+        raise ResourceCapError("rank %d is above the cap of %d" % (rank, MAX_RANK))
 
 
 def order_text(m: int) -> str:
@@ -38,6 +46,7 @@ class CoxeterMatrix:
     def make(cls, entries):
         """Validated matrix from rows of int bond orders (0 = infinity)."""
         entries = tuple(entries)
+        _check_rank(len(entries))
         for row in entries:
             if not isinstance(row, (list, tuple)):
                 raise InputError("a row must be a list of bond orders, got %.40r" % (row,))
@@ -64,9 +73,6 @@ class CoxeterMatrix:
                                      % (i + 1, j + 1, order_text(entries[i][j])))
         return cls(rank, entries)
 
-    def order(self, i, j):
-        return self.entries[i][j]
-
     def submatrix(self, subset):
         subset = tuple(subset)
         rows = tuple(tuple(self.entries[i][j] for j in subset) for i in subset)
@@ -83,14 +89,6 @@ class CoxeterMatrix:
                     n = m if first else n * m // math.gcd(n, m)
                     first = False
         return max(n, 2)
-
-    def describe(self):
-        parts = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.entries[i][j] != 2:
-                    parts.append("m%d%d=%s" % (i + 1, j + 1, order_text(self.entries[i][j])))
-        return "rank %d; %s" % (self.rank, " ".join(parts)) if parts else "rank %d" % self.rank
 
 
 _ASSIGN_RE = re.compile(r"^m(\d+)[_,]?(\d+)=(\d+|inf)$")
@@ -110,6 +108,7 @@ def parse_coxeter_matrix(text: str) -> CoxeterMatrix:
     rank = int(tokens[1])
     if rank < 1:
         raise InputError("rank must be >= 1")
+    _check_rank(rank)
     entries = [[2] * rank for _ in range(rank)]
     for i in range(rank):
         entries[i][i] = 1

@@ -24,12 +24,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CertificateError
+from .errors import CertificateError, ResourceCapError
 
 # 333/106 < pi < 355/113: loose enough to keep the Fractions of the theta
 # certificate small, tight enough for every conductor
 _PI_LO = Fraction(333, 106)
 _PI_HI = Fraction(355, 113)
+
+# the largest field degree phi(2N)/2 that is built; each sign and product
+# costs more with the degree (see the README)
+MAX_DEGREE = 300
 
 
 def _mobius(n):
@@ -42,6 +46,17 @@ def _mobius(n):
             mu = -mu
         p += 1
     return -mu if n > 1 else mu
+
+
+def _totient(n):
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 def _cyclotomic(n):
@@ -112,6 +127,10 @@ class RealCyclotomicField:
     def _init(self, N):
         if N < 1:
             raise ValueError("conductor must be >= 1")
+        # phi(2N) >= sqrt(N): a conductor above 4 MAX_DEGREE^2 is refused unfactored
+        if N > 4 * MAX_DEGREE ** 2 or _totient(2 * N) > 2 * MAX_DEGREE:
+            raise ResourceCapError("Q(2cos(pi/%d)) has degree above the cap of %d"
+                                   % (N, MAX_DEGREE))
         self.N = N
         self.minpoly = tuple(_cosine_minimal_poly(N))
         self.degree = len(self.minpoly) - 1
@@ -316,16 +335,6 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates / conversions ---------------------------------------------
 
     def _coerce(self, other):
@@ -352,18 +361,6 @@ class ExactScalar:
 
     def __hash__(self):
         return hash((self.field.N, self.num, self.den))
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def as_fraction(self):
         """Exact rational value; raises if the element is irrational."""

@@ -29,10 +29,6 @@ def le_two_pi(x: Fraction) -> bool:
     raise CertificateError("pi enclosure too coarse for %r" % (x,))
 
 
-def gt_two_pi(x: Fraction) -> bool:
-    return not le_two_pi(x)
-
-
 def margin_over_two_pi(x: Fraction) -> tuple[Fraction, Fraction]:
     """Enclosure of x - 2*pi as a rational interval [lo, hi]."""
     return (x - TWO_PI_HI, x - TWO_PI_LO)

@@ -135,18 +135,17 @@ def _defect_over_window(w: FreeCoxeterWord, B: int):
     """Exact max of |H(gh)-H(g)-H(h)| over reduced g,h of length <= B.
 
     The maximum runs over junction triples (a, c, b) in the order middle c,
-    left a, right b, and the first strict maximum gives the pair.  Cross
-    terms are read from tables: cross(a, b) is built once for all middles,
-    cross(c, b) once per middle and cross(a, c^-1) once per (a, c).
+    left a, right b, and the first strict maximum gives the pair.  Sides
+    and middles come from one list, the words of length <= min(B, |w| - 1):
+    cross(a, c^-1) and cross(c, b) read only the last |w| - 1 letters of c,
+    and that suffix of a longer c meets looser length and adjacency
+    constraints and is listed earlier, so a longer c never gives a strict
+    maximum.  Cross terms are read from tables: cross(a, b) is built once
+    for all middles, cross(c, b) once per middle and cross(a, c^-1) once
+    per (a, c).
     """
     pat = w.letters
-    m = len(pat)
-    k = w.k
-    side = _reduced_words_upto(k, min(B, m - 1))
-    # middles longer than 2m-1 only repeat boundary windows (k >= 3 lets a
-    # separator letter realize any window combination), so they add nothing
-    mid_cap = min(B, 2 * m - 1) if k >= 3 else B
-    mids = _reduced_words_upto(k, mid_cap)
+    side = _reduced_words_upto(w.k, min(B, len(pat) - 1))
     cross_ab = [[_cross(pat, a, b) for b in side] for a in side]
     best = 0
     best_pair = ("", "")
@@ -175,7 +174,7 @@ def _defect_over_window(w: FreeCoxeterWord, B: int):
                     local_pair = (a + rc, c + side[j])
         return local_best, local_pair
 
-    for c in mids:
+    for c in side:
         val, pair = eval_mid(c)
         if val > best:
             best = val

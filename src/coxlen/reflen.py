@@ -140,18 +140,20 @@ def combine_lower(len_s: int, *bounds):
 
 
 def inversion_reflections(group: TitsGroup, reduced_word):
-    """The l(w) reflections inverting w, from prefixes of a reduced word."""
+    """The l(w) reflections inverting w, from the prefixes of a reduced word
+    s_1 ... s_l: the j-th is the `tits.reflection` of the root
+    s_1 ... s_(j-1)(alpha_(s_j)), column s_j of the prefix matrix, with
+    word s_1 ... s_j s_(j-1) ... s_1."""
     out = []
     seen = set()
-    prefix = back = group.identity
+    prefix = group.identity
     for s in reduced_word:
-        gen = group.generators[s]
-        prefix = prefix * gen           # s_0 ... s_j
-        t = prefix * back               # s_0 ... s_j s_(j-1) ... s_0
+        t = tits.reflection(group.gram, tits.image_root(prefix, s),
+                            prefix.word + (s,) + prefix.word[::-1])
         _require(t.key not in seen, "inversions of a reduced word must be distinct")
         seen.add(t.key)
         out.append(t)
-        back = gen * back               # s_j ... s_0
+        prefix = prefix * group.generators[s]
     return out
 
 

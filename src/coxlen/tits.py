@@ -27,15 +27,15 @@ as one-column matrices.
   product takes n^3); the matrix side of it (`row_factor`) is built
   once per element and kept on the element.
 * `ExactScalar` appears only where exact field arithmetic is read: the Gram
-  form the generators are built from, `Reflection.root`, and the rows of
-  M - I that `fixed_space_codim` hands to `linalg.matrix_rank`.
+  form that 2B is packed from, `Reflection.root`, and the rows of M - I
+  that `fixed_space_codim` hands to `linalg.matrix_rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
@@ -142,13 +142,6 @@ class GroupElement:
         return GroupElement(gram, _mat_mul(self.packed, other.packed,
                                            gram.cm.rank, gram.field), word)
 
-    def inverse(self):
-        if self.word is not None:
-            # generators are involutions, so the reversed word inverts
-            gens = [tits_generator(self.gram, s) for s in range(self.gram.cm.rank)]
-            return evaluate_word(gens, tuple(reversed(self.word)))
-        raise ValueError("cannot invert an element without a word")
-
     def is_identity(self):
         return self.packed == _identity(self.gram.cm.rank, self.gram.field.degree)
 
@@ -181,22 +174,35 @@ def row_factor(g: GroupElement):
         return factor
 
 
+@lru_cache(maxsize=None)
+def _form_factor(gram: GramMatrix):
+    """The matrix side of `row_mul` for 2B, whose entries 2, -2cos(pi/m) and
+    -2 lie in Z[theta]."""
+    return _matrix_side(_pack([[e + e for e in row] for row in gram.entries]),
+                        gram.cm.rank, gram.field.degree)
+
+
+def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
+    """x -> x - 2B(beta, x) beta for the packed root beta: the matrix
+    I - beta rho with rho = beta^T 2B, one `row_mul` for rho and one for
+    each beta_i rho.  Every reflection of the package is built here."""
+    field = gram.field
+    n, d = gram.cm.rank, field.degree
+    rho = _matrix_side(row_mul(root, _form_factor(gram), field), 1, d)
+    out = [c for i in range(0, n * d, d) for c in row_mul(root[i:i + d], rho, field)]
+    return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+
+
+def image_root(g: GroupElement, s: int) -> tuple:
+    """The packed root g(alpha_s): column s of g's matrix."""
+    n, d = g.gram.cm.rank, g.gram.field.degree
+    return tuple(c for t in range(s * d, n * n * d, n * d) for c in g.packed[t:t + d])
+
+
 def tits_generator(gram: GramMatrix, s: int) -> GroupElement:
     """sigma_s(x) = x - 2 B(e_s, x) e_s as an exact matrix."""
-    field = gram.field
-    n = gram.cm.rank
-    rows = []
-    for i in range(n):
-        if i != s:
-            rows.append(tuple(field.one if j == i else field.zero for j in range(n)))
-        else:
-            row = []
-            for j in range(n):
-                two_b = gram.entries[s][j] + gram.entries[s][j]
-                delta = field.one if j == s else field.zero
-                row.append(delta - two_b)
-            rows.append(tuple(row))
-    return GroupElement(gram, _pack(rows), (s,))
+    n, d = gram.cm.rank, gram.field.degree
+    return reflection(gram, (0,) * (s * d) + (1,) + (0,) * ((n - s) * d - 1), (s,))
 
 
 class TitsGroup:
@@ -222,37 +228,29 @@ class TitsGroup:
     def element(self, word) -> GroupElement:
         return evaluate_word(self.generators, word, identity=self.identity)
 
-    def _is_descent(self, g: GroupElement, s):
-        """Whether column s of g's matrix is a negative root, i.e. its first
-        nonzero entry is negative."""
-        n, d = self.cm.rank, self.field.degree
-        p = g.packed
-        for t in range(s * d, n * n * d, n * d):
-            sign = self.field.sign_of(p[t:t + d], 1)
-            if sign:
-                return sign < 0
-        raise ValueError("zero vector is not a root")
+    def _descents(self, key):
+        """The right descents, smallest first, of the element g with row key
+        K: K_s is the coordinate sum of the root g(alpha_s), and a root is
+        positive or negative (Humphreys, 5.4), so K_s has its sign."""
+        d = self.field.degree
+        return (s for s in range(self.cm.rank)
+                if self.field.sign_of(key[s * d:(s + 1) * d], 1) < 0)
 
     def right_descents(self, g: GroupElement):
-        """Generators s with l(gs) < l(g): column s of the matrix is a negative root."""
-        return [s for s in range(self.cm.rank) if self._is_descent(g, s)]
+        """Generators s with l(gs) < l(g): the root g(alpha_s) is negative."""
+        return list(self._descents(row_key(g)))
 
     def reduced_word(self, g: GroupElement):
-        """A reduced word for g (deterministic: smallest descent first)."""
+        """A reduced word for g (deterministic: smallest descent first),
+        walked on row keys, K(gs) = K(g) M(s)."""
         out = []
-        cur = g
-        while True:
-            s = next((s for s in range(self.cm.rank) if self._is_descent(cur, s)), None)
-            if s is None:
-                break
-            cur = cur * self.generators[s]
+        key = row_key(g)
+        while (s := next(self._descents(key), None)) is not None:
+            key = row_mul(key, row_factor(self.generators[s]), self.field)
             out.append(s)
-        if not cur.is_identity():
+        if key != row_key(self.identity):
             raise CertificateError("descent recursion did not end at the identity")
         return tuple(reversed(out))
-
-    def length(self, g: GroupElement) -> int:
-        return len(self.reduced_word(g))
 
 
 def evaluate_word(gens, word, identity=None) -> GroupElement:
@@ -297,8 +295,8 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     simple reflections.  sigma_s permutes the positive roots other than
     alpha_s (Humphreys, Reflection Groups and Coxeter Groups, ch. 5), so
     skipping sigma_s on alpha_s keeps every image positive and no sign is
-    ever decided.  A new root sigma_s(v) carries the reflection s t s of its
-    parent's reflection t, with word (s,) + word(t) + (s,).  Roots are
+    ever decided.  A new root u = sigma_s(v) carries its `reflection`, with
+    word (s,) + word(t) + (s,) for the parent's reflection t.  Roots are
     deduplicated by their packed ints and the result is sorted by (depth,
     root bytes), so it is deterministic.
     """
@@ -317,7 +315,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
                     continue  # sigma_s(alpha_s) = -alpha_s
                 u = _mat_mul(gen.packed, v, n, field)
                 if u not in seen:
-                    r = gen * t * gen
+                    r = reflection(gram, u, (s,) + t.word + (s,))
                     seen[u] = (depth, r)
                     new_frontier.append((u, r))
         frontier = new_frontier

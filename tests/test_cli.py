@@ -315,6 +315,24 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", [
+    "rank 99999999", "rank 65", json.dumps([[1]] * 65),
+    "rank 2; m12=100000",     # field degree 40,000
+    "rank 2; m12=1009",       # field degree 504
+])
+def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, text):
+    code, _ = run_cli(["classify", "--inline", text], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("resource cap: ")
+
+
+def test_inputs_at_the_caps_are_classified(tmp_path):
+    # rank 64 (coxeter.MAX_RANK) and m12=601, field degree 300
+    # (exactfield.MAX_DEGREE)
+    for text in ("rank 64", "rank 2; m12=601"):
+        assert run_cli(["classify", "--inline", text], tmp_path)[0] == 0, text
+
+
 def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
     src = tmp_path / "m.txt"
     src.write_bytes(b"rank 2; m12=\xff")

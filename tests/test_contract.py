@@ -39,10 +39,8 @@ SIGNATURES = {
                              "margin_interval)"),
     "CoxeterMatrix": "(rank, entries)",
     "CoxeterMatrix.make": "(entries)",
-    "CoxeterMatrix.order": "(self, i, j)",
     "CoxeterMatrix.submatrix": "(self, subset)",
     "CoxeterMatrix.conductor": "(self)",
-    "CoxeterMatrix.describe": "(self)",
     "ExactScalar": "(field, num, den=1)",
     "ExactScalar.is_zero": "(self)",
     "ExactScalar.sign": "(self)",
@@ -51,7 +49,6 @@ SIGNATURES = {
     "FreeCoxeterWord.inverse": "(self)",
     "GramMatrix": "(cm, field, entries)",
     "GroupElement": "(gram, packed, word=None)",
-    "GroupElement.inverse": "(self)",
     "GroupElement.is_identity": "(self)",
     "GrowthRecord": "(base_word, metric_name, powers)",
     "QuasimorphismCert": ("(k, pattern, raw_defect, window, "
@@ -77,7 +74,6 @@ SIGNATURES = {
     "TitsGroup.element": "(self, word)",
     "TitsGroup.right_descents": "(self, g)",
     "TitsGroup.reduced_word": "(self, g)",
-    "TitsGroup.length": "(self, g)",
     "TriangleModel": "(p, q, cm, generators, cusps)",
     "TriangleModel.element": "(self, word)",
     "TypeVerdict": "(kind, components, minimal_nonaffine, signature)",

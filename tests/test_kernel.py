@@ -1,5 +1,6 @@
 """The packed Z[theta] element kernel against exact scalar arithmetic, the
-row kernel and row keys of the search, and pins of key bytes and solver
+row kernel and row keys of the search, descents and reflections against the
+matrix-product constructions they replaced, and pins of key bytes and solver
 witnesses recorded before the packing."""
 
 import hashlib
@@ -13,8 +14,9 @@ from coxlen.errors import CertificateError
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar
-from coxlen.tits import (GroupElement, _entry_rows, _pack, canonical_key,
-                         row_factor, row_key, row_mul)
+from coxlen.tits import (GroupElement, _entry_rows, _mat_mul, _pack,
+                         canonical_key, enumerate_reflections, image_root,
+                         reflection, row_factor, row_key, row_mul)
 
 GROUPS = {
     "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
@@ -137,6 +139,110 @@ def test_inverse_row_key_reads_any_word(pair):
     expected = row_key(group.element(tuple(reversed(u))))
     assert group.inverse_row_key(g) == expected
     assert group.inverse_row_key(GroupElement(group.gram, g.packed)) == expected
+
+
+# -- oracles: the column scan and the matrix products the row-key walk and
+# `reflection` replaced.  W3, A2T, H3, T334, B4H and D16 cover degenerate and
+# indefinite forms and field degrees 1, 4, 8 and 16.
+ORACLE_GROUPS = ("W3", "A2T", "H3", "T334", "B4H", "D16")
+
+
+def _column_descent(group, g, s):
+    """Whether column s of g's matrix, the root g(alpha_s), is negative: its
+    first nonzero entry is."""
+    n, d = group.cm.rank, group.field.degree
+    for t in range(s * d, n * n * d, n * d):
+        sign = group.field.sign_of(g.packed[t:t + d], 1)
+        if sign:
+            return sign < 0
+    raise AssertionError("zero vector is not a root")
+
+
+def _column_reduced_word(group, g):
+    """Smallest descent first, on full matrices."""
+    out = []
+    while True:
+        s = next((s for s in range(group.cm.rank) if _column_descent(group, g, s)),
+                 None)
+        if s is None:
+            assert g.is_identity()
+            return tuple(reversed(out))
+        g = g * group.generators[s]
+        out.append(s)
+
+
+def _product_inversions(group, rw):
+    """The inversions of a reduced word as prefix * back, s_1 ... s_j times
+    s_(j-1) ... s_1."""
+    out = []
+    prefix = back = group.identity
+    for s in rw:
+        gen = group.generators[s]
+        prefix = prefix * gen
+        out.append(prefix * back)
+        back = gen * back
+    return out
+
+
+def _product_enumeration(group, depth_cap):
+    """(depth, root, key, word) of the root orbit expanded level by level,
+    each new reflection being gen * t * gen of its parent t."""
+    n = group.cm.rank
+    simple = [image_root(group.identity, s) for s in range(n)]
+    seen = {v: (0, t) for v, t in zip(simple, group.generators)}
+    frontier = list(zip(simple, group.generators))
+    for depth in range(1, depth_cap + 1):
+        new_frontier = []
+        for v, t in frontier:
+            for s, gen in enumerate(group.generators):
+                u = _mat_mul(gen.packed, v, n, group.field)
+                if v != simple[s] and u not in seen:
+                    seen[u] = depth, gen * t * gen
+                    new_frontier.append((u, seen[u][1]))
+        frontier = new_frontier
+    return sorted((depth, v, t.key, t.word) for v, (depth, t) in seen.items())
+
+
+@st.composite
+def _oracle_word(draw):
+    group = _group(draw(st.sampled_from(ORACLE_GROUPS)))
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    return group, tuple(draw(st.lists(letters, max_size=14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_word())
+def test_row_key_descents_match_the_column_scan(case):
+    group, word = case
+    g = group.element(word)
+    assert group.right_descents(g) == [s for s in range(group.cm.rank)
+                                       if _column_descent(group, g, s)]
+    rw = group.reduced_word(g)
+    assert rw == _column_reduced_word(group, g)
+    assert group.reduced_word(GroupElement(group.gram, g.packed)) == rw
+
+
+@settings(max_examples=100, deadline=None)
+@given(_oracle_word())
+def test_reflections_match_the_matrix_products(case):
+    # w s w^-1 from its root w(alpha_s), and the inversions of a reduced word
+    group, word = case
+    g = group.element(word)
+    for s, gen in enumerate(group.generators):
+        t = reflection(group.gram, image_root(g, s), word + (s,) + word[::-1])
+        assert t.key == (g * gen * group.element(word[::-1])).key
+    rw = group.reduced_word(g)
+    got = inversion_reflections(group, rw)
+    want = _product_inversions(group, rw)
+    assert [(t.key, t.word) for t in got] == [(t.key, t.word) for t in want]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_enumeration_matches_the_matrix_products(name):
+    group = _group(name)
+    got = sorted((r.depth, tuple(c for x in r.root for c in x.num), r.element.key,
+                  r.word) for r in enumerate_reflections(group.gram, 4))
+    assert got == _product_enumeration(group, 4)
 
 
 # (diagram, L, |ball|): the row key is injective on these balls, among them

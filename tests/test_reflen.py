@@ -77,7 +77,7 @@ def test_a3_against_symmetric_group_oracle():
 def test_a3_longest_and_coxeter_elements():
     group = get_group(A3)
     w0 = group.element((0, 1, 0, 2, 1, 0))
-    assert group.length(w0) == 6
+    assert len(group.reduced_word(w0)) == 6
     # w0 is the permutation (1 4)(2 3): two disjoint transpositions
     assert exact_reflection_length(group, w0)[0] == 2
     assert exact_reflection_length(group, group.element((0, 1, 2)))[0] == 3
@@ -106,7 +106,7 @@ def test_infinite_dihedral_closed_form():
 def test_translation_in_affine_triangle_group():
     group = get_group(AT2)
     translation = group.element((0, 1, 2, 0, 1, 2))
-    assert group.length(translation) == 6
+    assert len(group.reduced_word(translation)) == 6
     value, witness = exact_reflection_length(group, translation)
     assert value == 4 and len(witness) == 4
     # independent check against the full depth-10 reflection set: no product
@@ -118,7 +118,7 @@ def test_translation_in_affine_triangle_group():
             p = r1.element * r2.element
             pair_products.setdefault(p.key, p)
     assert translation.key not in pair_products
-    assert any((p.inverse() * translation).key in pair_products
+    assert any((group.element(p.word[::-1]) * translation).key in pair_products
                for p in pair_products.values())
 
 
@@ -274,7 +274,7 @@ def test_conjugation_invariance_spot_checks():
         conj = tuple(rng.randrange(3) for _ in range(rng.randint(0, 4)))
         w = group.element(word)
         k = group.element(conj)
-        kwk = k * w * k.inverse()
+        kwk = k * w * group.element(conj[::-1])
         assert exact_reflection_length(group, w)[0] == \
             exact_reflection_length(group, kwk)[0]
 
@@ -659,7 +659,7 @@ def test_reflection_length_properties(case):
     cm, word, L = case
     group = get_group(cm)
     g = group.element(word)
-    len_s = group.length(g)
+    len_s = len(group.reduced_word(g))
     value, _ = exact_reflection_length(group, g)
     assert fixed_space_codim(g) <= value <= len_s
     assert value % 2 == len_s % 2
@@ -673,3 +673,44 @@ def test_reflection_length_properties(case):
         assert value <= ladder.upper
     for res in reflen_ball(cm, L, max(L - 1, 0)).results.values():
         assert res.upper == exact_reflection_length(group, res.element)[0]
+
+
+# groups for the invariance properties: finite, affine (degenerate form) and
+# hyperbolic, over field degrees 1 and 4
+PROPERTY_GROUPS = [parse_coxeter_matrix(text) for text in (
+    "rank 3; m12=3 m23=4", "rank 3; m12=3 m13=3 m23=3",
+    "rank 3; m12=3 m13=3 m23=4", "rank 3; m12=inf m13=inf m23=inf",
+    "rank 4; m12=4 m23=3 m34=4 m14=3")]
+
+
+@st.composite
+def _group_and_words(draw):
+    cm = draw(st.sampled_from(PROPERTY_GROUPS))
+    letters = st.integers(0, cm.rank - 1)
+    return (cm, tuple(draw(st.lists(letters, max_size=8))),
+            tuple(draw(st.lists(letters, max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_and_words())
+def test_reflection_length_is_conjugation_invariant(case):
+    # R is closed under conjugation, so l_R(u w u^-1) = l_R(w)
+    cm, word, conj = case
+    group = get_group(cm)
+    w = group.element(word)
+    kwk = group.element(conj + word + conj[::-1])
+    assert exact_reflection_length(group, kwk)[0] == \
+        exact_reflection_length(group, w)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_and_words(), st.data())
+def test_reflection_length_restricts_to_standard_parabolics(case, data):
+    # an element of W_J has the same reflection length in W_J and in W
+    cm, _, _ = case
+    subset = data.draw(st.lists(st.integers(0, cm.rank - 1), min_size=1,
+                                max_size=cm.rank - 1, unique=True).map(sorted))
+    word = tuple(data.draw(st.lists(st.integers(0, len(subset) - 1), max_size=8)))
+    big, small = get_group(cm), get_group(cm.submatrix(subset))
+    in_w = exact_reflection_length(big, big.element(tuple(subset[s] for s in word)))
+    assert in_w[0] == exact_reflection_length(small, small.element(word))[0]
