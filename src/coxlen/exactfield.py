@@ -3,8 +3,9 @@
 Every scalar is a polynomial in theta with a shared integer denominator,
 reduced modulo the (monic, integer) minimal polynomial of theta.  Equality is
 coefficient equality of the normalized vector, and signs are decided exactly
-by interval evaluation against a refinable isolating interval for theta, so
-no verdict anywhere in the package depends on floating point.
+by interval Horner evaluation on Python integers against a dyadic enclosure
+a/2^P < theta < b/2^P, refined by bisection when a sign needs it, so no
+verdict anywhere in the package depends on floating point.
 
 The minimal polynomial is obtained from the cyclotomic polynomial
 Phi_{2N} = prod_{d|2N} (x^d - 1)^mu(2N/d), built in integers by multiplying
@@ -13,10 +14,11 @@ palindromic substitution y = z + 1/z: writing Phi_{2N}(z)/z^d as a
 polynomial in y uses z^k + z^{-k} = D_k(y) with the Dickson recurrence
 D_0 = 2, D_1 = y, D_{k+1} = y*D_k - D_{k-1}, rolled forward once.
 
-Theta's starting isolating interval (lo, 2) is a Taylor certificate: the
+Theta's starting enclosure (a/2^64, 2) comes from a Taylor certificate: the
 second- and fourth-order bounds on cos with 333/106 < pi < 355/113 put a
-rational lo below theta and above every other conjugate 2cos(k pi/N),
-gcd(k, 2N) = 1 (see `_isolate_theta`).
+dyadic a/2^64 below theta and above every other conjugate 2cos(k pi/N),
+gcd(k, 2N) = 1 (see `_isolate_theta`), so bisecting it by the sign of the
+minimal polynomial keeps theta inside.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ _PI_HI = Fraction(355, 113)
 # the largest field degree phi(2N)/2 that is built; each sign and product
 # costs more with the degree (see the README)
 MAX_DEGREE = 300
+
+# bits of theta's starting enclosure a/2^P < theta < b/2^P, and the bits the
+# precision grows by once the enclosure is narrower than 2^_GUARD units
+_START_PREC = 64
+_GUARD = 32
 
 
 def _mobius(n):
@@ -104,11 +111,14 @@ def _cosine_minimal_poly(N):
     return out
 
 
-def _poly_eval_frac(coeffs, x):
-    acc = Fraction(0)
+def _dyadic_sign(coeffs, m, P):
+    """Exact sign of sum(coeffs[i] (m/2^P)^i), from the integer homogeneous
+    Horner sum(coeffs[i] m^i 2^(P(d-i))) = 2^(Pd) times the value."""
+    acc, shift = 0, 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * m + (c << shift)
+        shift += P
+    return (acc > 0) - (acc < 0)
 
 
 class RealCyclotomicField:
@@ -161,41 +171,61 @@ class RealCyclotomicField:
         self._cos_cache = {}
 
     def _isolate_theta(self):
-        """Verified isolating interval for theta, the largest root of minpoly.
+        """Verified dyadic enclosure a/2^P < theta < b/2^P, theta the largest
+        root of minpoly, at P = 64.
 
         As cos x >= 1 - x^2/2, lo = 2 - (pi/N)^2 (pi rounded up) lies below
-        theta.  Every other conjugate 2cos(k pi/N), k odd >= 3, lies below
-        2cos(2pi/N), and cos x <= 1 - x^2/2 + x^4/24 bounds that from above,
-        so (lo, 2) isolates theta once lo exceeds the bound.  hi stays 2:
-        bisecting towards 2 keeps the interval's Fractions small, which makes
-        `sign_of` cheaper than a tighter Taylor hi would.
+        theta, and so does a/2^P with a = floor(lo 2^P).  Every other
+        conjugate 2cos(k pi/N), k odd >= 3, lies below 2cos(2pi/N), and
+        cos x <= 1 - x^2/2 + x^4/24 bounds that from above, so (a/2^P, 2)
+        isolates theta once a/2^P exceeds the bound.  b stays 2^(P+1): the
+        starting width costs a few bisections, paid only by the signs that
+        need them.  The minimal polynomial is negative at a/2^P and positive
+        at 2, checked exactly.
         """
         if self.degree == 1:
-            v = Fraction(-self.minpoly[0])
-            self._lo = self._hi = v
             return
-        N, mp = self.N, self.minpoly
-        lo, hi = 2 - (_PI_HI / N) ** 2, Fraction(2)
-        if not lo > 2 - (2 * _PI_LO / N) ** 2 + (2 * _PI_HI / N) ** 4 / 12:
+        N, mp, P = self.N, self.minpoly, _START_PREC
+        lo = 2 - (_PI_HI / N) ** 2
+        a, b = (lo.numerator << P) // lo.denominator, 2 << P
+        second = 2 - (2 * _PI_LO / N) ** 2 + (2 * _PI_HI / N) ** 4 / 12
+        if not Fraction(a, 1 << P) > second:
             raise CertificateError("failed to isolate theta for N=%d" % N)
-        if not _poly_eval_frac(mp, lo) < 0 < _poly_eval_frac(mp, hi):
+        if not _dyadic_sign(mp, a, P) < 0 < _dyadic_sign(mp, b, P):
             raise CertificateError("minimal polynomial for N=%d does not change sign "
                                    "around theta" % N)
-        self._lo, self._hi = lo, hi
+        self._a, self._b, self._prec = a, b, P
 
-    def refine_theta(self, width: Fraction):
-        """Shrink the isolating interval below the requested width."""
+    def refine_theta(self, width):
+        """Bisect theta's enclosure to a width of at most `width` (rational).
+
+        Each midpoint m/2^P is kept on theta's side by the exact sign of the
+        minimal polynomial there (`_dyadic_sign`): negative means m/2^P is
+        below theta.  A zero there would be a rational root of an irreducible
+        polynomial of degree >= 2, so it raises.  P grows by _GUARD bits
+        whenever the enclosure is narrower than 2^_GUARD units of 2^-P, so
+        the rounding of `sign_of` stays far below the enclosure's width.
+        The enclosure persists on the field: later signs start from it.
+        """
         if self.degree == 1:
             return
-        mp = self.minpoly
-        lo, hi = self._lo, self._hi
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if _poly_eval_frac(mp, mid) < 0:
-                lo = mid
+        width = Fraction(width)
+        if width <= 0:
+            raise ValueError("refinement width must be positive")
+        mp, a, b, P = self.minpoly, self._a, self._b, self._prec
+        while (b - a) * width.denominator > width.numerator << P:
+            if b - a < 1 << _GUARD:
+                a, b, P = a << _GUARD, b << _GUARD, P + _GUARD
+            m = (a + b) >> 1
+            s = _dyadic_sign(mp, m, P)
+            if s == 0:
+                raise CertificateError("minimal polynomial for N=%d has a rational root"
+                                       % self.N)
+            if s < 0:
+                a = m
             else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+                b = m
+        self._a, self._b, self._prec = a, b, P
 
     # -- scalar constructors -------------------------------------------------
 
@@ -232,28 +262,40 @@ class RealCyclotomicField:
     # -- sign machinery -------------------------------------------------------
 
     def sign_of(self, num, den):
-        """Exact sign of sum(num[i] theta^i)/den; den > 0."""
+        """Exact sign of sum(num[i] theta^i)/den; den > 0, len(num) <= degree.
+
+        Interval Horner on integers in units of 2^-P: with theta in
+        [a, b]/2^P, 0 < a, the partial value's interval [lo, hi] times
+        [a, b] is [lo*a or lo*b, hi*b or hi*a] by the signs of lo and hi
+        (in units of 2^-2P); `>> P` floors the lower end and `-((-x) >> P)`
+        ceils the upper end back to units of 2^-P, and the next coefficient
+        adds c << P exactly.  Every rounding is outward and the enclosure
+        holds theta, so each step's interval holds the true partial value,
+        and the sign is returned once the final interval excludes 0.
+        Otherwise `refine_theta` narrows the enclosure by 4 bits and the
+        evaluation runs again.  The value is nonzero, as 1, theta, ...,
+        theta^(degree-1) are linearly independent over Q and num is not all
+        zero, and the interval's width shrinks with the enclosure's (P grows
+        with it, so the rounding does too), so the loop ends.
+        """
+        if len(num) > self.degree:
+            raise ValueError("sign_of needs at most %d coefficients" % self.degree)
         if not any(num):
             return 0
         if self.degree == 1:
-            v = _poly_eval_frac(num, self._lo)
-            return 1 if v > 0 else (-1 if v < 0 else 0)
+            return 1 if num[0] > 0 else -1
         while True:
-            vals = self._interval_eval(num)
-            if vals[0] > 0:
+            a, b, P = self._a, self._b, self._prec
+            lo = hi = 0
+            for c in reversed(num):
+                c <<= P
+                lo = ((lo * a if lo >= 0 else lo * b) >> P) + c
+                hi = c - ((-(hi * b if hi >= 0 else hi * a)) >> P)
+            if lo > 0:
                 return 1
-            if vals[1] < 0:
+            if hi < 0:
                 return -1
-            self.refine_theta((self._hi - self._lo) / 16)
-
-    def _interval_eval(self, num):
-        """Interval Horner evaluation of an integer polynomial at [lo, hi]."""
-        lo = hi = Fraction(0)
-        a, b = self._lo, self._hi
-        for c in reversed(num):
-            cands = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(cands) + c, max(cands) + c
-        return lo, hi
+            self.refine_theta(Fraction(b - a, 1 << (P + 4)))
 
     def __repr__(self):
         return "RealCyclotomicField(N=%d, degree=%d)" % (self.N, self.degree)

@@ -389,34 +389,49 @@ class BallResult:
     capped: bool = False
 
 
-def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
-                node_cap=NODE_CAP) -> BallResult:
-    """l_R^(D) over the ball of standard length <= L.
+def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
+    """l_R^(D) upper bounds over the ball of standard length <= L.
 
-    Upper bounds come from one `min_product_length` search over the
-    reflections of root depth <= D, shared by every ball element and bounded
-    by its l_S (every simple reflection has depth 0, so l_R^(D) <= l_S);
-    witnesses are its meet-in-the-middle factorizations, each re-multiplied
-    and checked against its element.  Lower bounds are
-    parity and fixed-space codimension.  `node_cap` bounds the ball and the
-    elements the search stores; elements the search could not settle under
-    it are reported with upper = None.
+    One `min_product_length` search over the reflections of root depth <= D,
+    shared by every ball element and bounded by its l_S (every simple
+    reflection has depth 0, so l_R^(D) <= l_S); witnesses are its
+    meet-in-the-middle factorizations, each re-multiplied and checked against
+    its element.  `node_cap` bounds the ball and the elements the search
+    stores.  Returns ([(key, element, l_S, upper, witness factors)], capped),
+    in ball order; upper and the factors are None where the search could not
+    settle the element under the cap.
     """
     _check_depth(D)
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
     factors = [r.element for r in get_reflections(group, D)]
     hits, capped = min_product_length(group, list(ball.values()), factors, node_cap)
-    results = {}
+    rows = []
     for (key, (elt, len_s)), hit in zip(ball.items(), hits):
-        codim = fixed_space_codim(elt)
-        lower = combine_lower(len_s, parity_lower(len_s), codim)
-        sources = ("parity", "fixed-space")
         if hit is None:
+            rows.append((key, elt, len_s, None, None))
+        else:
+            rows.append((key, elt, len_s) + _witness(group, factors, hit[1], elt))
+    return rows, capped
+
+
+def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
+                node_cap=NODE_CAP) -> BallResult:
+    """l_R^(D) over the ball of standard length <= L.
+
+    Upper bounds and witnesses come from the shared `_ball_search`; lower
+    bounds are parity and fixed-space codimension.  Elements the search
+    could not settle under `node_cap` are reported with upper = None.
+    """
+    rows, capped = _ball_search(cm, L, D, node_cap)
+    results = {}
+    sources = ("parity", "fixed-space")
+    for key, elt, len_s, upper, parts in rows:
+        lower = combine_lower(len_s, parity_lower(len_s), fixed_space_codim(elt))
+        if upper is None:
             results[key] = ReflLenResult(elt, None, lower, "Bracketed", None, D,
                                          len_s, sources, capped=True)
         else:
-            upper, parts = _witness(group, factors, hit[1], elt)
             witness = tuple(p.word for p in parts)
             status = "Exact" if lower == upper else "Bracketed"
             results[key] = ReflLenResult(elt, upper, lower, status,
@@ -526,33 +541,33 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
                             protocol: ReflenProtocol = None) -> AffineBoundRecord:
     """Maximum exact reflection length over the ball of radius L.
 
-    One `reflen_ball` search at D = L - 1 gives each exact value as its
-    upper bound: the reflections of root depth <= L - 1 hold the inversion
-    set of every ball element (see the module docstring).  Requires every
-    component Euclidean; checks the 2n ceiling on every element (a violation
-    would falsify the experiment, not flag it) and raises CertificateError
-    when it fails.  protocol.node_cap bounds the ball and the search, whose
-    unsettled rows are skipped.
+    One `_ball_search` at D = L - 1 gives each exact value as its upper
+    bound, and no lower bound is computed: the reflections of root depth
+    <= L - 1 hold the inversion set of every ball element (see the module
+    docstring).  Requires every component Euclidean; checks the 2n ceiling
+    on every element (a violation would falsify the experiment, not flag it)
+    and raises CertificateError when it fails.  protocol.node_cap bounds the
+    ball and the search, whose unsettled rows are skipped.
     """
     protocol = protocol or ReflenProtocol()
     verdict = classify_group(cm)
     if any(k != Kind.AFFINE_EUCLIDEAN for _, k in verdict.components):
         raise DomainError("affine bound experiment needs every component Euclidean")
     n = cm.rank - len(verdict.components)
-    ball = reflen_ball(cm, L, max(L - 1, 0), protocol.node_cap)
+    rows, _ = _ball_search(cm, L, max(L - 1, 0), protocol.node_cap)
     counts = {}
-    for res in ball.results.values():
-        if res.upper is None:
+    for _, _, _, upper, _ in rows:
+        if upper is None:
             continue
-        _require(res.upper <= 2 * n,
+        _require(upper <= 2 * n,
                  "element of reflection length %d exceeds the affine maximum %d"
-                 % (res.upper, 2 * n))
-        counts[res.upper] = counts.get(res.upper, 0) + 1
+                 % (upper, 2 * n))
+        counts[upper] = counts.get(upper, 0) + 1
     if not counts:
         raise DomainError("no exact values obtained at L=%d" % L)
     max_value = max(counts)
     return AffineBoundRecord(cm, L, n, 2 * n, max_value, max_value == 2 * n,
-                             dict(sorted(counts.items())), len(ball.results))
+                             dict(sorted(counts.items())), len(rows))
 
 
 def growth_profile(cm: CoxeterMatrix, base_word, K: int,

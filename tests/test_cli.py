@@ -333,6 +333,20 @@ def test_inputs_at_the_caps_are_classified(tmp_path):
         assert run_cli(["classify", "--inline", text], tmp_path)[0] == 0, text
 
 
+def test_rank_4_classify_at_field_degree_240(tmp_path):
+    # conductor lcm(2, 5, 7, 11) = 770: inertia's pivot signs need theta's
+    # enclosure narrowed to about 300 bits
+    code, data = run_cli(["classify", "--inline", "rank 4; m12=5 m23=7 m34=11"],
+                         tmp_path)
+    assert code == 0
+    report = json.loads(data)["report"]
+    assert report["kind"] == "NonAffine"
+    assert report["components"] == [{"generators": [1, 2, 3, 4], "kind": "NonAffine"}]
+    assert report["field_conductor"] == 770
+    assert report["signature"] == [3, 1, 0]
+    assert report["minimal_nonaffine"] is False
+
+
 def test_undecodable_input_file_is_an_input_error(tmp_path, capsys):
     src = tmp_path / "m.txt"
     src.write_bytes(b"rank 2; m12=\xff")

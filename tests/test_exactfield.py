@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlen import intervals
 from coxlen.exactfield import _PI_HI, _PI_LO, RealCyclotomicField
+from exactfield_oracles import fraction_sign
 
 
 def _reference_minimal_poly(N):
@@ -135,8 +138,8 @@ def test_theta_isolation_for_every_conductor_up_to_400():
         F = RealCyclotomicField(N)
         if F.degree == 1:
             continue
-        lo = mpmath.mpf(F._lo.numerator) / F._lo.denominator
-        hi = mpmath.mpf(F._hi.numerator) / F._hi.denominator
+        lo = mpmath.mpf(F._a) / 2 ** F._prec
+        hi = mpmath.mpf(F._b) / 2 ** F._prec
         # the roots of the minimal polynomial are 2cos(k pi/N), gcd(k, 2N) = 1
         roots = [2 * mpmath.cos(k * mpmath.pi / N)
                  for k in range(1, N) if math.gcd(k, 2 * N) == 1]
@@ -150,3 +153,98 @@ def test_signs_in_a_wide_conductor_field():
     assert F.theta.sign() == 1
     assert (F.theta - F.from_rational(2)).sign() == -1
     assert (F.theta - F.from_rational(Fraction(1997, 1000))).sign() == 1
+
+
+# a conductor for each field degree 1, 2, 4, 8, 16, 48
+_SIGN_CONDUCTORS = (3, 5, 12, 30, 60, 210)
+
+
+def _mp_sign(N, num, dps=100):
+    """Sign of sum(num[i] theta^i) at `dps` digits, None within 1e-60 of 0."""
+    with mpmath.workdps(dps):
+        val = mpmath.polyval(list(reversed(num)), 2 * mpmath.cos(mpmath.pi / N))
+        if abs(val) < mpmath.mpf(10) ** -60:
+            return None
+        return 1 if val > 0 else -1
+
+
+@st.composite
+def _field_polynomial(draw):
+    field = RealCyclotomicField(draw(st.sampled_from(_SIGN_CONDUCTORS)))
+    num = draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1,
+                        max_size=field.degree))
+    return field, tuple(num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_polynomial())
+def test_sign_matches_the_fraction_oracle_and_mpmath(case):
+    field, num = case
+    got = field.sign_of(num, 1)
+    assert got == fraction_sign(field, num)
+    want = _mp_sign(field.N, num)
+    assert want is None or got == want
+
+
+def _convergents(x, q_max):
+    """Continued-fraction convergents p/q of the mpf x with q <= q_max."""
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = int(mpmath.floor(x))
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > q_max:
+            return out
+        out.append((p1, q1))
+        x = 1 / (x - a)
+
+
+def _counting_refinements(monkeypatch):
+    """Count refine_theta calls on fields built from here on."""
+    calls = []
+    original = RealCyclotomicField.refine_theta
+
+    def counting(self, width):
+        calls.append(width)
+        return original(self, width)
+
+    monkeypatch.setattr(RealCyclotomicField, "refine_theta", counting)
+    monkeypatch.setattr(RealCyclotomicField, "_cache", {})
+    return calls
+
+
+@pytest.mark.parametrize("N", [5, 12, 30, 60, 210])
+def test_signs_near_zero_at_continued_fraction_convergents(N, monkeypatch):
+    # q theta - p is about 1/q: down to 1e-40, far inside the starting
+    # enclosure's width, so the field must refine several times
+    calls = _counting_refinements(monkeypatch)
+    field = RealCyclotomicField(N)
+    with mpmath.workdps(120):
+        convergents = _convergents(2 * mpmath.cos(mpmath.pi / N), 10 ** 40)
+    assert convergents[-1][1] > 10 ** 38
+    for p, q in convergents:
+        num = (-p, q) + (0,) * (field.degree - 2)
+        want = _mp_sign(N, num, dps=120)
+        assert field.sign_of(num, 1) == want == fraction_sign(field, num), (p, q)
+    assert len(calls) >= 20
+
+
+def test_theta_refinement_is_lazy_and_persistent(monkeypatch):
+    calls = _counting_refinements(monkeypatch)
+    field = RealCyclotomicField(30)
+    assert calls == []                       # building refines nothing
+    theta = field.theta
+    # theta = 1.989...: the starting enclosure (1.98..., 2) decides these
+    assert theta.sign() == 1
+    assert (theta - field.from_rational(3)).sign() == -1
+    assert (theta - field.from_rational(Fraction(39, 20))).sign() == 1
+    assert calls == []
+    with mpmath.workdps(60):
+        p, q = _convergents(2 * mpmath.cos(mpmath.pi / 30), 10 ** 20)[-1]
+    near = field.scalar((-p, q) + (0,) * 6)
+    sign = near.sign()
+    refined = len(calls)
+    assert refined > 0
+    # the narrowed enclosure stays on the field
+    assert near.sign() == sign and (-near).sign() == -sign
+    assert len(calls) == refined

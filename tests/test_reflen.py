@@ -379,6 +379,8 @@ def test_affine_bound_runs_no_per_element_solve(monkeypatch):
 
     monkeypatch.setattr(coxlen.reflen, "exact_reflection_length", refuse)
     monkeypatch.setattr(coxlen.reflen, "inversion_reflections", refuse)
+    # nor a lower bound, which the experiment never reads
+    monkeypatch.setattr(coxlen.reflen, "fixed_space_codim", refuse)
     rec = affine_bound_experiment(AT2, 8)
     assert (rec.max_value, rec.bound, rec.attained) == (4, 4, True)
 
