@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CertificateError, DomainError, InputError, ResourceCapError
-from .exactfield import RealCyclotomicField
+from .exactfield import RealCyclotomicField, check_degree
 
 INF = 0  # sentinel bond order for m_ij = infinity
 
@@ -79,16 +79,16 @@ class CoxeterMatrix:
         return CoxeterMatrix.make(rows)
 
     def conductor(self):
-        """lcm of the finite off-diagonal bond orders (2 when there are none)."""
-        n = 2
-        first = True
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                m = self.entries[i][j]
-                if m != INF:
-                    n = m if first else n * m // math.gcd(n, m)
-                    first = False
-        return max(n, 2)
+        """lcm of the finite off-diagonal bond orders (2 when there are none):
+        the N of the report field Q(2cos(pi/N))."""
+        return _lcm_of_bonds(self, 2)
+
+
+def _lcm_of_bonds(cm, least):
+    """lcm of the finite off-diagonal bond orders >= least (2 when there are
+    none)."""
+    rank, rows = cm.rank, cm.entries
+    return max(math.lcm(*[m for i in range(rank) for m in rows[i][i + 1:] if m >= least]), 2)
 
 
 _ASSIGN_RE = re.compile(r"^m(\d+)[_,]?(\d+)=(\d+|inf)$")
@@ -157,7 +157,12 @@ class GramMatrix:
 
 
 def gram_matrix(cm: CoxeterMatrix) -> GramMatrix:
-    field = RealCyclotomicField(cm.conductor())
+    """B over the smallest field that holds it, Q(2cos(pi/N')), N' the lcm of
+    the finite bond orders >= 4 (2 when there are none): cos(pi/2) = 0 and
+    cos(pi/3) = 1/2 are rational.  The degree cap reads the report field
+    Q(2cos(pi/N)), N = cm.conductor(), which holds this one."""
+    check_degree(cm.conductor())
+    field = RealCyclotomicField(_lcm_of_bonds(cm, 4))
     one = field.one
     minus_one = field.from_rational(-1)
     rows = []

@@ -121,6 +121,15 @@ def _dyadic_sign(coeffs, m, P):
     return (acc > 0) - (acc < 0)
 
 
+def check_degree(N):
+    """Raise ResourceCapError when Q(2cos(pi/N)) has degree above MAX_DEGREE,
+    without building the field."""
+    # phi(2N) >= sqrt(N): a conductor above 4 MAX_DEGREE^2 is refused unfactored
+    if N > 4 * MAX_DEGREE ** 2 or _totient(2 * N) > 2 * MAX_DEGREE:
+        raise ResourceCapError("Q(2cos(pi/%d)) has degree above the cap of %d"
+                               % (N, MAX_DEGREE))
+
+
 class RealCyclotomicField:
     """Q(2cos(pi/N)) with exact arithmetic and sign determination."""
 
@@ -137,10 +146,7 @@ class RealCyclotomicField:
     def _init(self, N):
         if N < 1:
             raise ValueError("conductor must be >= 1")
-        # phi(2N) >= sqrt(N): a conductor above 4 MAX_DEGREE^2 is refused unfactored
-        if N > 4 * MAX_DEGREE ** 2 or _totient(2 * N) > 2 * MAX_DEGREE:
-            raise ResourceCapError("Q(2cos(pi/%d)) has degree above the cap of %d"
-                                   % (N, MAX_DEGREE))
+        check_degree(N)
         self.N = N
         self.minpoly = tuple(_cosine_minimal_poly(N))
         self.degree = len(self.minpoly) - 1
@@ -247,11 +253,13 @@ class RealCyclotomicField:
         return cur
 
     def cos_pi_over(self, m):
-        """cos(pi/m) exactly; requires m == 2 or m | N."""
+        """cos(pi/m) exactly; requires m in (2, 3) or m | N."""
         if m in self._cos_cache:
             return self._cos_cache[m]
         if m == 2:
             val = self.zero
+        elif m == 3:
+            val = self.from_rational(Fraction(1, 2))
         else:
             if self.N % m:
                 raise ValueError("cos(pi/%d) does not lie in Q(2cos(pi/%d))" % (m, self.N))

@@ -1,21 +1,40 @@
 """The geometric (Tits) representation: exact matrices, keys, reflections.
 
-Group elements are rank x rank matrices over the real cyclotomic field
-Q(theta), theta = 2cos(pi/N).  Generator matrices have entries in Z[theta]
-(the minimal polynomial is monic), so every product stays integral, and an
-element is stored packed: one flat tuple of Python ints, the `degree`
-coefficients (theta^0 first) of each entry in row-major order.
-Multiplication works on those ints directly, one row at a time
-(`row_mul`), accumulating each entry's convolution over the inner index and
-reducing it once modulo the minimal polynomial; a non-integral entry raises
-CertificateError instead of being packed.  Roots are packed the same way,
-as one-column matrices.
+Two fields.  The work runs in the smallest field that holds the Gram form
+(`coxeter.gram_matrix`): Q(theta), theta = 2cos(pi/N'), N' the lcm of the
+finite bond orders >= 4 (2 when there are none, so theta = 0 and the field
+is Q), as cos(pi/2) = 0 and cos(pi/3) = 1/2 are rational.  Reports name
+elements and order roots by their coefficients over the report field
+Q(2cos(pi/N)), N = `CoxeterMatrix.conductor()` the lcm of every finite bond
+order, 2 and 3 included: `canonical_key` and the root bytes map each entry
+through the exact embedding theta -> D_k(2cos(pi/N)), k = N/N' (Dickson),
+one integer matrix per Gram, so every report reads the same bytes whichever
+field the work ran in.  The report field is built only when a key or a root
+order needs it.  H3 (bonds 3, 5 and 2) works at degree 2, not 8.
+
+Generator matrices have entries in Z[theta] (the minimal polynomial is
+monic), so every product stays integral, and an element is stored packed:
+one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
+each entry in row-major order; a non-integral entry raises CertificateError
+instead of being packed.  Roots are packed the same way, as one-column
+matrices.
+
+Two kernel paths.  Multiplication works on those ints directly, one row at
+a time (`row_mul`), against the matrix side of the right factor
+(`row_factor`).  Up to degree 4 the side is dense, the regular
+representation: one column per output coefficient, holding the
+coefficients of theta^q times each entry with the reduction included, so
+each output coefficient is one `sum(map(mul, row, column))`.  Above degree
+4, where it is faster, each entry's convolution is accumulated over the
+inner index over the nonzero coefficients only and reduced once modulo the
+minimal polynomial.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
   matrices, so key equality is the word problem.
-* `canonical_key(g)` is the canonical byte serialization of the normalized
-  entries; it orders frontiers deterministically and names elements in
-  reports (the CSV key digest), independently of the packing.
+* `canonical_key(g)` is the canonical byte serialization of the entries
+  over the report field; it orders frontiers deterministically and names
+  elements in reports (the CSV key digest), independently of the packing
+  and of the field the work runs in.
 * `row_key(g)` is K(g) = 1^T M(g), the column sums of g's matrix: rank *
   degree ints instead of rank^2 * degree.  It is injective on W for every
   Coxeter matrix, degenerate and indefinite forms included: K(g) is the
@@ -40,16 +59,42 @@ from operator import mul, sub
 from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
 from .errors import CertificateError, DomainError
-from .exactfield import ExactScalar
+from .exactfield import ExactScalar, RealCyclotomicField
 
 
-def _matrix_side(B, n, d):
-    """The matrix side of `row_mul` for a packed matrix B of n rows: for
-    degree 1 its columns; otherwise, per column, the (row index, nonzero
-    (power, coefficient) terms) of each nonzero entry."""
-    m = len(B) // (n * d)
-    if d == 1:
-        return [B[j::m] for j in range(m)]
+# the largest field degree at which `row_mul` runs the dense kernel; above
+# it the sparse convolution is faster
+_DENSE_DEGREE = 4
+
+
+def _matrix_side(B, n, field):
+    """The matrix side of `row_mul` for a packed matrix B of n rows.
+
+    Dense, up to degree _DENSE_DEGREE: the columns of the regular
+    representation, whose row (i, q) is theta^q times row i of B, so that
+    column (j, p) holds at (i, q) the theta^p coefficient of theta^q B_ij
+    and a row times it is that coefficient of the product, reduction
+    included (at degree 1, the columns of B).  Sparse, above it: per
+    column, the (row index, nonzero (power, coefficient) terms) of each
+    nonzero entry."""
+    d = field.degree
+    width = len(B) // n
+    if d <= _DENSE_DEGREE:
+        top_row = field._reduction[0]           # theta^degree
+        rows = []
+        for r in range(0, len(B), width):
+            row = B[r:r + width]
+            rows.append(row)
+            for _ in range(d - 1):              # row <- theta * row
+                nxt = []
+                for t in range(0, width, d):
+                    top = row[t + d - 1]
+                    low = [0, *row[t:t + d - 1]]
+                    nxt += [c + top * x for c, x in zip(low, top_row)] if top else low
+                row = nxt
+                rows.append(row)
+        return list(zip(*rows))
+    m = width // d
     terms = [[(q, y) for q, y in enumerate(B[t:t + d]) if y]
              for t in range(0, len(B), d)]
     return [[(i, e) for i, e in enumerate(terms[j::m]) if e] for j in range(m)]
@@ -58,9 +103,12 @@ def _matrix_side(B, n, d):
 def row_mul(row, factor, field):
     """The packed row vector `row` times the matrix whose matrix side
     (`row_factor`) is `factor`: n^2 entry products for a rank-n matrix,
-    where a matrix product takes n^3.  The one multiplication kernel."""
+    where a matrix product takes n^3.  The one multiplication kernel: one
+    dot product per output coefficient up to degree _DENSE_DEGREE, above it
+    each entry's convolution accumulated over the inner index and reduced
+    once modulo the minimal polynomial."""
     d = field.degree
-    if d == 1:
+    if d <= _DENSE_DEGREE:
         return tuple([sum(map(mul, row, col)) for col in factor])
     terms = [[(p, c) for p, c in enumerate(row[t:t + d]) if c]
              for t in range(0, len(row), d)]
@@ -82,15 +130,14 @@ def row_mul(row, factor, field):
     return tuple(out)
 
 
-def _mat_mul(A, B, n, field):
-    """Product of a packed rank-n matrix A and a packed matrix B of n rows
-    (a rank-n matrix, or a root as one column): `row_mul` of each row of A."""
-    factor = _matrix_side(B, n, field.degree)
-    step = n * field.degree
-    out = ()
-    for r in range(0, len(A), step):
-        out += row_mul(A[r:r + step], factor, field)
-    return out
+def _kept(gram, name, make):
+    """make(gram), made on first use and kept on the (frozen) Gram under
+    `name`, so it is found without hashing the Gram."""
+    try:
+        return gram.__dict__[name]
+    except KeyError:
+        value = gram.__dict__[name] = make(gram)
+        return value
 
 
 @lru_cache(maxsize=None)
@@ -135,12 +182,19 @@ class GroupElement:
         return self.packed
 
     def __mul__(self, other):
+        """`row_mul` of each row of self by other's kept `row_factor`."""
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         gram = self.gram
-        return GroupElement(gram, _mat_mul(self.packed, other.packed,
-                                           gram.cm.rank, gram.field), word)
+        field = gram.field
+        factor = row_factor(other)
+        A = self.packed
+        step = gram.cm.rank * field.degree
+        out = ()
+        for r in range(0, len(A), step):
+            out += row_mul(A[r:r + step], factor, field)
+        return GroupElement(gram, out, word)
 
     def is_identity(self):
         return self.packed == _identity(self.gram.cm.rank, self.gram.field.degree)
@@ -165,21 +219,20 @@ def row_key(g: GroupElement) -> tuple:
 def row_factor(g: GroupElement):
     """The matrix side of `row_mul` for g's matrix, built on first use and
     kept on g, so it lives exactly as long as g: a group's generators, the
-    enumerated reflections `reflen` holds per group, or the inversion set of
-    one exact solve."""
+    enumerated reflections `reflen` holds per group, the inversion set of
+    one exact solve, or the right operand of a product."""
     try:
         return g._factor
     except AttributeError:
-        g._factor = factor = _matrix_side(g.packed, g.gram.cm.rank, g.gram.field.degree)
+        g._factor = factor = _matrix_side(g.packed, g.gram.cm.rank, g.gram.field)
         return factor
 
 
-@lru_cache(maxsize=None)
-def _form_factor(gram: GramMatrix):
+def _make_form_factor(gram: GramMatrix):
     """The matrix side of `row_mul` for 2B, whose entries 2, -2cos(pi/m) and
     -2 lie in Z[theta]."""
     return _matrix_side(_pack([[e + e for e in row] for row in gram.entries]),
-                        gram.cm.rank, gram.field.degree)
+                        gram.cm.rank, gram.field)
 
 
 def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
@@ -188,7 +241,8 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     each beta_i rho.  Every reflection of the package is built here."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
-    rho = _matrix_side(row_mul(root, _form_factor(gram), field), 1, d)
+    rho = row_mul(root, _kept(gram, "_form_factor", _make_form_factor), field)
+    rho = _matrix_side(rho, 1, field)
     out = [c for i in range(0, n * d, d) for c in row_mul(root[i:i + d], rho, field)]
     return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
 
@@ -266,11 +320,47 @@ def evaluate_word(gens, word, identity=None) -> GroupElement:
     return out
 
 
+def _make_report_columns(gram: GramMatrix):
+    """The exact embedding of gram.field, Q(theta') with theta' =
+    2cos(pi/N'), into the report field Q(theta), theta = 2cos(pi/N) for N =
+    cm.conductor(), as dense `row_mul` columns: theta' = D_k(theta) with
+    k = N/N' (`dickson`), or 0 when N' = 2, so column j holds the theta^j
+    coefficients of theta'^0, ..., theta'^(d'-1).  None when both fields
+    have the same degree, hence the same coefficients: N' = N, or both are
+    Q (N' = 2, N = 3).  A3 (N' = 2, N = 6) needs the map: its form lies in
+    Q and its report field is Q(2cos(pi/6)), of degree 2."""
+    field, N = gram.field, gram.cm.conductor()
+    report = RealCyclotomicField(N)
+    if report.degree == field.degree:
+        return None
+    theta = report.dickson(N // field.N) if field.degree > 1 else report.zero
+    rows, power = [], report.one
+    for _ in range(field.degree):
+        rows.append(power.num)
+        power = power * theta
+    return [[row[j] for row in rows] for j in range(report.degree)]
+
+
+def _report_entries(gram: GramMatrix, packed):
+    """The entries of a packed matrix or root as coefficient tuples over the
+    report field (see `_make_report_columns`)."""
+    d = gram.field.degree
+    entries = [packed[t:t + d] for t in range(0, len(packed), d)]
+    cols = _kept(gram, "_report_columns", _make_report_columns)
+    if cols is None:
+        return entries
+    return [tuple([sum(map(mul, e, col)) for col in cols]) for e in entries]
+
+
 def canonical_key(g: GroupElement) -> bytes:
-    """Canonical bytes of g's matrix: `repr` of its rows of (num, den)
-    entries, every denominator being 1."""
-    rows = _entry_rows(g.packed, g.gram.cm.rank, g.gram.field.degree)
-    return repr(tuple(tuple((c, 1) for c in row) for row in rows)).encode()
+    """Canonical bytes of g's matrix over the report field Q(2cos(pi/N)),
+    N = cm.conductor(): `repr` of its rows of (num, den) entries, every
+    denominator being 1.  The bytes do not depend on the field the work runs
+    in."""
+    n = g.gram.cm.rank
+    entries = _report_entries(g.gram, g.packed)
+    return repr(tuple(tuple((c, 1) for c in entries[r:r + n])
+                      for r in range(0, n * n, n))).encode()
 
 
 @dataclass(frozen=True)
@@ -283,9 +373,10 @@ class Reflection:
     word: tuple  # a (not necessarily reduced) word w + (s,) + reversed(w)
 
 
-def _root_key(root, d):
-    """The bytes that order roots: `repr` of (coeffs, 1) per coordinate."""
-    return repr(tuple((root[t:t + d], 1) for t in range(0, len(root), d))).encode()
+def _root_key(gram, root):
+    """The bytes that order roots: `repr` of (report-field coeffs, 1) per
+    coordinate."""
+    return repr(tuple((c, 1) for c in _report_entries(gram, root))).encode()
 
 
 def enumerate_reflections(gram: GramMatrix, depth_cap: int):
@@ -295,14 +386,17 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     simple reflections.  sigma_s permutes the positive roots other than
     alpha_s (Humphreys, Reflection Groups and Coxeter Groups, ch. 5), so
     skipping sigma_s on alpha_s keeps every image positive and no sign is
-    ever decided.  A new root u = sigma_s(v) carries its `reflection`, with
-    word (s,) + word(t) + (s,) for the parent's reflection t.  Roots are
-    deduplicated by their packed ints and the result is sorted by (depth,
-    root bytes), so it is deterministic.
+    ever decided.  A new root u = sigma_s(v) = v - 2B(v, alpha_s) alpha_s
+    differs from v in coordinate s alone, read off rho = v^T 2B (one
+    `row_mul` per parent), and carries its `reflection`, with word (s,) +
+    word(t) + (s,) for the parent's reflection t.  Roots are deduplicated by
+    their packed ints and the result is sorted by (depth, root bytes over
+    the report field), so it is deterministic.
     """
     n = gram.cm.rank
     field = gram.field
     d = field.degree
+    form = _kept(gram, "_form_factor", _make_form_factor)
     gens = [tits_generator(gram, s) for s in range(n)]
     simple = [(0,) * (s * d) + (1,) + (0,) * ((n - s) * d - 1) for s in range(n)]
     seen = {v: (0, t) for v, t in zip(simple, gens)}  # packed root -> (depth, reflection)
@@ -310,10 +404,12 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     for depth in range(1, depth_cap + 1):
         new_frontier = []
         for v, t in frontier:
-            for s, gen in enumerate(gens):
+            rho = row_mul(v, form, field)
+            for s in range(n):
                 if v == simple[s]:
                     continue  # sigma_s(alpha_s) = -alpha_s
-                u = _mat_mul(gen.packed, v, n, field)
+                i = s * d
+                u = v[:i] + tuple(map(sub, v[i:i + d], rho[i:i + d])) + v[i + d:]
                 if u not in seen:
                     r = reflection(gram, u, (s,) + t.word + (s,))
                     seen[u] = (depth, r)
@@ -321,7 +417,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
         frontier = new_frontier
         if not frontier:
             break
-    order = sorted(seen.items(), key=lambda item: (item[1][0], _root_key(item[0], d)))
+    order = sorted(seen.items(), key=lambda item: (item[1][0], _root_key(gram, item[0])))
     return [Reflection(t, tuple(ExactScalar(field, v[i:i + d], 1)
                                 for i in range(0, n * d, d)), depth, t.word)
             for v, (depth, t) in order]

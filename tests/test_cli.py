@@ -319,6 +319,7 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     "rank 99999999", "rank 65", json.dumps([[1]] * 65),
     "rank 2; m12=100000",     # field degree 40,000
     "rank 2; m12=1009",       # field degree 504
+    "rank 3; m12=3 m23=401",  # report field degree 800, computed at 200
 ])
 def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, text):
     code, _ = run_cli(["classify", "--inline", text], tmp_path)
@@ -334,8 +335,9 @@ def test_inputs_at_the_caps_are_classified(tmp_path):
 
 
 def test_rank_4_classify_at_field_degree_240(tmp_path):
-    # conductor lcm(2, 5, 7, 11) = 770: inertia's pivot signs need theta's
-    # enclosure narrowed to about 300 bits
+    # conductor lcm(2, 5, 7, 11) = 770, report field degree 240; the Gram form
+    # is computed in Q(2cos(pi/385)), degree 120, where inertia's pivot signs
+    # need theta's enclosure narrowed to about 190 bits
     code, data = run_cli(["classify", "--inline", "rank 4; m12=5 m23=7 m34=11"],
                          tmp_path)
     assert code == 0

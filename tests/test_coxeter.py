@@ -13,6 +13,7 @@ from coxlen.coxeter import (INF, CoxeterMatrix, Kind, classify_component,
                             minimal_nonaffine_subsets, parse_any,
                             parse_coxeter_matrix, subset_is_affine)
 from coxlen.errors import DomainError, InputError
+from coxlen.exactfield import RealCyclotomicField
 from coxlen.tits import gram_signature
 
 
@@ -259,55 +260,59 @@ def test_verdict_invariant_under_permutation():
 
 # -- rank-6 verdicts recorded before classification moved to the signature -----
 
-# (diagram, field degree, kind, components, minimal flag, signature)
+# (diagram, report field degree, computation field degree, kind, components,
+# minimal flag, signature): the report field is Q(2cos(pi/N)), N =
+# cm.conductor(); the Gram form is computed in Q(2cos(pi/N')), N' the lcm of
+# the bond orders >= 4
 RANK6 = (
-    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3', 2, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
-    ('rank 6; m12=4 m23=3 m34=3 m45=3 m56=3', 4, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m45=3 m36=3', 2, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3 m16=3', 2, 'AffineEuclidean', (((0, 1, 2, 3, 4, 5), 'AffineEuclidean'),), False, (5, 0, 1)),
-    ('rank 6; m12=4 m23=3 m34=3 m45=3 m56=4', 4, 'AffineEuclidean', (((0, 1, 2, 3, 4, 5), 'AffineEuclidean'),), False, (5, 0, 1)),
-    ('rank 6; m12=5 m23=3 m34=3 m45=3 m56=3', 8, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=5 m23=3 m45=5 m56=3', 8, 'Spherical', (((0, 1, 2), 'Spherical'), ((3, 4, 5), 'Spherical')), False, (6, 0, 0)),
-    ('rank 6; m12=inf m34=inf m56=inf', 1, 'AffineEuclidean', (((0, 1), 'AffineEuclidean'), ((2, 3), 'AffineEuclidean'), ((4, 5), 'AffineEuclidean')), False, (3, 0, 3)),
-    ('rank 6; m12=inf m23=inf m34=inf m45=inf m56=inf m16=inf', 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (3, 1, 2)),
-    ('rank 6; m12=7 m23=3 m34=3 m45=3 m56=3', 12, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=8 m34=3 m45=3 m56=4', 8, 'Spherical', (((0, 1), 'Spherical'), ((2, 3, 4, 5), 'Spherical')), False, (6, 0, 0)),
-    ('rank 6; m12=9 m23=3 m45=3 m56=inf', 6, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3, 4, 5), 'NonAffine')), False, (4, 2, 0)),
-    ('rank 6; m12=10 m23=3 m34=5 m56=3', 8, 'NonAffine', (((0, 1, 2, 3), 'NonAffine'), ((4, 5), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=11 m34=3 m56=inf', 20, 'AffineEuclidean', (((0, 1), 'Spherical'), ((2, 3), 'Spherical'), ((4, 5), 'AffineEuclidean')), False, (5, 0, 1)),
-    ('rank 6; m12=12 m23=3 m34=3 m45=3 m56=3', 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=13 m23=inf', 12, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=15 m34=3 m45=3', 8, 'Spherical', (((0, 1), 'Spherical'), ((2, 3, 4), 'Spherical'), ((5,), 'Spherical')), False, (6, 0, 0)),
-    ('rank 6; m12=16 m23=3 m34=3 m45=3 m56=3', 16, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=17 m23=3', 32, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=5 m23=4 m34=3 m45=3 m56=3', 16, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=3 m23=4 m34=5 m45=3 m56=3', 16, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=3 m13=3 m23=4 m45=5 m56=6', 16, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3, 4, 5), 'NonAffine')), False, (4, 2, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3 m16=4', 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
-    ('rank 6; m12=inf m23=5 m34=inf m45=7 m56=3', 48, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (4, 2, 0)),
-    ('rank 6; m12=4 m23=4 m34=4 m45=4 m56=4 m16=4', 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m25=3 m56=3', 2, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m35=3 m56=3', 2, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
-    ('rank 6; m12=20 m23=3 m34=inf', 16, 'NonAffine', (((0, 1, 2, 3), 'NonAffine'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=24 m23=3', 8, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=32 m34=3', 32, 'Spherical', (((0, 1), 'Spherical'), ((2, 3), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (6, 0, 0)),
-    ('rank 6; m12=5 m23=6 m34=3 m45=4', 16, 'NonAffine', (((0, 1, 2, 3, 4), 'NonAffine'), ((5,), 'Spherical')), False, (5, 1, 0)),
-    ('rank 6; m12=inf m13=inf m14=inf m15=inf m16=inf', 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=3 m23=3 m34=4 m45=3 m56=3', 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
-    ('rank 6; m12=3 m23=4 m34=3 m45=3 m56=4', 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
-    ('rank 6; m12=3 m15=3 m23=3 m34=3 m45=3 m56=3', 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m46=4 m56=3', 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
-    ('rank 6; m12=6 m23=3 m34=3 m45=3 m56=3', 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
-    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=inf', 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3', 2, 1, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
+    ('rank 6; m12=4 m23=3 m34=3 m45=3 m56=3', 4, 2, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m45=3 m36=3', 2, 1, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3 m16=3', 2, 1, 'AffineEuclidean', (((0, 1, 2, 3, 4, 5), 'AffineEuclidean'),), False, (5, 0, 1)),
+    ('rank 6; m12=4 m23=3 m34=3 m45=3 m56=4', 4, 2, 'AffineEuclidean', (((0, 1, 2, 3, 4, 5), 'AffineEuclidean'),), False, (5, 0, 1)),
+    ('rank 6; m12=5 m23=3 m34=3 m45=3 m56=3', 8, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=5 m23=3 m45=5 m56=3', 8, 2, 'Spherical', (((0, 1, 2), 'Spherical'), ((3, 4, 5), 'Spherical')), False, (6, 0, 0)),
+    ('rank 6; m12=inf m34=inf m56=inf', 1, 1, 'AffineEuclidean', (((0, 1), 'AffineEuclidean'), ((2, 3), 'AffineEuclidean'), ((4, 5), 'AffineEuclidean')), False, (3, 0, 3)),
+    ('rank 6; m12=inf m23=inf m34=inf m45=inf m56=inf m16=inf', 1, 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (3, 1, 2)),
+    ('rank 6; m12=7 m23=3 m34=3 m45=3 m56=3', 12, 3, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=8 m34=3 m45=3 m56=4', 8, 4, 'Spherical', (((0, 1), 'Spherical'), ((2, 3, 4, 5), 'Spherical')), False, (6, 0, 0)),
+    ('rank 6; m12=9 m23=3 m45=3 m56=inf', 6, 3, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3, 4, 5), 'NonAffine')), False, (4, 2, 0)),
+    ('rank 6; m12=10 m23=3 m34=5 m56=3', 8, 4, 'NonAffine', (((0, 1, 2, 3), 'NonAffine'), ((4, 5), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=11 m34=3 m56=inf', 20, 5, 'AffineEuclidean', (((0, 1), 'Spherical'), ((2, 3), 'Spherical'), ((4, 5), 'AffineEuclidean')), False, (5, 0, 1)),
+    ('rank 6; m12=12 m23=3 m34=3 m45=3 m56=3', 4, 4, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=13 m23=inf', 12, 6, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=15 m34=3 m45=3', 8, 4, 'Spherical', (((0, 1), 'Spherical'), ((2, 3, 4), 'Spherical'), ((5,), 'Spherical')), False, (6, 0, 0)),
+    ('rank 6; m12=16 m23=3 m34=3 m45=3 m56=3', 16, 8, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=17 m23=3', 32, 8, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=5 m23=4 m34=3 m45=3 m56=3', 16, 8, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m23=4 m34=5 m45=3 m56=3', 16, 8, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m13=3 m23=4 m45=5 m56=6', 16, 16, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3, 4, 5), 'NonAffine')), False, (4, 2, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=3 m16=4', 4, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
+    ('rank 6; m12=inf m23=5 m34=inf m45=7 m56=3', 48, 12, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (4, 2, 0)),
+    ('rank 6; m12=4 m23=4 m34=4 m45=4 m56=4 m16=4', 2, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m25=3 m56=3', 2, 1, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m35=3 m56=3', 2, 1, 'Spherical', (((0, 1, 2, 3, 4, 5), 'Spherical'),), False, (6, 0, 0)),
+    ('rank 6; m12=20 m23=3 m34=inf', 16, 8, 'NonAffine', (((0, 1, 2, 3), 'NonAffine'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=24 m23=3', 8, 8, 'NonAffine', (((0, 1, 2), 'NonAffine'), ((3,), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=32 m34=3', 32, 16, 'Spherical', (((0, 1), 'Spherical'), ((2, 3), 'Spherical'), ((4,), 'Spherical'), ((5,), 'Spherical')), False, (6, 0, 0)),
+    ('rank 6; m12=5 m23=6 m34=3 m45=4', 16, 16, 'NonAffine', (((0, 1, 2, 3, 4), 'NonAffine'), ((5,), 'Spherical')), False, (5, 1, 0)),
+    ('rank 6; m12=inf m13=inf m14=inf m15=inf m16=inf', 1, 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m23=3 m34=4 m45=3 m56=3', 4, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
+    ('rank 6; m12=3 m23=4 m34=3 m45=3 m56=4', 4, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
+    ('rank 6; m12=3 m15=3 m23=3 m34=3 m45=3 m56=3', 2, 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m46=4 m56=3', 4, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), True, (5, 1, 0)),
+    ('rank 6; m12=6 m23=3 m34=3 m45=3 m56=3', 2, 2, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
+    ('rank 6; m12=3 m23=3 m34=3 m45=3 m56=inf', 2, 1, 'NonAffine', (((0, 1, 2, 3, 4, 5), 'NonAffine'),), False, (5, 1, 0)),
 )
 
 
 @pytest.mark.parametrize("row", RANK6, ids=[r[0] for r in RANK6])
 def test_rank6_verdicts_are_pinned(row):
-    text, degree, kind, components, minimal, signature = row
+    text, report_degree, degree, kind, components, minimal, signature = row
     cm = parse_coxeter_matrix(text)
     gm = gram_matrix(cm)
     verdict = classify_group(cm)
+    assert RealCyclotomicField(cm.conductor()).degree == report_degree
     assert gm.field.degree == degree
     assert verdict.kind.value == kind
     assert tuple((c, k.value) for c, k in verdict.components) == components

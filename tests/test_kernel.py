@@ -1,7 +1,9 @@
 """The packed Z[theta] element kernel against exact scalar arithmetic, the
-row kernel and row keys of the search, descents and reflections against the
-matrix-product constructions they replaced, and pins of key bytes and solver
-witnesses recorded before the packing."""
+row kernel against the convolution kernel it generalized, row keys of the
+search, descents and reflections against the matrix-product constructions
+they replaced, keys, reflection order and ball reports against the Gram form
+over the report field, and pins of key bytes and solver witnesses recorded
+before the packing."""
 
 import hashlib
 from fractions import Fraction
@@ -9,23 +11,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxlen.reflen
+import coxlen.tits
+from coxlen.cli import main
 from coxlen.coxeter import parse_coxeter_matrix
 from coxlen.errors import CertificateError
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
-from coxlen.exactfield import ExactScalar
-from coxlen.tits import (GroupElement, _entry_rows, _mat_mul, _pack,
-                         canonical_key, enumerate_reflections, image_root,
-                         reflection, row_factor, row_key, row_mul)
+from coxlen.exactfield import ExactScalar, RealCyclotomicField
+from coxlen.tits import (_DENSE_DEGREE, GroupElement, _entry_rows, _pack,
+                         _root_key, canonical_key, enumerate_reflections,
+                         image_root, reflection, row_factor, row_key, row_mul)
+from tits_oracles import (convolution_mat_mul, convolution_row_mul,
+                          convolution_side, report_enumeration, report_gram,
+                          report_key)
 
+# field degrees: report field / computation field
 GROUPS = {
-    "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
-    "A2T": "rank 3; m12=3 m13=3 m23=3",           # degree 1
-    "H3": "rank 3; m12=3 m23=5",                  # degree 8
-    "T334": "rank 3; m12=3 m13=3 m23=4",          # degree 4
-    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # degree 4
+    "W3": "rank 3; m12=inf m13=inf m23=inf",      # 1 / 1
+    "A2T": "rank 3; m12=3 m13=3 m23=3",           # 1 / 1
+    "A3": "rank 3; m12=3 m23=3",                  # 2 / 1
+    "H3": "rank 3; m12=3 m23=5",                  # 8 / 2
+    "T334": "rank 3; m12=3 m13=3 m23=4",          # 4 / 2
+    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # 4 / 2
     "W4": "rank 4; m12=inf m13=inf m14=inf m23=inf m24=inf m34=inf",
-    "D16": "rank 3; m12=4 m13=3 m23=5",           # degree 16
+    "D16": "rank 3; m12=4 m13=3 m23=5",           # 16 / 8
+    "P38": "rank 3; m12=3 m23=8",                 # 8 / 4
+    "P57": "rank 3; m12=5 m23=7",                 # 24 / 12
 }
 
 
@@ -75,8 +87,16 @@ def test_packed_product_matches_exact_scalar_product(pair):
 
 
 def test_degrees_cover_the_kernel_paths():
-    assert {name: _group(name).field.degree for name in GROUPS} == {
-        "W3": 1, "A2T": 1, "H3": 8, "T334": 4, "B4H": 4, "W4": 1, "D16": 16}
+    degrees = {name: _group(name).field.degree for name in GROUPS}
+    assert degrees == {"W3": 1, "A2T": 1, "A3": 1, "H3": 2, "T334": 2, "B4H": 2,
+                       "W4": 1, "D16": 8, "P38": 4, "P57": 12}
+    report = {name: RealCyclotomicField(_group(name).cm.conductor()).degree
+              for name in GROUPS}
+    assert report == {"W3": 1, "A2T": 1, "A3": 2, "H3": 8, "T334": 4, "B4H": 4,
+                      "W4": 1, "D16": 16, "P38": 8, "P57": 24}
+    # the dense kernel up to degree 4, the sparse convolution above it
+    assert _DENSE_DEGREE == 4
+    assert {name for name, d in degrees.items() if d > _DENSE_DEGREE} == {"D16", "P57"}
 
 
 def test_identity_and_involutions():
@@ -143,7 +163,7 @@ def test_inverse_row_key_reads_any_word(pair):
 
 # -- oracles: the column scan and the matrix products the row-key walk and
 # `reflection` replaced.  W3, A2T, H3, T334, B4H and D16 cover degenerate and
-# indefinite forms and field degrees 1, 4, 8 and 16.
+# indefinite forms and computation field degrees 1, 2 and 8.
 ORACLE_GROUPS = ("W3", "A2T", "H3", "T334", "B4H", "D16")
 
 
@@ -195,7 +215,7 @@ def _product_enumeration(group, depth_cap):
         new_frontier = []
         for v, t in frontier:
             for s, gen in enumerate(group.generators):
-                u = _mat_mul(gen.packed, v, n, group.field)
+                u = convolution_mat_mul(gen.packed, v, n, group.field)
                 if v != simple[s] and u not in seen:
                     seen[u] = depth, gen * t * gen
                     new_frontier.append((u, seen[u][1]))
@@ -323,9 +343,25 @@ def test_canonical_key_bytes_are_pinned():
         assert hashlib.sha256(canonical_key(g)).hexdigest() == digest, (name, text)
 
 
+def _report_rows(g):
+    """The element's matrix over the report field Q(2cos(pi/N)), each entry
+    sum c_i theta'^i evaluated there with theta' = D_(N/N')(theta)."""
+    report = RealCyclotomicField(g.gram.cm.conductor())
+    small = g.gram.field
+    theta = report.dickson(report.N // small.N) if small.degree > 1 else report.zero
+    powers = [report.one]
+    for _ in range(small.degree - 1):
+        powers.append(powers[-1] * theta)
+    return tuple(tuple(sum((p * c for p, c in zip(powers, e.num)), report.zero)
+                       for e in row) for row in _scalar_rows(g))
+
+
 def test_canonical_key_is_the_serialized_matrix():
+    # over the report field: degree 4 where the work runs at degree 2
     g = _group("T334").element(_word("abcbca"))
-    entries = tuple(tuple((e.num, e.den) for e in row) for row in _scalar_rows(g))
+    rows = _report_rows(g)
+    assert rows[0][0].field.degree == 4 and g.gram.field.degree == 2
+    entries = tuple(tuple((e.num, e.den) for e in row) for row in rows)
     assert canonical_key(g) == repr(entries).encode()
 
 
@@ -336,3 +372,68 @@ def test_solver_witnesses_are_pinned():
         assert value == len(witness)
         assert tuple("".join("abcd"[s] for s in p.word) for p in parts) == witness, (
             name, text)
+
+
+# -- oracles for the smallest field and the dense kernel: the convolution
+# kernel at every degree, and the Gram form over the report field.  A3's form
+# lies in Q, where its report field Q(2cos(pi/6)) has degree 2.
+FIELD_ORACLE_GROUPS = ("W3", "A3", "H3", "T334", "B4H", "D16", "P38", "P57")
+
+
+@st.composite
+def _kernel_case(draw):
+    """(group, x, t, word of x): x and t from random words or t an
+    enumerated reflection."""
+    name = draw(st.sampled_from(FIELD_ORACLE_GROUPS))
+    group = _group(name)
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    u = tuple(draw(st.lists(letters, max_size=12)))
+    if draw(st.booleans()):
+        t = group.element(tuple(draw(st.lists(letters, max_size=12))))
+    else:
+        t = draw(st.sampled_from(get_reflections(group, 2))).element
+    return group, group.element(u), t, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_row_mul_matches_the_convolution_kernel(case):
+    group, x, t, _ = case
+    n, field = group.cm.rank, group.field
+    oracle_side = convolution_side(t.packed, n, field)
+    t = GroupElement(group.gram, t.packed)
+    assert row_mul(row_key(x), row_factor(t), field) == \
+        convolution_row_mul(row_key(x), oracle_side, field)
+    assert (x * t).packed == convolution_mat_mul(x.packed, t.packed, n, field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_case())
+def test_canonical_key_matches_the_report_field_gram(case):
+    group, x, _, word = case
+    assert canonical_key(x) == report_key(group.cm, word)
+
+
+@pytest.mark.parametrize("name", FIELD_ORACLE_GROUPS)
+def test_enumeration_order_matches_the_report_field_gram(name):
+    group = _group(name)
+    for D in range(5):
+        got = [(r.depth, r.word,
+                _root_key(group.gram, tuple(c for x in r.root for c in x.num)))
+               for r in enumerate_reflections(group.gram, D)]
+        assert got == report_enumeration(group.cm, D), D
+
+
+@pytest.mark.parametrize("name", FIELD_ORACLE_GROUPS)
+def test_ball_csv_matches_the_report_field_gram(name, tmp_path, monkeypatch):
+    # the same run with every Tits group built over the report field, whose
+    # keys and root bytes read its own coefficients
+    argv = ["reflen", "--inline", GROUPS[name], "-L", "5", "-D", "4", "--output"]
+    assert main(argv + [str(tmp_path / "small")]) == 0
+    monkeypatch.setattr(coxlen.reflen, "_GROUP_CACHE", {})
+    monkeypatch.setattr(coxlen.reflen, "_REFLECTION_CACHE", {})
+    monkeypatch.setattr(coxlen.tits, "gram_matrix", report_gram)
+    assert main(argv + [str(tmp_path / "report")]) == 0
+    assert get_group(parse_coxeter_matrix(GROUPS[name])).field.N == \
+        parse_coxeter_matrix(GROUPS[name]).conductor()
+    assert (tmp_path / "small").read_bytes() == (tmp_path / "report").read_bytes()

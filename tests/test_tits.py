@@ -6,8 +6,9 @@ import pytest
 from coxlen.coxeter import parse_coxeter_matrix, gram_matrix
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.reflen import get_group, get_reflections
-from coxlen.tits import (_entry_rows, canonical_key, enumerate_reflections,
-                         evaluate_word, fixed_space_codim, gram_signature)
+from coxlen.tits import (_entry_rows, _report_entries, canonical_key,
+                         enumerate_reflections, evaluate_word, fixed_space_codim,
+                         gram_signature)
 
 
 def _scalar_rows(elt):
@@ -186,19 +187,21 @@ def test_enumeration_deterministic():
     assert once == again
 
 
+# field degrees: report field / computation field
 ENUM_GROUPS = {
-    "W3": "rank 3; m12=inf m13=inf m23=inf",      # degree 1
-    "A2T": "rank 3; m12=3 m13=3 m23=3",           # degree 1
-    "H3": "rank 3; m12=3 m23=5",                  # degree 8
-    "T334": "rank 3; m12=3 m13=3 m23=4",          # degree 4
-    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # degree 4
+    "W3": "rank 3; m12=inf m13=inf m23=inf",      # 1 / 1
+    "A2T": "rank 3; m12=3 m13=3 m23=3",           # 1 / 1
+    "H3": "rank 3; m12=3 m23=5",                  # 8 / 2
+    "T334": "rank 3; m12=3 m13=3 m23=4",          # 4 / 2
+    "B4H": "rank 4; m12=4 m23=3 m34=4 m14=3",     # 4 / 2
     "W4": "rank 4; m12=inf m13=inf m14=inf m23=inf m24=inf m34=inf",
-    "D16": "rank 3; m12=4 m13=3 m23=5",           # degree 16
+    "D16": "rank 3; m12=4 m13=3 m23=5",           # 16 / 8
 }
 
 # sha256 of the (depth, root, canonical_key, word) list of
-# enumerate_reflections, recorded when roots were still ExactScalar vectors,
-# sign-normalized after every image
+# enumerate_reflections, recorded when roots were still ExactScalar vectors
+# over the report field, sign-normalized after every image; roots and keys
+# are serialized over the report field
 ENUM_DIGESTS = {
     ("W3", 2): "9fb0db64fe6a350e312f2a63296457269cbdd2888cbcbb05d2bd723e6dde293b",
     ("W3", 4): "f9d5d07524ee14bff17a0403110d1c4cd0cab98fc6cd98661ff112d069f0cced",
@@ -224,15 +227,22 @@ ENUM_DIGESTS = {
 }
 
 
-def _enum_rows(reflections):
-    return [(r.depth, repr(tuple((x.num, x.den) for x in r.root)),
+def _report_root(gram, root):
+    """The root's (num, den) coordinates over the report field, through the
+    exact embedding of gram.field into it."""
+    packed = tuple(c for x in root for c in x.num)
+    return tuple((c, x.den) for c, x in zip(_report_entries(gram, packed), root))
+
+
+def _enum_rows(gram, reflections):
+    return [(r.depth, repr(_report_root(gram, r.root)),
              canonical_key(r.element).decode(), r.word) for r in reflections]
 
 
 def test_enumeration_lists_are_pinned():
     for (name, D), digest in ENUM_DIGESTS.items():
         gram = gram_matrix(parse_coxeter_matrix(ENUM_GROUPS[name]))
-        rows = _enum_rows(enumerate_reflections(gram, D))
+        rows = _enum_rows(gram, enumerate_reflections(gram, D))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, (name, D)
 
 
@@ -278,7 +288,7 @@ def test_depth_prefix_is_the_shallower_enumeration(name):
     for D in range(7):
         prefix = [r for r in deepest if r.depth <= D]
         assert deepest[:len(prefix)] == prefix
-        assert _enum_rows(prefix) == _enum_rows(enumerate_reflections(gram, D))
+        assert _enum_rows(gram, prefix) == _enum_rows(gram, enumerate_reflections(gram, D))
 
 
 def test_reflections_are_enumerated_once_per_group_and_depth(monkeypatch):
@@ -296,6 +306,6 @@ def test_reflections_are_enumerated_once_per_group_and_depth(monkeypatch):
     monkeypatch.setattr(coxlen.reflen, "_REFLECTION_CACHE", {})
     group = get_group(parse_coxeter_matrix(ENUM_GROUPS["T334"]))
     for D in (4, 2, 6):
-        assert _enum_rows(get_reflections(group, D)) == \
-            _enum_rows(real(group.gram, D)), D
+        assert _enum_rows(group.gram, get_reflections(group, D)) == \
+            _enum_rows(group.gram, real(group.gram, D)), D
     assert calls == [4, 6]
