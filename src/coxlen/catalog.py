@@ -2,13 +2,29 @@
 
 This is a direct transcription of the classical classification tables and is
 deliberately independent of the Gram-signature classifier, so the two can be
-cross-checked against each other.  Diagrams are stored by canonical form
-(entry matrix minimized over generator permutations).
+cross-checked against each other.  Diagrams are stored by their canonical
+form, `canonical_diagram`: the entry matrix minimized over generator
+permutations.
 """
 
 from __future__ import annotations
 
-from .coxeter import INF, CoxeterMatrix, Kind, canonical_diagram
+import itertools
+
+from .coxeter import INF, CoxeterMatrix, Kind
+
+
+def canonical_diagram(cm: CoxeterMatrix, subset=None):
+    """Entry matrix of the subdiagram, minimized over generator permutations.
+
+    Only used as a lookup key; kinds are permutation invariant because
+    permuting generators conjugates the Gram form by a permutation.
+    """
+    idx = tuple(range(cm.rank)) if subset is None else tuple(subset)
+    k = len(idx)
+    return (k, min(tuple(cm.entries[idx[perm[i]]][idx[perm[j]]]
+                         for i in range(k) for j in range(i + 1, k))
+                   for perm in itertools.permutations(range(k))))
 
 
 def path(*labels):
@@ -94,11 +110,8 @@ EUCLIDEAN = {
     "F~4": path(3, 3, 4, 3),
 }
 
-_BY_CANONICAL = {}
-for _name, _cm in SPHERICAL.items():
-    _BY_CANONICAL[canonical_diagram(_cm)] = (_name, Kind.SPHERICAL)
-for _name, _cm in EUCLIDEAN.items():
-    _BY_CANONICAL[canonical_diagram(_cm)] = (_name, Kind.AFFINE_EUCLIDEAN)
+_BY_CANONICAL = {canonical_diagram(cm): name
+                 for name, cm in {**SPHERICAL, **EUCLIDEAN}.items()}
 
 
 def table_kind(cm: CoxeterMatrix, subset=None) -> Kind:
@@ -107,14 +120,10 @@ def table_kind(cm: CoxeterMatrix, subset=None) -> Kind:
     Rank-2 diagrams are handled parametrically: I2(m) is finite for every
     finite m and the infinite-bond diagram is the Euclidean A~1.
     """
-    idx = tuple(range(cm.rank)) if subset is None else tuple(subset)
-    if len(idx) == 1:
-        return Kind.SPHERICAL
-    if len(idx) == 2:
-        m = cm.entries[idx[0]][idx[1]]
-        return Kind.AFFINE_EUCLIDEAN if m == INF else Kind.SPHERICAL
-    hit = _BY_CANONICAL.get(canonical_diagram(cm, idx))
-    return hit[1] if hit else Kind.NON_AFFINE
+    name = table_name(cm, subset)
+    if name is None:
+        return Kind.NON_AFFINE
+    return Kind.AFFINE_EUCLIDEAN if name in EUCLIDEAN else Kind.SPHERICAL
 
 
 def table_name(cm: CoxeterMatrix, subset=None):
@@ -124,5 +133,4 @@ def table_name(cm: CoxeterMatrix, subset=None):
         if m == INF:
             return "A~1"
         return {3: "A2", 4: "B2", 5: "H2", 6: "G2"}.get(m, "I2(%d)" % m)
-    hit = _BY_CANONICAL.get(canonical_diagram(cm, idx))
-    return hit[0] if hit else None
+    return _BY_CANONICAL.get(canonical_diagram(cm, idx))

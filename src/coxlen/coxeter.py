@@ -4,17 +4,22 @@ Bond orders are stored as ints with 0 denoting an infinite order (the same
 sentinel used by the structured matrix-file format).  Classification verdicts
 are decided purely by the exact signature of the Gram matrix, computed by one
 symmetric elimination over the field (`linalg.inertia`).
+
+The classifier works on sorted tuples of generator indices into the one
+validated matrix, and caches each connected subdiagram's verdict by its rows.
+The minimal non-affine subsets are connected, and each one, less a generator
+that leaves it connected, is a connected affine subset, so
+`minimal_nonaffine_subsets` grows connected affine subsets one generator at
+a time instead of walking all 2^rank subsets.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import CertificateError, DomainError, InputError, ResourceCapError
@@ -74,7 +79,7 @@ class CoxeterMatrix:
         return cls(rank, entries)
 
     def submatrix(self, subset):
-        subset = tuple(subset)
+        subset = _generator_subset(self, subset)
         rows = tuple(tuple(self.entries[i][j] for j in subset) for i in subset)
         return CoxeterMatrix.make(rows)
 
@@ -192,81 +197,77 @@ class TypeVerdict:
     signature: tuple  # (positives, negatives, zeros) of the whole Gram form
 
 
+def _generator_subset(cm: CoxeterMatrix, subset):
+    """`subset` as a tuple of generator indices of cm.
+
+    Raises DomainError unless the indices are ints, sorted and distinct, with
+    0 <= i < rank: a negative index would wrap around to the end of a row.
+    """
+    subset = tuple(subset)
+    if (any(isinstance(i, bool) or not isinstance(i, int) for i in subset)
+            or any(a >= b for a, b in zip(subset, subset[1:]))
+            or (subset and not 0 <= subset[0] <= subset[-1] < cm.rank)):
+        raise DomainError("subset %.60r is not a sorted set of distinct generator "
+                          "indices in 0..%d" % (subset, cm.rank - 1))
+    return subset
+
+
+def _components(cm: CoxeterMatrix, subset):
+    """Connected components of the subdiagram on the sorted generator indices
+    `subset` (edges where m_ij != 2), each a sorted tuple, in sorted order."""
+    left, out = set(subset), []
+    for start in subset:
+        if start in left:
+            comp, new = set(), {start}
+            while new:
+                comp |= new
+                left -= new
+                new = {w for v in new for w in left if cm.entries[v][w] != 2}
+            out.append(tuple(sorted(comp)))
+    return out
+
+
 def irreducible_components(cm: CoxeterMatrix):
     """Connected components of the diagram (edges where m_ij != 2)."""
-    seen = [False] * cm.rank
-    out = []
-    for start in range(cm.rank):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(cm.rank):
-                if w != v and not seen[w] and cm.entries[v][w] != 2:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return sorted(out)
+    return _components(cm, range(cm.rank))
 
 
-def canonical_diagram(cm: CoxeterMatrix, subset=None):
-    """Entry matrix of the subdiagram, minimized over generator permutations.
-
-    Only used as a cache/lookup key; verdicts are permutation invariant
-    because permuting generators conjugates the Gram form by a permutation.
-    """
-    idx = tuple(range(cm.rank)) if subset is None else tuple(subset)
-    k = len(idx)
-    best = None
-    for perm in itertools.permutations(range(k)):
-        flat = tuple(cm.entries[idx[perm[i]]][idx[perm[j]]]
-                     for i in range(k) for j in range(i + 1, k))
-        if best is None or flat < best:
-            best = flat
-    return (k, best)
+_KIND_CACHE = {}  # rows of a connected subdiagram -> (Kind, Gram signature)
 
 
-_KIND_CACHE = {}  # canonical diagram of rank <= 5 -> (Kind, signature)
-
-
-def _classify_entries(entries):
-    """Verdict and Gram signature of a connected diagram.
+def _component_verdict(cm: CoxeterMatrix, comp):
+    """(Kind, Gram signature) of the connected subdiagram on the sorted
+    generator indices `comp`, cached by its rows.
 
     Positive definite is spherical; positive semidefinite with a
     one-dimensional radical is Euclidean; anything else is non-affine
     (Humphreys, Reflection Groups and Coxeter Groups, ch. 2 and 6).
     """
-    cm = CoxeterMatrix.make(entries)
-    gm = gram_matrix(cm)
-    signature = linalg.inertia(gm.field, gm.entries)
-    pos, neg, zero = signature
-    if pos == cm.rank:
-        return Kind.SPHERICAL, signature
-    if neg == 0 and zero == 1:
-        return Kind.AFFINE_EUCLIDEAN, signature
-    return Kind.NON_AFFINE, signature
+    rows = tuple(tuple(cm.entries[i][j] for j in comp) for i in comp)
+    verdict = _KIND_CACHE.get(rows)
+    if verdict is None:
+        gm = gram_matrix(CoxeterMatrix(len(comp), rows))
+        signature = linalg.inertia(gm.field, gm.entries)
+        pos, neg, zero = signature
+        kind = (Kind.SPHERICAL if pos == len(comp) else
+                Kind.AFFINE_EUCLIDEAN if neg == 0 and zero == 1 else Kind.NON_AFFINE)
+        verdict = _KIND_CACHE[rows] = (kind, signature)
+    return verdict
 
 
-def _component_verdict(cm: CoxeterMatrix, subset):
-    """(Kind, Gram signature) of one irreducible component of the diagram."""
-    subset = tuple(sorted(subset))
-    comps = irreducible_components(cm.submatrix(subset))
-    if len(comps) != 1:
-        raise DomainError("subset %s is not a single irreducible component" % (subset,))
-    if len(subset) <= 5:
-        key = canonical_diagram(cm, subset)
-        if key not in _KIND_CACHE:
-            _KIND_CACHE[key] = _classify_entries(cm.submatrix(subset).entries)
-        return _KIND_CACHE[key]
-    return _classify_entries(cm.submatrix(subset).entries)
+def _group_kind(kinds):
+    """Non-affine if a component is, spherical if all are, else Euclidean."""
+    kinds = set(kinds)
+    if Kind.NON_AFFINE in kinds:
+        return Kind.NON_AFFINE
+    return Kind.SPHERICAL if kinds <= {Kind.SPHERICAL} else Kind.AFFINE_EUCLIDEAN
 
 
 def classify_component(cm: CoxeterMatrix, subset) -> Kind:
     """Exact verdict for one irreducible component of the diagram."""
+    subset = _generator_subset(cm, subset)
+    if len(_components(cm, subset)) != 1:
+        raise DomainError("subset %s is not a single irreducible component" % (subset,))
     return _component_verdict(cm, subset)[0]
 
 
@@ -275,15 +276,8 @@ def subset_is_affine(cm: CoxeterMatrix, subset) -> bool:
 
     The empty subset (trivial group) counts as spherical, hence affine.
     """
-    subset = tuple(sorted(subset))
-    if not subset:
-        return True
-    sub = cm.submatrix(subset)
-    for comp in irreducible_components(sub):
-        global_comp = tuple(subset[i] for i in comp)
-        if classify_component(cm, global_comp) == Kind.NON_AFFINE:
-            return False
-    return True
+    return all(_component_verdict(cm, c)[0] != Kind.NON_AFFINE
+               for c in _components(cm, _generator_subset(cm, subset)))
 
 
 def classify_group(cm: CoxeterMatrix) -> TypeVerdict:
@@ -299,42 +293,50 @@ def classify_group(cm: CoxeterMatrix) -> TypeVerdict:
     verdicts = [_component_verdict(cm, c) for c in comps]
     kinds = tuple((c, k) for c, (k, _) in zip(comps, verdicts))
     signature = tuple(map(sum, zip(*(sig for _, sig in verdicts))))
-    if any(k == Kind.NON_AFFINE for _, k in kinds):
-        kind = Kind.NON_AFFINE
-    elif all(k == Kind.SPHERICAL for _, k in kinds):
-        kind = Kind.SPHERICAL
-    else:
-        kind = Kind.AFFINE_EUCLIDEAN
-    minimal = False
-    if kind == Kind.NON_AFFINE:
-        full = range(cm.rank)
-        minimal = all(subset_is_affine(cm, tuple(x for x in full if x != s))
-                      for s in range(cm.rank))
+    kind = _group_kind(k for k, _ in verdicts)
+    minimal = kind == Kind.NON_AFFINE and all(
+        subset_is_affine(cm, tuple(x for x in range(cm.rank) if x != s))
+        for s in range(cm.rank))
     return TypeVerdict(kind, kinds, minimal, signature)
 
 
 def minimal_nonaffine_subsets(cm: CoxeterMatrix):
-    """All inclusion-minimal generator subsets spanning a non-affine group.
+    """All inclusion-minimal generator subsets spanning a non-affine group,
+    by increasing size, each size in lexicographic order.
 
-    Subsets are walked by increasing size, and a subset containing a minimal
-    one already found is skipped.  Every other subset is minimal exactly when
-    it is non-affine: a non-affine proper subset would contain a smaller
-    minimal one, because supersets of non-affine subsets are non-affine.
+    A minimal subset is connected: a subset is affine when its components
+    are, so a disconnected non-affine subset has a smaller non-affine
+    component.  A connected minimal subset of size k > 1, minus a generator
+    that does not disconnect it (a leaf of a spanning tree), is a connected
+    affine subset of size k - 1.  So the walk classifies, at each size, only
+    the connected affine subsets of the size before grown by one neighbouring
+    generator.  A candidate containing a minimal subset already found is
+    skipped; every other one has only affine proper subsets, so it is
+    minimal exactly when it is non-affine.
     """
-    verdict = classify_group(cm)
-    if verdict.kind != Kind.NON_AFFINE:
+    kind = _group_kind(_component_verdict(cm, c)[0] for c in irreducible_components(cm))
+    if kind != Kind.NON_AFFINE:
         raise DomainError("group is %s; only non-affine groups have minimal "
-                          "non-affine special subgroups" % verdict.kind.value)
+                          "non-affine special subgroups" % kind.value)
+    near = [[w for w in range(cm.rank) if w != v and cm.entries[v][w] != 2]
+            for v in range(cm.rank)]
     out = []
     masks = []
-    for size in range(1, cm.rank + 1):
-        for subset in itertools.combinations(range(cm.rank), size):
-            mask = sum(1 << i for i in subset)
+    layer = [(v,) for v in range(cm.rank)]
+    while layer:
+        grown = set()
+        for subset in layer:
+            mask = sum(1 << v for v in subset)
             if any(m & mask == m for m in masks):
                 continue
-            if not subset_is_affine(cm, subset):
+            if _component_verdict(cm, subset)[0] == Kind.NON_AFFINE:
                 out.append(subset)
                 masks.append(mask)
+                continue
+            for v in subset:
+                grown.update(tuple(sorted(subset + (w,))) for w in near[v]
+                             if not mask >> w & 1)
+        layer = sorted(grown)
     if not out:
         raise CertificateError("non-affine group without a minimal non-affine subset")
     return out

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .coxeter import INF, CoxeterMatrix
 from .errors import (CertificateError, DomainError, SearchExhaustedError,
                      UnsupportedParametersError)
-from .intervals import TWO_PI_HI, le_two_pi, margin_over_two_pi
+from .intervals import le_two_pi, margin_over_two_pi
 
 
 def _normalize_proj(m):

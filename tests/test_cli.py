@@ -107,6 +107,21 @@ def test_warp_csv(tmp_path):
     assert float(last[0]) == 0.0 and float(last[1]) == 1.0
 
 
+@pytest.mark.parametrize("text, subsets", [
+    ("rank 24; m12=inf m13=inf m23=inf", [[1, 2, 3]]),
+    ("rank 42; m1_2=inf m1_3=inf m2_3=inf m4_5=3 m5_6=3 m6_7=3 m7_8=3 m4_8=4 "
+     "m9_10=3 m9_11=3 m9_12=3 m9_13=3 m13_14=3 m20_21=5 m21_22=3 m22_23=3 m23_24=3",
+     [[1, 2, 3], [4, 5, 6, 7, 8], [20, 21, 22, 23, 24], [9, 10, 11, 12, 13, 14]]),
+])
+def test_subgroups_of_sparse_high_rank_diagrams(tmp_path, text, subsets):
+    # the walk grows connected subsets, so the isolated generators cost
+    # nothing; a walk over all 2^rank subsets does not end on these
+    code, data = run_cli(["subgroups", "--inline", text], tmp_path)
+    assert code == 0
+    assert json.loads(data)["report"] == {"count": len(subsets),
+                                          "minimal_nonaffine_subsets": subsets}
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     code = main(["subgroups", "--inline", "rank 3; m12=3 m13=3 m23=3",
                  "--output", str(tmp_path / "x")])

@@ -8,11 +8,15 @@ or removed without editing these tables, and each such edit is a change to
 the behaviour contract that CHANGES.md records.
 """
 
+import ast
 import dataclasses
 import enum
 import importlib
 import inspect
+import pathlib
 import pkgutil
+
+import pytest
 
 import coxlen
 
@@ -177,3 +181,32 @@ def test_dataclass_fields_are_pinned():
                 seen[info.name + "." + name] = " ".join(
                     f.name for f in dataclasses.fields(obj))
     assert seen == DATACLASS_FIELDS
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; a name listed in `__all__`
+    counts as read."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_sees_an_unused_name():
+    assert _unused_imports("import math\nfrom fractions import Fraction\nmath.pi\n") \
+        == ["Fraction"]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []

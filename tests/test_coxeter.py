@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxeter_oracles as oracle
 from coxlen.catalog import EUCLIDEAN, SPHERICAL, table_kind, table_name
 from coxlen.coxeter import (INF, CoxeterMatrix, Kind, classify_component,
                             classify_group, gram_matrix,
                             irreducible_components, load_matrix_json,
                             minimal_nonaffine_subsets, parse_any,
                             parse_coxeter_matrix, subset_is_affine)
-from coxlen.errors import DomainError, InputError
+from coxlen.errors import CoxlenError, DomainError, InputError
 from coxlen.exactfield import RealCyclotomicField
 from coxlen.tits import gram_signature
 
@@ -119,6 +120,23 @@ def test_classify_component_rejects_reducible_subset():
     cm = parse_coxeter_matrix("rank 2")
     with pytest.raises(DomainError):
         classify_component(cm, (0, 1))
+    with pytest.raises(DomainError):
+        classify_component(cm, ())
+
+
+@pytest.mark.parametrize("subset", [(-1, 0), (0, 5), (0, 0), (1, 0), (0, True), (0.0, 1)])
+def test_subset_arguments_are_checked(subset):
+    # -1 would wrap around to the last generator, 5 is past the rank, and a
+    # repeated, unsorted or non-integer index names no generator subset
+    cm = parse_coxeter_matrix("rank 3; m12=3 m23=4")
+    for call in (cm.submatrix, lambda s: classify_component(cm, s),
+                 lambda s: subset_is_affine(cm, s)):
+        with pytest.raises(DomainError):
+            call(subset)
+
+
+def test_empty_subset_is_affine():
+    assert subset_is_affine(parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4"), ())
 
 
 # -- classification with independent oracles -------------------------------
@@ -332,12 +350,12 @@ def _face_check_minimal_subsets(cm):
 
 
 @st.composite
-def _diagram(draw):
-    n = draw(st.integers(1, 6))
+def _diagram(draw, max_rank=6, bonds=(2, 2, 3, 3, 4, 5, 6, INF)):
+    n = draw(st.integers(1, max_rank))
     entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            entries[i][j] = entries[j][i] = draw(st.sampled_from([2, 2, 3, 3, 4, 5, 6, INF]))
+            entries[i][j] = entries[j][i] = draw(st.sampled_from(bonds))
     return CoxeterMatrix.make(entries)
 
 
@@ -349,6 +367,28 @@ def test_minimal_subsets_match_face_check_definition(cm):
             minimal_nonaffine_subsets(cm)
         return
     assert minimal_nonaffine_subsets(cm) == _face_check_minimal_subsets(cm)
+
+
+def _value_or_error(f, cm):
+    try:
+        return f(cm)
+    except CoxlenError as e:
+        return type(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagram(max_rank=7, bonds=(2, 2, 3, 3, 4, 5, 6, 8, INF)))
+def test_classifier_matches_the_submatrix_oracle(cm):
+    assert irreducible_components(cm) == oracle.irreducible_components(cm)
+    assert classify_group(cm) == oracle.classify_group(cm)
+    for size in range(cm.rank + 1):
+        for subset in itertools.combinations(range(cm.rank), size):
+            assert subset_is_affine(cm, subset) == oracle.subset_is_affine(cm, subset)
+            if subset and len(oracle.irreducible_components(cm.submatrix(subset))) == 1:
+                assert classify_component(cm, subset) == \
+                    oracle.classify_component(cm, subset)
+    assert _value_or_error(minimal_nonaffine_subsets, cm) == \
+        _value_or_error(oracle.minimal_nonaffine_subsets, cm)
 
 
 @settings(max_examples=60, deadline=None)
