@@ -22,10 +22,6 @@ class DomainError(CoxlenError):
 class ResourceCapError(CoxlenError):
     """A configured node/size cap was exceeded before completion."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class CertificateError(CoxlenError):
     """A certificate check failed: a re-multiplied witness, a proven bound or
@@ -39,10 +35,6 @@ class UnsupportedParametersError(DomainError):
 
 class ConstructionFailedError(CoxlenError):
     """A verify-and-retry construction exhausted its schedule."""
-
-    def __init__(self, message, best_violation=None):
-        super().__init__(message)
-        self.best_violation = best_violation
 
 
 class SearchExhaustedError(CoxlenError):

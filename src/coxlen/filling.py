@@ -140,7 +140,7 @@ def build_triangle_model(p, q) -> TriangleModel:
     Only parameter sets with rational (integer) reflection matrices are
     supported: (2,3), (2,inf), (inf,inf).
     """
-    key = (p if p != INF else INF, q if q != INF else INF)
+    key = (p, q)
     if key not in _SUPPORTED:
         raise UnsupportedParametersError(
             "unsupported (p, q) = (%s, %s): integer matrices exist only for "
@@ -256,17 +256,16 @@ class ShortElement:
     matrix: PlaneIsometry
 
 
-def _affine_action(model, cusp, word):
-    """The conjugated action x -> eps*x + beta of a V_s word on the horocycle."""
-    v = model.element(word)
-    conj = cusp.conjugator * v * cusp.conjugator.inverse()
-    a, b, c, d = conj.m
+def _affine_action(cusp, v):
+    """The conjugated action x -> eps*x + beta of an element v of V_s on the
+    horocycle."""
+    a, b, c, d = (cusp.conjugator * v * cusp.conjugator.inverse()).m
     if c != 0:
         raise DomainError("element does not stabilize the cusp")
     eps = Fraction(a, d)
     if eps not in (1, -1):
         raise CertificateError("horocycle action must be x -> +-x + beta")
-    return int(eps), Fraction(b, d), conj
+    return int(eps), Fraction(b, d)
 
 
 def _segment_distance(tau, eps, beta, h):
@@ -282,43 +281,34 @@ def _segment_distance(tau, eps, beta, h):
 def compute_short_elements(model: TriangleModel, s: int, h) -> list:
     """The finite set of v in V_s - {1} with dist(tau_s, v tau_s) <= 2*pi.
 
-    Enumerates translations t^j and mirror reflections by increasing
-    displacement; displacements grow linearly, so both scans terminate.
+    Four walks, each by increasing displacement: the translations t^j for
+    j > 0 and for j < 0 (t = g_i2 g_i1 is x -> x + width), and the mirror
+    reflections t^j g_i1, whose mirror is (m1 + j*width)/2, for j >= 0 and
+    for j < 0.  Each step prepends the step word t or t^-1 and costs one
+    product, so every element is evaluated once.  Displacements grow
+    linearly along a walk, so each walk stops at its first element beyond
+    2*pi.
     """
     if s not in model.cusps:
         raise DomainError("generator %d has no ideal vertex" % s)
     h = Fraction(h)
     check_horoball_disjointness(model, h)
     cusp = model.cusps[s]
-    i1, i2 = cusp.gen_indices
     tau = cusp.tau
+    i1, i2 = cusp.gen_indices
+    t, t_inv = (i2, i1), (i1, i2)
+    walks = (("translation", 1, t, t), ("translation", -1, t_inv, t_inv),
+             ("reflection", 0, t, (i1,)), ("reflection", -1, t_inv, t_inv + (i1,)))
     out = []
-    t_word = (i2, i1)  # x -> x + width
-
-    def try_word(word, kind, j):
-        eps, beta, conj = _affine_action(model, cusp, word)
-        d = _segment_distance(tau, eps, beta, h)
-        if le_two_pi(d):
-            out.append(ShortElement(word, kind, j, d, model.element(word)))
-            return True
-        return False
-
-    for direction in (1, -1):
-        j = direction
+    for kind, j, step, word in walks:
+        step_elem = model.element(step)
+        v = model.element(word)
         while True:
-            word = t_word * abs(j) if direction == 1 else (i1, i2) * abs(j)
-            if not try_word(word, "translation", j):
+            d = _segment_distance(tau, *_affine_action(cusp, v), h)
+            if not le_two_pi(d):
                 break
-            j += direction
-    # reflections: t^j g_{i1} has mirror (m1 + j*width)/2
-    for direction in (1, -1):
-        j = 0 if direction == 1 else -1
-        while True:
-            base = t_word * j if j >= 0 else (i1, i2) * (-j)
-            word = base + (i1,)
-            if not try_word(word, "reflection", j):
-                break
-            j += direction
+            out.append(ShortElement(word, kind, j, d, v))
+            word, v, j = step + word, step_elem * v, j + (1 if j >= 0 else -1)
     out.sort(key=lambda e: (e.displacement, e.kind, e.parameter))
     if any(e.matrix.is_identity() for e in out):
         raise CertificateError("identity must be excluded")

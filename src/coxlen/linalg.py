@@ -52,14 +52,17 @@ def leading_principal_minors(field, M):
 def inertia(field, M):
     """(positives, negatives, zeros) of a symmetric matrix, exactly.
 
-    One division-free symmetric elimination; Sylvester's law of inertia makes
-    the signature the sum of the pivots' contributions.  The working block
-    is always a positive or negative multiple of the true Schur complement,
-    and `flip` records which.  A nonzero diagonal pivot p adds sign(p) and
-    leaves p*A' - b b^T, which flips the multiple when p < 0.  When the
-    whole diagonal is zero but some entry c is not, the 2x2 pivot
-    [[0, c], [c, 0]] adds one positive and one negative and leaves
-    c^2 (A' - (u v^T + v u^T) / c), i.e. a positive multiple.
+    One division-free symmetric elimination with one pivot kind; Sylvester's
+    law of inertia makes the signature the sum of the pivots' contributions.
+    The working block is always a positive or negative multiple of the true
+    Schur complement, and `flip` records which.  A nonzero diagonal pivot p
+    adds sign(p) and leaves p*A' - b b^T, which flips the multiple when
+    p < 0.  When the whole diagonal is zero but some entry c = A_ij is not,
+    the congruence by I + e_j e_i^T (add row and column j to row and column
+    i) keeps the inertia and makes A_ii = 2c, so the same pivot follows.  A
+    congruence is not a scaling, so it leaves `flip` alone.  The pivot reads
+    row i and the block away from i, so of column i's update only A_ii is
+    made.
     """
     rows = [list(r) for r in M]
     pos = neg = 0
@@ -67,31 +70,24 @@ def inertia(field, M):
     while rows:
         n = len(rows)
         piv = next((i for i in range(n) if not rows[i][i].is_zero()), None)
-        if piv is not None:
-            p = rows[piv][piv]
-            s = p.sign()
-            if (s < 0) != flip:
-                neg += 1
-            else:
-                pos += 1
-            b = rows[piv]
-            rest = [i for i in range(n) if i != piv]
-            rows = [[p * rows[i][j] - b[i] * b[j] for j in rest] for i in rest]
-            flip ^= s < 0
-            continue
-        pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                     if not rows[i][j].is_zero()), None)
-        if pair is None:
-            break
-        i0, j0 = pair
-        c = rows[i0][j0]
-        pos += 1
-        neg += 1
-        u, v = rows[i0], rows[j0]
-        rest = [i for i in range(n) if i != i0 and i != j0]
-        c2 = c * c
-        rows = [[c2 * rows[i][j] - c * (u[i] * v[j] + v[i] * u[j]) for j in rest]
-                for i in rest]
+        if piv is None:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                         if not rows[i][j].is_zero()), None)
+            if pair is None:
+                break
+            piv, j = pair
+            rows[piv] = [a + b for a, b in zip(rows[piv], rows[j])]
+            rows[piv][piv] = rows[piv][piv] + rows[piv][j]
+        p = rows[piv][piv]
+        s = p.sign()
+        if (s < 0) != flip:
+            neg += 1
+        else:
+            pos += 1
+        b = rows[piv]
+        rest = [i for i in range(n) if i != piv]
+        rows = [[p * rows[i][j] - b[i] * b[j] for j in rest] for i in rest]
+        flip ^= s < 0
     return pos, neg, len(M) - pos - neg
 
 

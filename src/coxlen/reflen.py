@@ -374,8 +374,7 @@ def standard_ball(group: TitsGroup, L: int, node_cap=NODE_CAP):
                 new_frontier[y.key] = y
                 out[y.key] = (y, level)
                 if len(out) > node_cap:
-                    raise ResourceCapError("standard ball exceeded %d nodes" % node_cap,
-                                           partial=out)
+                    raise ResourceCapError("standard ball exceeded %d nodes" % node_cap)
         frontier = new_frontier
     return out
 

@@ -206,7 +206,8 @@ def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
     Preconditions: L > 2*pi and r_T in (-L/(2*pi), -1); r_T defaults to the
     midpoint of that interval.  Verification on the grid over (r_T, 0]:
     f > 0 everywhere, forward differences of f positive, central second
-    differences >= -1e-9 * max f.  Candidate bridges are tried in a fixed
+    differences >= -1e-9 * max|f| * step^2 (`_grid_tests`, which
+    `grid_checks` reads too).  Candidate bridges are tried in a fixed
     order; exhaustion raises with the best violation seen.
     """
     L = float(L)
@@ -239,39 +240,30 @@ def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
     if best_violation is None:
         raise ConstructionFailedError(
             "none of the %d candidates in the schedule gave a feasible bridge for "
-            "L = %r, r_T = %r; adjust (L, r_T)"
-            % (attempts, L, r_T), best_violation=None)
+            "L = %r, r_T = %r; adjust (L, r_T)" % (attempts, L, r_T))
     raise ConstructionFailedError(
         "no bridge in the schedule passed the grid checks (worst remaining "
-        "violation: %s); adjust (L, r_T)" % (best_violation,),
-        best_violation=best_violation)
+        "violation: %s); adjust (L, r_T)" % (best_violation,))
 
 
-def _second_differences(f):
-    return [c - 2 * b + a for a, b, c in zip(f, f[1:], f[2:])]
+def _grid_tests(rs, f):
+    """The three grid tests over the samples f at the grid rs, in order, as
+    (kind, worst value, passed): f > 0, forward differences > 0, and second
+    differences >= -1e-9 * max|f| * step^2."""
+    tol = -1e-9 * max(map(abs, f)) * (rs[1] - rs[0]) ** 2
+    fmin = min(f)
+    d1 = min(b - a for a, b in zip(f, f[1:]))
+    d2 = min(c - 2 * b + a for a, b, c in zip(f, f[1:], f[2:]))
+    return (("positivity", fmin, fmin > 0), ("monotonicity", d1, d1 > 0),
+            ("convexity", d2, d2 >= tol))
 
 
 def _grid_violation(rs, f):
-    """None when all checks pass, else (kind, signed severity)."""
-    fmin = min(f)
-    if fmin <= 0:
-        return ("positivity", fmin)
-    d1 = min(b - a for a, b in zip(f, f[1:]))
-    if d1 <= 0:
-        return ("monotonicity", d1)
-    tol = -1e-9 * max(map(abs, f)) * (rs[1] - rs[0]) ** 2
-    bad = min(_second_differences(f))
-    if bad < tol:
-        return ("convexity", bad)
-    return None
+    """None when all grid tests pass, else the first failing (kind, signed
+    severity)."""
+    return next(((kind, worst) for kind, worst, ok in _grid_tests(rs, f) if not ok), None)
 
 
 def grid_checks(profile: WarpProfile):
     """The acceptance predicate triple (f > 0, f' > 0, f'' tolerance)."""
-    f = profile.f
-    rs = profile.grid
-    step = rs[1] - rs[0]
-    pos = min(f) > 0
-    inc = min(b - a for a, b in zip(f, f[1:])) > 0
-    conv = min(d / step ** 2 for d in _second_differences(f)) >= -1e-9 * max(map(abs, f))
-    return pos, inc, conv
+    return tuple(ok for _, _, ok in _grid_tests(profile.grid, profile.f))

@@ -1,12 +1,23 @@
-"""Random-pair oracles for the counting quasimorphisms.
+"""Oracles for the counting quasimorphisms.
 
-The certificates themselves use only the exact defect window; these
-samplers check it from outside, on fresh random reduced words.
+The certificates themselves use only the exact defect window; the samplers
+check it from outside, on fresh random reduced words.
+`two_window_defect` is `defect_window` as it was before it computed one
+window: the value at B, flagged stabilized when it equals the value at
+B - 1 and B >= 3|w| (the window cap is left out).
 """
 
 import random
 
-from coxlen.quasimorphism import _ALPHABET, FreeCoxeterWord, counting_qm
+from coxlen.quasimorphism import (_ALPHABET, DefectResult, FreeCoxeterWord,
+                                  _defect_over_window, counting_qm)
+
+
+def two_window_defect(w: FreeCoxeterWord, B: int) -> DefectResult:
+    value, pair = _defect_over_window(w, B)
+    prev, _ = _defect_over_window(w, B - 1)
+    return DefectResult(w, B, value, pair,
+                        stabilized=(value == prev and B >= 3 * len(w)))
 
 
 def random_reduced_word(k, length, rng):

@@ -172,6 +172,110 @@ def test_reflen_ball_csv_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, text
 
 
+def _pinned_run(argv, tmp_path, capsys):
+    """(exit code, first 16 hex digits of the sha256 of the report bytes
+    followed by the stderr text)."""
+    capsys.readouterr()
+    (tmp_path / "out").unlink(missing_ok=True)
+    code, data = run_cli(argv, tmp_path)
+    digest = hashlib.sha256(data + capsys.readouterr().err.encode()).hexdigest()[:16]
+    return code, digest
+
+
+# Lab report digests and exit codes, so that no change to the short-set walk,
+# the defect window or the grid tests moves a byte.  Filling: every supported
+# (p, q) at nine heights (h = 25 runs out of primes below the cap).  Warp: L
+# from 6.5 to past the last feasible length.  qm-certify: the seed-1
+# perfbench inputs (k = 4, |w| = 4 hits the window cap), then every window
+# |w| .. 3|w| + 1 for abc and cbab.
+_FILLING_PINS = {
+    "2 3 1": (0, "47d03a5ef3f55bca"),
+    "2 3 3/2": (0, "be6a62f06ec33081"),
+    "2 3 2": (0, "deee3b04912d0642"),
+    "2 3 7/3": (0, "22418c3a68bf4a0c"),
+    "2 3 8/3": (0, "98afc4c4458a32a2"),
+    "2 3 3": (0, "f9919de65ad34511"),
+    "2 3 5": (0, "2904ec588e1ae89c"),
+    "2 3 10": (0, "7c069c9af55fa4c6"),
+    "2 3 25": (1, "9a802a270773d653"),
+    "2 inf 1": (0, "33f05c8bdaeb8ee0"),
+    "2 inf 3/2": (0, "70d1b55935cb98fe"),
+    "2 inf 2": (0, "964516ed35a8a670"),
+    "2 inf 7/3": (0, "bccac6021190679a"),
+    "2 inf 8/3": (0, "a7d142cf1f457f05"),
+    "2 inf 3": (0, "c34ba86dc6aa42c9"),
+    "2 inf 5": (0, "6fceedf05c484b23"),
+    "2 inf 10": (0, "9a52b47498570615"),
+    "2 inf 25": (1, "06d1c40b9eb87e97"),
+    "inf inf 1": (0, "6af21e1ca106681e"),
+    "inf inf 3/2": (0, "8e0bb2cfda82bdbe"),
+    "inf inf 2": (0, "3903a5c2723e6f15"),
+    "inf inf 7/3": (0, "d4faf7112755f528"),
+    "inf inf 8/3": (0, "09a5d3bb8f9e6902"),
+    "inf inf 3": (0, "77b61ff812039851"),
+    "inf inf 5": (0, "b7b921bc77373fb4"),
+    "inf inf 10": (0, "fd43be5d2fb875b7"),
+    "inf inf 25": (0, "9636fb29b1c9bc51"),
+}
+_WARP_PINS = {
+    "6.5": (0, "dd36f59ffb6b5cd4"),
+    "7.687": (0, "48cf242d8ca27c17"),
+    "12.681": (0, "f18a6abcfe9fa8f2"),
+    "19.292": (0, "e73f016444bbd447"),
+    "20.998": (0, "699361cce55bc217"),
+    "37.077": (0, "8529aa5588c983db"),
+    "56.047": (0, "660037615ca48534"),
+    "74.8": (0, "4cc112b560c347da"),
+    "113.19": (0, "0f62a40cb9781a04"),
+    "140": (0, "7cffaccf70c17bc5"),
+    "146.5": (0, "37b9a6c281e3383f"),
+    "150": (1, "d10acf473b1af2a3"),
+}
+_QM_PINS = {
+    "--k 4 --pattern bdc --g bcbd --K 40": (0, "d41c942b316ed36a"),
+    "--k 3 --pattern abc --g bcbab --K 40": (0, "404cd21722e840d2"),
+    "--k 3 --pattern cab --g cbc --K 40": (0, "52d13c3f4d441ecf"),
+    "--k 3 --pattern abc --g abc --K 6": (0, "2361f2f2e31eb8f3"),
+    "--k 3 --pattern cbab --g bcbc --K 40": (0, "369fef536a94a384"),
+    "--k 4 --pattern dabc --g adbcd --K 40": (2, "de55c7ad63c00bba"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 3": (1, "bd4b2d89d6ec125a"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 4": (1, "520240ba1132b279"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 5": (1, "4319c8489b3dd76a"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 6": (1, "102413efdb5d8c38"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 7": (1, "5bbec6c151dd6af4"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 8": (1, "3fb194a819e6067d"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 9": (0, "4a16db2c32043bb7"),
+    "--k 3 --pattern abc --g bcbab --K 40 --window 10": (0, "f503b8c4045901fa"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 4": (1, "520240ba1132b279"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 5": (1, "4319c8489b3dd76a"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 6": (1, "102413efdb5d8c38"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 7": (1, "5bbec6c151dd6af4"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 8": (1, "3fb194a819e6067d"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 9": (1, "136b15b405bbd35b"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 10": (1, "bb6f0cfc8113f83e"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 11": (1, "268e4badfb94e365"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 12": (0, "9686a952794df6ff"),
+    "--k 3 --pattern cbab --g bcbc --K 40 --window 13": (0, "fac693723e177152"),
+}
+
+
+def test_filling_reports_are_pinned(tmp_path, capsys):
+    for args, pin in _FILLING_PINS.items():
+        p, q, h = args.split()
+        assert _pinned_run(["filling", "--p", p, "--q", q, "--h", h],
+                           tmp_path, capsys) == pin, args
+
+
+def test_warp_reports_are_pinned(tmp_path, capsys):
+    for L, pin in _WARP_PINS.items():
+        assert _pinned_run(["warp", "--L", L], tmp_path, capsys) == pin, L
+
+
+def test_qm_certify_reports_are_pinned(tmp_path, capsys):
+    for args, pin in _QM_PINS.items():
+        assert _pinned_run(["qm-certify"] + args.split(), tmp_path, capsys) == pin, args
+
+
 def test_classify_with_a_wide_conductor(tmp_path):
     for m in (71, 391):
         code, data = run_cli(["classify", "--inline", "rank 2; m12=%d" % m], tmp_path)

@@ -9,6 +9,7 @@ the behaviour contract that CHANGES.md records.
 """
 
 import ast
+import collections
 import dataclasses
 import enum
 import importlib
@@ -206,7 +207,43 @@ def test_unused_import_check_sees_an_unused_name():
         == ["Fraction"]
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
+def _names_read(tree):
+    reads = collections.Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            reads[n.name] += 1
+    return reads
+
+
+def _unreferenced_private_functions(source, package_sources):
+    """Module-level `_private` functions of `source` that no code in the
+    package reads outside the function's own body."""
+    reads = sum((_names_read(ast.parse(text)) for text in package_sources),
+                collections.Counter())
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")
+            and reads[node.name] == _names_read(node)[node.name]]
+
+
+def test_unreferenced_private_function_check_sees_an_orphan():
+    source = ("def _used(x):\n    return x\n\n"
+              "def _orphan(f):\n    return _orphan(f[1:]) if f else []\n\n"
+              "def public():\n    return _used(1)\n")
+    other = "from m import _elsewhere\n"
+    assert _unreferenced_private_functions(source, [source, other]) == ["_orphan"]
+
+
+_SOURCES = {path: path.read_text()
+            for path in sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", sorted(_SOURCES), ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    assert _unused_imports(path.read_text()) == []
+    source = _SOURCES[path]
+    assert _unused_imports(source) == []
+    assert _unreferenced_private_functions(source, list(_SOURCES.values())) == []

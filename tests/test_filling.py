@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlen.coxeter import INF, Kind, classify_group, gram_matrix
 from coxlen.errors import DomainError, SearchExhaustedError, UnsupportedParametersError
@@ -11,6 +12,7 @@ from coxlen.filling import (PlaneIsometry, _kernel_min_displacement,
 from coxlen.errors import CertificateError
 from coxlen.intervals import PI_HI, PI_LO, TWO_PI_HI, TWO_PI_LO, le_two_pi
 from coxlen.tits import gram_signature
+from filling_oracles import word_short_elements
 
 
 def test_pi_enclosure_against_mpmath():
@@ -102,6 +104,25 @@ def test_larger_height_halves_displacements_and_grows_the_set():
     assert set(at_one) <= set(at_two)
     for key, d in at_one.items():
         assert d == 2 * at_two[key]
+
+
+_MODELS = {pq: build_triangle_model(*pq) for pq in ((2, 3), (2, INF), (INF, INF))}
+
+
+@st.composite
+def _cusp_and_height(draw):
+    model = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
+    s = draw(st.sampled_from(sorted(model.cusps)))
+    b = draw(st.integers(1, 6))
+    return model, s, Fraction(draw(st.integers(b, 12 * b)), b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cusp_and_height())
+def test_short_elements_match_the_word_oracle(case):
+    # words, kinds, parameters, displacements and matrices, in order
+    model, s, h = case
+    assert compute_short_elements(model, s, h) == word_short_elements(model, s, h)
 
 
 def test_disjointness_guard():

@@ -1,5 +1,6 @@
 """Exact inertia by symmetric elimination: each pivot path, a property test
-against the 2^n principal-minor Descartes count, and Sylvester's criterion.
+against the 2^n principal-minor Descartes count and the 2x2-pivot
+elimination, and Sylvester's criterion.
 Division-free rank: each pivot path, and M - I of random group elements
 against sympy's rank over the same algebraic field."""
 
@@ -14,6 +15,7 @@ from coxlen.coxeter import INF, CoxeterMatrix, gram_matrix, parse_coxeter_matrix
 from coxlen.exactfield import RealCyclotomicField
 from coxlen.reflen import get_group
 from coxlen.tits import _entry_rows, fixed_space_codim
+from linalg_oracles import two_by_two_pivot_inertia
 
 Q = RealCyclotomicField(3)        # 2cos(pi/3) = 1: the rationals
 K = RealCyclotomicField(5)        # Q(sqrt 5), degree 2
@@ -53,20 +55,21 @@ def _descartes_inertia(field, M):
     ([[-2, 0], [0, -3]], (0, 2, 0)),                  # negative pivot flips the rest
     ([[-1, 2], [2, 1]], (1, 1, 0)),
     ([[1, 2, 0], [2, 1, 3], [0, 3, -1]], (2, 1, 0)),
-    ([[0, 3], [3, 0]], (1, 1, 0)),                    # all-zero diagonal: 2x2 pivot
+    ([[0, 3], [3, 0]], (1, 1, 0)),                    # all-zero diagonal: congruence
     ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),   # eigenvalues 2, -1, -1
     ([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]], (1, 3, 0)),
-    ([[-1, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 2, 0)),  # negative pivot, then 2x2
+    ([[-1, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 2, 0)),  # negative pivot, then congruence
     ([[1, 1], [1, 1]], (1, 0, 1)),                    # all-zero remainder
     ([[-1, 1], [1, -1]], (0, 1, 1)),
     ([[0, 0], [0, 0]], (0, 0, 2)),
-    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),   # 2x2 pivot, zero remainder
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),   # congruence, zero remainder
     ([], (0, 0, 0)),
 ])
 def test_pivot_paths(rows, expected):
     M = _rational(rows)
     assert linalg.inertia(Q, M) == expected
     assert _descartes_inertia(Q, M) == expected
+    assert two_by_two_pivot_inertia(Q, M) == expected
 
 
 def test_irrational_pivots():
@@ -108,7 +111,9 @@ def _symmetric(draw):
 @given(_symmetric())
 def test_inertia_matches_descartes_oracle(case):
     field, M = case
-    assert linalg.inertia(field, M) == _descartes_inertia(field, M)
+    got = linalg.inertia(field, M)
+    assert got == _descartes_inertia(field, M)
+    assert got == two_by_two_pivot_inertia(field, M)
 
 
 _ORDERS = [2, 3, 4, 5, 6, 8, INF]

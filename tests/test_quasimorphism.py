@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlen.errors import (DomainError, InputError, NotCertifiedError,
                            ResourceCapError)
@@ -10,7 +11,7 @@ from coxlen.quasimorphism import (FreeCoxeterWord, _cross, _defect_over_window,
                                   _reduced_words_upto, build_certificate,
                                   certify_lower_bound, counting_qm,
                                   defect_window, homogenize, reduce_word)
-from qm_oracles import defect_stress_sample, random_reduced_word
+from qm_oracles import defect_stress_sample, random_reduced_word, two_window_defect
 
 
 def _H(pattern, word):
@@ -350,3 +351,22 @@ def test_junction_tables_match_three_cross_oracle(k, pattern):
     w = reduce_word(pattern, k)
     for B in range(len(w), len(w) + 3):
         assert _defect_over_window(w, B) == _three_cross_defect(w, B), B
+
+
+@st.composite
+def _pattern_and_window(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    length = draw(st.integers(1, {2: 6, 3: 4, 4: 3}[k]))
+    letters = [draw(st.sampled_from("abcd"[:k]))]
+    while len(letters) < length:
+        letters.append(draw(st.sampled_from([c for c in "abcd"[:k] if c != letters[-1]])))
+    w = reduce_word("".join(letters), k)
+    return w, draw(st.integers(len(w), 3 * len(w) + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pattern_and_window())
+def test_one_window_matches_the_two_window_oracle(case):
+    w, B = case
+    assert defect_window(w, B) == two_window_defect(w, B)
+

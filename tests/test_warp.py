@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from coxlen.cli import main
 from coxlen.errors import ConstructionFailedError, DomainError
-from coxlen.warp import (_apex, _boundary, _bridge_eval, grid_checks,
-                         warp_profile)
+from coxlen.warp import (_apex, _boundary, _bridge_eval, _grid_violation,
+                         grid_checks, warp_profile)
 
 
 def test_analytic_pieces_are_convex():
@@ -98,3 +100,43 @@ def test_profile_columns_are_tuples_of_floats():
     for column in (profile.grid, profile.f, profile.fp, profile.fpp):
         assert type(column) is tuple and len(column) == 64
         assert all(type(x) is float for x in column)
+
+
+# f on grid index i, each failing exactly one grid test
+_PLANTED = {
+    "positivity": lambda i, n: -1.0 + (i / n) ** 2,           # increasing, convex
+    "monotonicity": lambda i, n: 1.0 + (i / n - 0.5) ** 2,    # positive, convex
+    "convexity": lambda i, n: 1.0 + math.sqrt(i / n),         # positive, increasing
+}
+
+
+def _planted(kind):
+    profile = warp_profile(6.5, grid=64)
+    n = len(profile.grid)
+    return dataclasses.replace(profile, f=tuple(_PLANTED[kind](i, n) for i in range(n)))
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANTED))
+def test_grid_checks_and_grid_violation_agree_on_a_planted_failure(kind):
+    profile = _planted(kind)
+    checks = grid_checks(profile)
+    assert checks == tuple(k != kind for k in ("positivity", "monotonicity", "convexity"))
+    assert _grid_violation(profile.grid, profile.f)[0] == kind
+
+
+def test_grid_checks_and_grid_violation_agree_on_an_accepted_profile():
+    profile = warp_profile(6.5)
+    assert grid_checks(profile) == (True, True, True)
+    assert _grid_violation(profile.grid, profile.f) is None
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANTED))
+def test_warp_command_refuses_a_profile_failing_its_grid_checks(kind, tmp_path, capsys,
+                                                                monkeypatch):
+    profile = _planted(kind)
+    monkeypatch.setattr("coxlen.cli.warp_profile", lambda *args: profile)
+    out = tmp_path / "out"
+    assert main(["warp", "--L", "6.5", "--output", str(out)]) == 3
+    assert "grid checks" in capsys.readouterr().err
+    assert not out.exists()
+
