@@ -112,6 +112,9 @@ def cmd_reflen(args):
     config = _config(args, ("inline", "input", "word", "L", "D"))
     if args.word:
         word = _parse_word(args.word, cm.rank)
+        if max(word, default=0) >= len(_LETTERS):
+            raise InputError("the report spells words in the letters a-z; generator %d "
+                             "has no letter" % (max(word) + 1))
         res = reflen_element(cm, word, _protocol(args))
         report = {
             "word": _word_text(word),

@@ -3,7 +3,7 @@
 Bond orders are stored as ints with 0 denoting an infinite order (the same
 sentinel used by the structured matrix-file format).  Classification verdicts
 are decided purely by the exact signature of the Gram matrix, computed by one
-symmetric elimination over the field (`linalg.inertia`).
+symmetric elimination of 2B over Z[theta] (`linalg.inertia` on `_form_rows`).
 
 The classifier works on sorted tuples of generator indices into the one
 validated matrix, and caches each connected subdiagram's verdict by its rows.
@@ -183,6 +183,17 @@ def gram_matrix(cm: CoxeterMatrix) -> GramMatrix:
     return GramMatrix(cm, field, tuple(rows))
 
 
+def _form_rows(gram: GramMatrix):
+    """2B as rows of coefficient tuples over Z[theta] (`linalg`'s format),
+    with the signature of B.  Its entries 2, -2cos(pi/m) and -2 lie in
+    Z[theta]; a non-integral entry raises CertificateError."""
+    for row in gram.entries:
+        for e in row:
+            if any(2 * c % e.den for c in e.num):
+                raise CertificateError("twice the Gram entry %r is not in Z[theta]" % (e,))
+    return [[tuple(2 * c // e.den for c in e.num) for e in row] for row in gram.entries]
+
+
 class Kind(enum.Enum):
     SPHERICAL = "Spherical"
     AFFINE_EUCLIDEAN = "AffineEuclidean"
@@ -247,7 +258,7 @@ def _component_verdict(cm: CoxeterMatrix, comp):
     verdict = _KIND_CACHE.get(rows)
     if verdict is None:
         gm = gram_matrix(CoxeterMatrix(len(comp), rows))
-        signature = linalg.inertia(gm.field, gm.entries)
+        signature = linalg.inertia(gm.field, _form_rows(gm))
         pos, neg, zero = signature
         kind = (Kind.SPHERICAL if pos == len(comp) else
                 Kind.AFFINE_EUCLIDEAN if neg == 0 and zero == 1 else Kind.NON_AFFINE)

@@ -267,6 +267,27 @@ class RealCyclotomicField:
         self._cos_cache[m] = val
         return val
 
+    def mul(self, a, b):
+        """The product of two elements given by their `degree` coefficients:
+        the convolution, reduced once modulo the minimal polynomial."""
+        d = self.degree
+        if d == 1:
+            return (a[0] * b[0],)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        out = conv[:d]
+        for j in range(d - 1):
+            top = conv[d + j]
+            if top:
+                row = self._reduction[j]
+                for i in range(d):
+                    out[i] += top * row[i]
+        return tuple(out)
+
     # -- sign machinery -------------------------------------------------------
 
     def sign_of(self, num, den):
@@ -363,25 +384,8 @@ class ExactScalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        f = self.field
-        d = f.degree
-        a, b = self.num, other.num
-        if d == 1:
-            return ExactScalar(f, (a[0] * b[0],), self.den * other.den)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for j in range(d - 1):
-            top = conv[d + j]
-            if top:
-                row = f._reduction[j]
-                for i in range(d):
-                    out[i] += top * row[i]
-        return ExactScalar(f, tuple(out), self.den * other.den)
+        return ExactScalar(self.field, self.field.mul(self.num, other.num),
+                           self.den * other.den)
 
     __rmul__ = __mul__
 

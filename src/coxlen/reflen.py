@@ -401,6 +401,8 @@ def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
     settle the element under the cap.
     """
     _check_depth(D)
+    if L < 0:
+        raise DomainError("ball radius must be >= 0, got %d" % L)
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
     factors = [r.element for r in get_reflections(group, D)]

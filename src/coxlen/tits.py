@@ -15,9 +15,9 @@ order needs it.  H3 (bonds 3, 5 and 2) works at degree 2, not 8.
 Generator matrices have entries in Z[theta] (the minimal polynomial is
 monic), so every product stays integral, and an element is stored packed:
 one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
-each entry in row-major order; a non-integral entry raises CertificateError
-instead of being packed.  Roots are packed the same way, as one-column
-matrices.
+each entry in row-major order.  The generators are built from 2B, whose
+entries `coxeter._form_rows` checks to lie in Z[theta] (CertificateError
+otherwise).  Roots are packed the same way, as one-column matrices.
 
 Two kernel paths.  Multiplication works on those ints directly, one row at
 a time (`row_mul`), against the matrix side of the right factor
@@ -45,9 +45,10 @@ minimal polynomial.
   row-matrix product (`row_mul`, n^2 entry products where a matrix
   product takes n^3); the matrix side of it (`row_factor`) is built
   once per element and kept on the element.
-* `ExactScalar` appears only where exact field arithmetic is read: the Gram
-  form that 2B is packed from, `Reflection.root`, and the rows of M - I
-  that `fixed_space_codim` hands to `linalg.matrix_rank`.
+* `ExactScalar` appears only where an entry is read as a field element: the
+  Gram form that 2B is taken from, and `Reflection.root`.  The eliminations
+  run on packed rows: `gram_signature` on 2B, and `fixed_space_codim` on
+  M - I, the packed identity subtracted, handed to `linalg.matrix_rank`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from . import linalg
-from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
+from .coxeter import CoxeterMatrix, GramMatrix, _form_rows, gram_matrix
 from .errors import CertificateError, DomainError
 from .exactfield import ExactScalar, RealCyclotomicField
 
@@ -155,18 +156,6 @@ def _entry_rows(packed, n, d):
             for r in range(0, n * n * d, n * d)]
 
 
-def _pack(matrix):
-    """Flat int tuple of a matrix of ExactScalar entries in Z[theta]."""
-    out = []
-    for row in matrix:
-        for e in row:
-            if e.den != 1:
-                raise CertificateError(
-                    "Tits matrix entry %r is not in Z[theta]" % (e,))
-            out += e.num
-    return tuple(out)
-
-
 class GroupElement:
     """An element of W as a packed exact matrix, with an optional defining word."""
 
@@ -231,8 +220,8 @@ def row_factor(g: GroupElement):
 def _make_form_factor(gram: GramMatrix):
     """The matrix side of `row_mul` for 2B, whose entries 2, -2cos(pi/m) and
     -2 lie in Z[theta]."""
-    return _matrix_side(_pack([[e + e for e in row] for row in gram.entries]),
-                        gram.cm.rank, gram.field)
+    packed = tuple(c for row in _form_rows(gram) for e in row for c in e)
+    return _matrix_side(packed, gram.cm.rank, gram.field)
 
 
 def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
@@ -425,13 +414,11 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
 
 def gram_signature(gram: GramMatrix):
     """Exact inertia (positives, negatives, zeros) of the bilinear form."""
-    return linalg.inertia(gram.field, gram.entries)
+    return linalg.inertia(gram.field, _form_rows(gram))
 
 
 def fixed_space_codim(g: GroupElement) -> int:
     """rank(M - I): a product of k reflections fixes codimension <= k."""
-    field = g.gram.field
-    rows = _entry_rows(g.packed, g.gram.cm.rank, field.degree)
-    diff = [[ExactScalar(field, (c[0] - 1,) + c[1:] if i == j else c, 1)
-             for j, c in enumerate(row)] for i, row in enumerate(rows)]
-    return linalg.matrix_rank(field, diff)
+    n, field = g.gram.cm.rank, g.gram.field
+    diff = tuple(map(sub, g.packed, _identity(n, field.degree)))
+    return linalg.matrix_rank(field, _entry_rows(diff, n, field.degree))

@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionFailedError, DomainError
+from .errors import ConstructionFailedError, DomainError, ResourceCapError
+
+# the largest grid accepted, checked before the grid is built (see the README)
+MAX_GRID = 262_144
 
 
 @dataclass
@@ -221,6 +224,8 @@ def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
         raise DomainError("r_T must lie in (%r, %r), got %r" % (lo, hi, r_T))
     if grid < 8:
         raise DomainError("grid too small")
+    if grid > MAX_GRID:
+        raise ResourceCapError("grid %d is above the cap of %d" % (grid, MAX_GRID))
     rs = tuple(r_T + (i + 1) * (0.0 - r_T) / grid for i in range(grid))
     best_violation = None
     attempts = 0

@@ -8,14 +8,16 @@ generator index sets.
   components of rank <= 5 and classifies larger ones uncached.
 * `minimal_nonaffine_subsets` walks every subset by size in
   `itertools.combinations` order, skipping supersets of those found.
+* Signatures are those of B by the `ExactScalar` elimination
+  (`linalg_oracles.scalar_inertia`).
 """
 
 import itertools
 
-from coxlen import linalg
 from coxlen.catalog import canonical_diagram
 from coxlen.coxeter import CoxeterMatrix, Kind, TypeVerdict, gram_matrix
 from coxlen.errors import CertificateError, DomainError
+from linalg_oracles import scalar_inertia
 
 _CACHE = {}  # canonical diagram of rank <= 5 -> (Kind, signature)
 
@@ -43,7 +45,7 @@ def irreducible_components(cm):
 def _classify_entries(entries):
     cm = CoxeterMatrix.make(entries)
     gm = gram_matrix(cm)
-    signature = linalg.inertia(gm.field, gm.entries)
+    signature = scalar_inertia(gm.field, gm.entries)
     pos, neg, zero = signature
     if pos == cm.rank:
         return Kind.SPHERICAL, signature

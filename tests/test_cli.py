@@ -353,6 +353,22 @@ def test_reflen_negative_depth_is_a_domain_error(tmp_path, capsys, mode):
     assert "depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["reflen", "--inline", "rank 2; m12=3", "-L", "-2"],
+                                  ["affine-bound", "--inline", "rank 2; m12=inf", "-L", "-1"]])
+def test_negative_ball_radius_is_a_domain_error(tmp_path, capsys, argv):
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 1
+    assert "radius" in capsys.readouterr().err
+
+
+def test_growth_reads_generators_beyond_z(tmp_path):
+    # growth prints no words, so a generator without a letter is accepted
+    code, data = run_cli(["growth", "--inline", "rank 27; m1_27=3", "--word", "1 27 1",
+                          "--K", "2"], tmp_path)
+    assert code == 0
+    assert data.decode().splitlines()[-2:] == ["1,1,1,Exact", "2,0,0,Exact"]
+
+
 def test_exit_code_certificate_error(tmp_path, capsys, monkeypatch):
     import coxlen.cli
 
@@ -427,21 +443,26 @@ def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
     ["reflen", "--inline", "rank 2", "--word", "\u00b2"],
     ["classify", "--inline", "[" * 100_000],
 ] + [["classify", "--inline", json.dumps([[1, x], [x, 1]])]
-     for x in (None, [3], "3", 2.5, True)])
+     for x in (None, [3], "3", 2.5, True)] + [
+    # the report spells words in the letters a-z
+    ["reflen", "--inline", "rank 30", "--word", "30"],
+    ["reflen", "--inline", "rank 27; m1_27=3", "--word", "1 27 1"],
+])
 def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("argv", [["classify", "--inline", text] for text in (
     "rank 99999999", "rank 65", json.dumps([[1]] * 65),
     "rank 2; m12=100000",     # field degree 40,000
     "rank 2; m12=1009",       # field degree 504
     "rank 3; m12=3 m23=401",  # report field degree 800, computed at 200
-])
-def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, text):
-    code, _ = run_cli(["classify", "--inline", text], tmp_path)
+)] + [["warp", "--L", "7", "--grid", "100000000"]],   # above warp.MAX_GRID
+    ids=lambda argv: argv[2] if argv[0] == "classify" else " ".join(argv))
+def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, argv):
+    code, _ = run_cli(argv, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("resource cap: ")
 

@@ -69,6 +69,7 @@ SIGNATURES = {
     "RealCyclotomicField.from_rational": "(self, q)",
     "RealCyclotomicField.dickson": "(self, k)",
     "RealCyclotomicField.cos_pi_over": "(self, m)",
+    "RealCyclotomicField.mul": "(self, a, b)",
     "RealCyclotomicField.sign_of": "(self, num, den)",
     "ReflLenResult": ("(element, upper, lower, status, witness, depth_used, "
                       "len_s, lower_sources=(), capped=False)"),
@@ -238,6 +239,16 @@ def test_unreferenced_private_function_check_sees_an_orphan():
     assert _unreferenced_private_functions(source, [source, other]) == ["_orphan"]
 
 
+def _assert_lines(source):
+    """Lines of the `assert` statements of `source`: `python -O` drops them,
+    so a check of the package is an explicit raise instead."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_assert_check_sees_an_assert():
+    assert _assert_lines("def f(x):\n    assert x > 0\n    return x\n") == [2]
+
+
 _SOURCES = {path: path.read_text()
             for path in sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py"))}
 
@@ -247,3 +258,4 @@ def test_every_import_is_used(path):
     source = _SOURCES[path]
     assert _unused_imports(source) == []
     assert _unreferenced_private_functions(source, list(_SOURCES.values())) == []
+    assert _assert_lines(source) == []

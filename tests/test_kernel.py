@@ -14,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 import coxlen.reflen
 import coxlen.tits
 from coxlen.cli import main
-from coxlen.coxeter import parse_coxeter_matrix
+from coxlen.coxeter import GramMatrix, _form_rows, parse_coxeter_matrix
 from coxlen.errors import CertificateError
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
-from coxlen.tits import (_DENSE_DEGREE, GroupElement, _entry_rows, _pack,
-                         _root_key, canonical_key, enumerate_reflections,
+from coxlen.tits import (_DENSE_DEGREE, GroupElement, _entry_rows, _root_key,
+                         canonical_key, enumerate_reflections, fixed_space_codim,
                          image_root, reflection, row_factor, row_key, row_mul)
+from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
                           convolution_side, report_enumeration, report_gram,
                           report_key)
@@ -110,10 +111,27 @@ def test_identity_and_involutions():
 
 
 def test_non_integral_entries_are_refused():
-    field = _group("T334").field
+    # 2B is read as packed rows only when each entry lies in Z[theta]
+    gram = _group("T334").gram
+    field = gram.field
+    assert _form_rows(gram) == [[(e + e).num for e in row] for row in gram.entries]
+    quarter = field.from_rational(Fraction(1, 4))
+    entries = ((field.one, quarter), (quarter, field.one))
     with pytest.raises(CertificateError):
-        _pack(((field.one, field.from_rational(Fraction(1, 2))),
-               (field.zero, field.one)))
+        _form_rows(GramMatrix(parse_coxeter_matrix("rank 2; m12=4"), field, entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_word_pair())
+def test_fixed_space_codim_matches_the_scalar_rank(pair):
+    # rank(M - I) on packed rows against the ExactScalar elimination, at
+    # computation field degrees 1, 2, 4, 8 and 12
+    name, u, v = pair
+    g = _group(name).element(u + v)
+    field = g.gram.field
+    rows = [[e - (field.one if i == j else field.zero) for j, e in enumerate(row)]
+            for i, row in enumerate(_scalar_rows(g))]
+    assert fixed_space_codim(g) == scalar_matrix_rank(field, rows)
 
 
 @st.composite
