@@ -3,7 +3,8 @@
 Bond orders are stored as ints with 0 denoting an infinite order (the same
 sentinel used by the structured matrix-file format).  Classification verdicts
 are decided purely by the exact signature of the Gram matrix, computed by one
-symmetric elimination of 2B over Z[theta] (`linalg.inertia` on `_form_rows`).
+symmetric elimination of 2B over Z[theta] (`linalg.inertia` on
+`GramMatrix.rows`, which `gram_matrix` builds as integer coefficients).
 
 The classifier works on sorted tuples of generator indices into the one
 validated matrix, and caches each connected subdiagram's verdict by its rows.
@@ -103,7 +104,8 @@ def parse_coxeter_matrix(text: str) -> CoxeterMatrix:
     """Parse the inline grammar: "rank <k>; m<i><j>=<v> ..." (1-based, i<j).
 
     Multi-digit indices use a separator, e.g. m1_10=3.  Unassigned pairs
-    default to 2; the value "inf" denotes an infinite bond order.
+    default to 2, a pair assigned twice is refused, and the value "inf"
+    denotes an infinite bond order.
     """
     tokens = text.replace(";", " ").split()
     if not tokens or tokens[0] != "rank":
@@ -117,6 +119,7 @@ def parse_coxeter_matrix(text: str) -> CoxeterMatrix:
     entries = [[2] * rank for _ in range(rank)]
     for i in range(rank):
         entries[i][i] = 1
+    assigned = set()
     for tok in tokens[2:]:
         m = _ASSIGN_RE.match(tok)
         if not m:
@@ -128,6 +131,9 @@ def parse_coxeter_matrix(text: str) -> CoxeterMatrix:
             raise InputError("indices out of range in %r (need 1 <= i < j <= %d)" % (tok, rank))
         if v != INF and v < 2:
             raise InputError("m%d%d = %d is below 2" % (i, j, v))
+        if (i, j) in assigned:
+            raise InputError("m%d_%d is assigned twice" % (i, j))
+        assigned.add((i, j))
         entries[i - 1][j - 1] = entries[j - 1][i - 1] = v
     return CoxeterMatrix.make(entries)
 
@@ -154,44 +160,27 @@ def parse_any(text: str) -> CoxeterMatrix:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The bilinear form B with B_ii = 1 and B_ij = -cos(pi/m_ij)."""
+    """The bilinear form B, B_ii = 1 and B_ij = -cos(pi/m_ij), held as 2B."""
 
     cm: CoxeterMatrix
     field: RealCyclotomicField
-    entries: tuple  # tuple of tuples of ExactScalar
+    rows: tuple  # rows of 2B over Z[theta]: per entry, `degree` ints (theta^0 first)
 
 
 def gram_matrix(cm: CoxeterMatrix) -> GramMatrix:
-    """B over the smallest field that holds it, Q(2cos(pi/N')), N' the lcm of
-    the finite bond orders >= 4 (2 when there are none): cos(pi/2) = 0 and
-    cos(pi/3) = 1/2 are rational.  The degree cap reads the report field
-    Q(2cos(pi/N)), N = cm.conductor(), which holds this one."""
+    """2B over the smallest field that holds it, Q(theta) with theta =
+    2cos(pi/N'), N' the lcm of the finite bond orders >= 4 (2 when there are
+    none).  Every entry 2B_ij = -2cos(pi/m_ij) lies in Z[theta]: 2 on the
+    diagonal (m_ii = 1), 0, -1 and -2 for m = 2, 3 and infinity, and
+    -D_(N'/m)(theta) (Dickson) for m >= 4.  The degree cap reads the report
+    field Q(2cos(pi/N)), N = cm.conductor(), which holds this one."""
     check_degree(cm.conductor())
     field = RealCyclotomicField(_lcm_of_bonds(cm, 4))
-    one = field.one
-    minus_one = field.from_rational(-1)
-    rows = []
-    for i in range(cm.rank):
-        row = []
-        for j in range(cm.rank):
-            if i == j:
-                row.append(one)
-            else:
-                m = cm.entries[i][j]
-                row.append(minus_one if m == INF else -field.cos_pi_over(m))
-        rows.append(tuple(row))
-    return GramMatrix(cm, field, tuple(rows))
-
-
-def _form_rows(gram: GramMatrix):
-    """2B as rows of coefficient tuples over Z[theta] (`linalg`'s format),
-    with the signature of B.  Its entries 2, -2cos(pi/m) and -2 lie in
-    Z[theta]; a non-integral entry raises CertificateError."""
-    for row in gram.entries:
-        for e in row:
-            if any(2 * c % e.den for c in e.num):
-                raise CertificateError("twice the Gram entry %r is not in Z[theta]" % (e,))
-    return [[tuple(2 * c // e.den for c in e.num) for e in row] for row in gram.entries]
+    rational = {1: 2, 2: 0, 3: -1, INF: -2}
+    entries = {m: (rational[m],) + (0,) * (field.degree - 1) if m in rational
+               else tuple(-c for c in field.dickson(field.N // m))
+               for row in cm.entries for m in row}
+    return GramMatrix(cm, field, tuple(tuple(entries[m] for m in row) for row in cm.entries))
 
 
 class Kind(enum.Enum):
@@ -258,7 +247,7 @@ def _component_verdict(cm: CoxeterMatrix, comp):
     verdict = _KIND_CACHE.get(rows)
     if verdict is None:
         gm = gram_matrix(CoxeterMatrix(len(comp), rows))
-        signature = linalg.inertia(gm.field, _form_rows(gm))
+        signature = linalg.inertia(gm.field, gm.rows)
         pos, neg, zero = signature
         kind = (Kind.SPHERICAL if pos == len(comp) else
                 Kind.AFFINE_EUCLIDEAN if neg == 0 and zero == 1 else Kind.NON_AFFINE)

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 
 from .errors import CertificateError, ResourceCapError
 
@@ -167,14 +169,14 @@ class RealCyclotomicField:
             tuple((i, c) for i, c in enumerate(row) if c) for row in red)
         self._theta_float = 2.0 * math.cos(math.pi / N)
         self._isolate_theta()
-        self.zero = self.scalar((0,) * d, 1)
-        self.one = self.scalar((1,) + (0,) * (d - 1), 1)
-        if d == 1:
-            # theta is rational: -minpoly[0]
-            self.theta = self.from_rational(Fraction(-self.minpoly[0]))
-        else:
-            self.theta = self.scalar((0, 1) + (0,) * (d - 2), 1)
-        self._cos_cache = {}
+        # D_0 = 2 and D_1 = theta (rational, -minpoly[0], at degree 1): see dickson
+        theta = (-self.minpoly[0],) if d == 1 else (0, 1) + (0,) * (d - 2)
+        self._dickson = [(2,) + (0,) * (d - 1), theta]
+
+    # the ExactScalar constants, built on first read: no computation reads them
+    zero = cached_property(lambda self: self.scalar((0,) * self.degree))
+    one = cached_property(lambda self: self.from_rational(1))
+    theta = cached_property(lambda self: self.scalar(self.dickson(1)))
 
     def _isolate_theta(self):
         """Verified dyadic enclosure a/2^P < theta < b/2^P, theta the largest
@@ -244,28 +246,12 @@ class RealCyclotomicField:
         return ExactScalar(self, num, q.denominator)
 
     def dickson(self, k):
-        """D_k(theta) = 2cos(k*pi/N) as a field element."""
-        if k == 0:
-            return self.from_rational(2)
-        prev, cur = self.from_rational(2), self.theta
-        for _ in range(k - 1):
-            prev, cur = cur, self.theta * cur - prev
-        return cur
-
-    def cos_pi_over(self, m):
-        """cos(pi/m) exactly; requires m in (2, 3) or m | N."""
-        if m in self._cos_cache:
-            return self._cos_cache[m]
-        if m == 2:
-            val = self.zero
-        elif m == 3:
-            val = self.from_rational(Fraction(1, 2))
-        else:
-            if self.N % m:
-                raise ValueError("cos(pi/%d) does not lie in Q(2cos(pi/%d))" % (m, self.N))
-            val = self.dickson(self.N // m) * self.from_rational(Fraction(1, 2))
-        self._cos_cache[m] = val
-        return val
+        """D_k(theta) = 2cos(k*pi/N) as its `degree` coefficients (theta^0
+        first), by D_(j+1) = theta D_j - D_(j-1), memoised on the field."""
+        seq = self._dickson
+        while len(seq) <= k:
+            seq.append(tuple(map(sub, self.mul(seq[1], seq[-1]), seq[-2])))
+        return seq[k]
 
     def mul(self, a, b):
         """The product of two elements given by their `degree` coefficients:

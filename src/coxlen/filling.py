@@ -23,9 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import INF, CoxeterMatrix
-from .errors import (CertificateError, DomainError, SearchExhaustedError,
-                     UnsupportedParametersError)
+from .errors import (CertificateError, DomainError, ResourceCapError,
+                     SearchExhaustedError, UnsupportedParametersError)
 from .intervals import le_two_pi, margin_over_two_pi
+
+# the most short elements one cusp may have; the count grows linearly with h
+# (630 at h = 25 at width 1) and each element keeps its word
+MAX_SHORT = 4096
 
 
 def _normalize_proj(m):
@@ -287,7 +291,7 @@ def compute_short_elements(model: TriangleModel, s: int, h) -> list:
     for j < 0.  Each step prepends the step word t or t^-1 and costs one
     product, so every element is evaluated once.  Displacements grow
     linearly along a walk, so each walk stops at its first element beyond
-    2*pi.
+    2*pi.  More than MAX_SHORT elements raise ResourceCapError.
     """
     if s not in model.cusps:
         raise DomainError("generator %d has no ideal vertex" % s)
@@ -307,6 +311,9 @@ def compute_short_elements(model: TriangleModel, s: int, h) -> list:
             d = _segment_distance(tau, *_affine_action(cusp, v), h)
             if not le_two_pi(d):
                 break
+            if len(out) == MAX_SHORT:
+                raise ResourceCapError("cusp %d has more than %d short elements"
+                                       % (s + 1, MAX_SHORT))
             out.append(ShortElement(word, kind, j, d, v))
             word, v, j = step + word, step_elem * v, j + (1 if j >= 0 else -1)
     out.sort(key=lambda e: (e.displacement, e.kind, e.parameter))

@@ -1,8 +1,9 @@
 """Exact linear algebra over a RealCyclotomicField.
 
 A matrix is rows of entries over Z[theta], each a tuple of `degree` integer
-coefficients (theta^0 first), as in a packed `GroupElement`; entries
-multiply by `RealCyclotomicField.mul` and signs come from `sign_of`.
+coefficients (theta^0 first), as in `GramMatrix.rows` (2B) and a packed
+`GroupElement`; entries multiply by `RealCyclotomicField.mul` and signs come
+from `sign_of`.
 Cofactor/bitmask determinants and leading principal minors, the inertia of
 a symmetric matrix by one division-free symmetric elimination (Sylvester's
 law of inertia), and the rank by division-free Gaussian elimination.

@@ -110,9 +110,11 @@ def _require(ok, message):
         raise CertificateError(message)
 
 
-def _check_depth(D):
+def _check_caps(D, node_cap):
     if D < 0:
         raise DomainError("reflection depth cap must be >= 0, got %d" % D)
+    if node_cap < 0:
+        raise DomainError("node cap must be >= 0, got %d" % node_cap)
 
 
 @dataclass
@@ -400,7 +402,7 @@ def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
     in ball order; upper and the factors are None where the search could not
     settle the element under the cap.
     """
-    _check_depth(D)
+    _check_caps(D, node_cap)
     if L < 0:
         raise DomainError("ball radius must be >= 0, got %d" % L)
     group = get_group(cm)
@@ -456,7 +458,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     None when none did.  Every search runs under protocol.node_cap.
     """
     protocol = protocol or ReflenProtocol()
-    _check_depth(protocol.d_cap)
+    _check_caps(protocol.d_cap, protocol.node_cap)
     group = get_group(cm)
     g = group.element(tuple(word))
     reduced = group.reduced_word(g)

@@ -15,9 +15,9 @@ order needs it.  H3 (bonds 3, 5 and 2) works at degree 2, not 8.
 Generator matrices have entries in Z[theta] (the minimal polynomial is
 monic), so every product stays integral, and an element is stored packed:
 one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
-each entry in row-major order.  The generators are built from 2B, whose
-entries `coxeter._form_rows` checks to lie in Z[theta] (CertificateError
-otherwise).  Roots are packed the same way, as one-column matrices.
+each entry in row-major order.  The generators are built from 2B, which
+`coxeter.gram_matrix` builds over Z[theta] in this format.  Roots are packed
+the same way, as one-column matrices, `Reflection.root` included.
 
 Two kernel paths.  Multiplication works on those ints directly, one row at
 a time (`row_mul`), against the matrix side of the right factor
@@ -45,10 +45,10 @@ minimal polynomial.
   row-matrix product (`row_mul`, n^2 entry products where a matrix
   product takes n^3); the matrix side of it (`row_factor`) is built
   once per element and kept on the element.
-* `ExactScalar` appears only where an entry is read as a field element: the
-  Gram form that 2B is taken from, and `Reflection.root`.  The eliminations
-  run on packed rows: `gram_signature` on 2B, and `fixed_space_codim` on
-  M - I, the packed identity subtracted, handed to `linalg.matrix_rank`.
+* No `ExactScalar` is built: every entry is a tuple of ints over Z[theta],
+  and the eliminations run on packed rows, `gram_signature` on 2B and
+  `fixed_space_codim` on M - I, the packed identity subtracted, handed to
+  `linalg.matrix_rank`.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from functools import lru_cache
 from operator import mul, sub
 
 from . import linalg
-from .coxeter import CoxeterMatrix, GramMatrix, _form_rows, gram_matrix
+from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
 from .errors import CertificateError, DomainError
-from .exactfield import ExactScalar, RealCyclotomicField
+from .exactfield import RealCyclotomicField
 
 
 # the largest field degree at which `row_mul` runs the dense kernel; above
@@ -218,9 +218,8 @@ def row_factor(g: GroupElement):
 
 
 def _make_form_factor(gram: GramMatrix):
-    """The matrix side of `row_mul` for 2B, whose entries 2, -2cos(pi/m) and
-    -2 lie in Z[theta]."""
-    packed = tuple(c for row in _form_rows(gram) for e in row for c in e)
+    """The matrix side of `row_mul` for 2B (`GramMatrix.rows`)."""
+    packed = tuple(c for row in gram.rows for e in row for c in e)
     return _matrix_side(packed, gram.cm.rank, gram.field)
 
 
@@ -313,20 +312,19 @@ def _make_report_columns(gram: GramMatrix):
     """The exact embedding of gram.field, Q(theta') with theta' =
     2cos(pi/N'), into the report field Q(theta), theta = 2cos(pi/N) for N =
     cm.conductor(), as dense `row_mul` columns: theta' = D_k(theta) with
-    k = N/N' (`dickson`), or 0 when N' = 2, so column j holds the theta^j
-    coefficients of theta'^0, ..., theta'^(d'-1).  None when both fields
-    have the same degree, hence the same coefficients: N' = N, or both are
-    Q (N' = 2, N = 3).  A3 (N' = 2, N = 6) needs the map: its form lies in
-    Q and its report field is Q(2cos(pi/6)), of degree 2."""
+    k = N/N' (`dickson`), so column j holds the theta^j coefficients of
+    theta'^0, ..., theta'^(d'-1).  None when both fields have the same
+    degree, hence the same coefficients: N' = N, or both are Q (N' = 2,
+    N = 3).  A3 (N' = 2, N = 6) needs the map: its form lies in Q and its
+    report field is Q(2cos(pi/6)), of degree 2."""
     field, N = gram.field, gram.cm.conductor()
     report = RealCyclotomicField(N)
     if report.degree == field.degree:
         return None
-    theta = report.dickson(N // field.N) if field.degree > 1 else report.zero
-    rows, power = [], report.one
-    for _ in range(field.degree):
-        rows.append(power.num)
-        power = power * theta
+    theta = report.dickson(N // field.N)
+    rows = [(1,) + (0,) * (report.degree - 1)]
+    for _ in range(field.degree - 1):
+        rows.append(report.mul(rows[-1], theta))
     return [[row[j] for row in rows] for j in range(report.degree)]
 
 
@@ -357,7 +355,7 @@ class Reflection:
     """A conjugate w s w^{-1}, realized by its positive unit root."""
 
     element: GroupElement
-    root: tuple
+    root: tuple  # packed, as a one-column matrix over gram.field
     depth: int
     word: tuple  # a (not necessarily reduced) word w + (s,) + reversed(w)
 
@@ -407,14 +405,12 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
         if not frontier:
             break
     order = sorted(seen.items(), key=lambda item: (item[1][0], _root_key(gram, item[0])))
-    return [Reflection(t, tuple(ExactScalar(field, v[i:i + d], 1)
-                                for i in range(0, n * d, d)), depth, t.word)
-            for v, (depth, t) in order]
+    return [Reflection(t, v, depth, t.word) for v, (depth, t) in order]
 
 
 def gram_signature(gram: GramMatrix):
     """Exact inertia (positives, negatives, zeros) of the bilinear form."""
-    return linalg.inertia(gram.field, _form_rows(gram))
+    return linalg.inertia(gram.field, gram.rows)
 
 
 def fixed_space_codim(g: GroupElement) -> int:

@@ -9,15 +9,40 @@ generator index sets.
 * `minimal_nonaffine_subsets` walks every subset by size in
   `itertools.combinations` order, skipping supersets of those found.
 * Signatures are those of B by the `ExactScalar` elimination
-  (`linalg_oracles.scalar_inertia`).
+  (`linalg_oracles.scalar_inertia`), on B as `scalar_gram` builds it: the
+  Gram construction of the package before it built 2B over Z[theta].
 """
 
 import itertools
+from fractions import Fraction
 
 from coxlen.catalog import canonical_diagram
-from coxlen.coxeter import CoxeterMatrix, Kind, TypeVerdict, gram_matrix
+from coxlen.coxeter import INF, CoxeterMatrix, Kind, TypeVerdict, gram_matrix
 from coxlen.errors import CertificateError, DomainError
+from coxlen.exactfield import RealCyclotomicField
 from linalg_oracles import scalar_inertia
+
+
+def scalar_gram(cm, N=None):
+    """(field, B): B_ii = 1 and B_ij = -cos(pi/m_ij) as rows of ExactScalar
+    over Q(2cos(pi/N)), by default the field `gram_matrix` picks.  cos(pi/2)
+    = 0, cos(pi/3) = 1/2, cos(pi/inf) = 1, and otherwise cos(pi/m) =
+    D_(N/m)(theta)/2 by the Dickson recurrence D_(j+1) = theta D_j - D_(j-1)
+    in ExactScalar arithmetic."""
+    field = gram_matrix(cm).field if N is None else RealCyclotomicField(N)
+    half = field.from_rational(Fraction(1, 2))
+
+    def cos_pi_over(m):
+        if m in (2, 3, INF):
+            return field.from_rational({2: 0, 3: Fraction(1, 2), INF: 1}[m])
+        prev, cur = field.from_rational(2), field.theta
+        for _ in range(field.N // m - 1):
+            prev, cur = cur, field.theta * cur - prev
+        return cur * half
+
+    return field, tuple(tuple(field.one if i == j else -cos_pi_over(m)
+                              for j, m in enumerate(row))
+                        for i, row in enumerate(cm.entries))
 
 _CACHE = {}  # canonical diagram of rank <= 5 -> (Kind, signature)
 
@@ -44,8 +69,7 @@ def irreducible_components(cm):
 
 def _classify_entries(entries):
     cm = CoxeterMatrix.make(entries)
-    gm = gram_matrix(cm)
-    signature = scalar_inertia(gm.field, gm.entries)
+    signature = scalar_inertia(*scalar_gram(cm))
     pos, neg, zero = signature
     if pos == cm.rank:
         return Kind.SPHERICAL, signature

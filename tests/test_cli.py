@@ -315,6 +315,37 @@ def test_cli_imports_neither_numpy_nor_sympy():
     assert out.stdout.strip() == "[]"
 
 
+def test_runs_build_no_exact_scalar(tmp_path, monkeypatch):
+    # every computation works on Z[theta] coefficient tuples: runs over new
+    # fields and empty caches, at computation/report field degrees 2/8 (H3)
+    # and 8/16, build no ExactScalar
+    import coxlen.coxeter
+    import coxlen.reflen
+    from coxlen.exactfield import ExactScalar, RealCyclotomicField
+
+    for module, name in ((RealCyclotomicField, "_cache"), (coxlen.coxeter, "_KIND_CACHE"),
+                         (coxlen.reflen, "_GROUP_CACHE"), (coxlen.reflen, "_REFLECTION_CACHE")):
+        monkeypatch.setattr(module, name, {})
+    built = []
+    init = ExactScalar.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting)
+    for text in ("rank 3; m12=3 m23=5", "rank 3; m12=4 m13=3 m23=5"):
+        for argv in (["classify"], ["reflen", "-L", "3", "-D", "2"],
+                     ["reflen", "--word", "abcb"], ["growth", "--word", "abc", "--K", "2"]):
+            assert run_cli(argv + ["--inline", text], tmp_path)[0] == 0, (text, argv)
+    for argv in (["subgroups", "--inline", "rank 3; m12=4 m13=3 m23=5"],
+                 ["affine-bound", "--inline", "rank 3; m12=3 m13=3 m23=3", "-L", "3"]):
+        assert run_cli(argv, tmp_path)[0] == 0, argv
+    assert built == []
+    ExactScalar(RealCyclotomicField(5), (1, 0))      # the counter sees a construction
+    assert len(built) == 1
+
+
 def test_reflen_ball_honours_node_cap(tmp_path):
     # the 57-element ball fits under the cap; the search's second layer
     # over the 24 reflections of depth <= 4 does not
@@ -359,6 +390,14 @@ def test_negative_ball_radius_is_a_domain_error(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
     assert code == 1
     assert "radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["-L", "2"], ["--word", "abc"]])
+def test_negative_node_cap_is_a_domain_error(tmp_path, capsys, mode):
+    code, _ = run_cli(["reflen", "--inline", "rank 3", "--node-cap", "-1"] + mode,
+                      tmp_path)
+    assert code == 1
+    assert "node cap" in capsys.readouterr().err
 
 
 def test_growth_reads_generators_beyond_z(tmp_path):
@@ -447,6 +486,9 @@ def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
     # the report spells words in the letters a-z
     ["reflen", "--inline", "rank 30", "--word", "30"],
     ["reflen", "--inline", "rank 27; m1_27=3", "--word", "1 27 1"],
+    # a pair assigned twice, in either spelling
+    ["classify", "--inline", "rank 2; m12=3 m12=inf"],
+    ["classify", "--inline", "rank 2; m1_2=3 m12=4"],
 ])
 def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
@@ -465,6 +507,28 @@ def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("resource cap: ")
+
+
+@pytest.mark.parametrize("h", ["1000", "1e400"])
+def test_short_element_cap_exits_2_in_bounded_time_and_memory(h):
+    # above filling.MAX_SHORT short elements per cusp; the run has a timeout
+    # and a 1 GiB address space, so an uncapped walk fails instead of hanging
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import coxlen
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    out = subprocess.run([sys.executable, "-m", "coxlen.cli", "filling", "--p", "inf",
+                          "--q", "inf", "--h", h], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr.startswith("resource cap: ")
 
 
 def test_inputs_at_the_caps_are_classified(tmp_path):

@@ -52,7 +52,7 @@ SIGNATURES = {
     "ExactScalar.as_fraction": "(self)",
     "FreeCoxeterWord": "(letters, k)",
     "FreeCoxeterWord.inverse": "(self)",
-    "GramMatrix": "(cm, field, entries)",
+    "GramMatrix": "(cm, field, rows)",
     "GroupElement": "(gram, packed, word=None)",
     "GroupElement.is_identity": "(self)",
     "GrowthRecord": "(base_word, metric_name, powers)",
@@ -68,7 +68,6 @@ SIGNATURES = {
     "RealCyclotomicField.scalar": "(self, num, den=1)",
     "RealCyclotomicField.from_rational": "(self, q)",
     "RealCyclotomicField.dickson": "(self, k)",
-    "RealCyclotomicField.cos_pi_over": "(self, m)",
     "RealCyclotomicField.mul": "(self, a, b)",
     "RealCyclotomicField.sign_of": "(self, num, den)",
     "ReflLenResult": ("(element, upper, lower, status, witness, depth_used, "
@@ -118,7 +117,7 @@ SIGNATURES = {
 
 DATACLASS_FIELDS = {
     "coxeter.CoxeterMatrix": "rank entries",
-    "coxeter.GramMatrix": "cm field entries",
+    "coxeter.GramMatrix": "cm field rows",
     "coxeter.TypeVerdict": "kind components minimal_nonaffine signature",
     "filling.PlaneIsometry": "m reversing",
     "filling.CuspData": "s vertex conjugator gen_indices mirror_offsets width",
@@ -249,6 +248,23 @@ def test_assert_check_sees_an_assert():
     assert _assert_lines("def f(x):\n    assert x > 0\n    return x\n") == [2]
 
 
+def _exact_scalar_lines(source):
+    """Lines of `source` that name ExactScalar: a name read or bound, an
+    attribute, an import or a definition."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if "ExactScalar" in (getattr(n, "id", None), getattr(n, "attr", None),
+                                 getattr(n, "name", None))]
+
+
+def test_exact_scalar_check_sees_every_spelling():
+    source = ("from .exactfield import ExactScalar, mul\n"
+              "import coxlen.exactfield as ef\n"
+              "x = ef.ExactScalar\n"
+              "'ExactScalar in a string is prose'\n"
+              "y = ExactScalar\n")
+    assert _exact_scalar_lines(source) == [1, 3, 5]
+
+
 _SOURCES = {path: path.read_text()
             for path in sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py"))}
 
@@ -259,3 +275,12 @@ def test_every_import_is_used(path):
     assert _unused_imports(source) == []
     assert _unreferenced_private_functions(source, list(_SOURCES.values())) == []
     assert _assert_lines(source) == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(_SOURCES)
+                                  if p.name not in ("exactfield.py", "__init__.py")],
+                         ids=lambda p: p.name)
+def test_no_computation_names_exact_scalar(path):
+    # every computation works on Z[theta] coefficient tuples; ExactScalar is
+    # public API, defined in exactfield and exported by __init__ alone
+    assert _exact_scalar_lines(_SOURCES[path]) == []

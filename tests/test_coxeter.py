@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,19 +93,53 @@ def test_multidigit_indices_use_separator():
 
 
 def test_gram_entries_exact():
+    # 2B: -2cos(pi/3) = -1, -2cos(pi/inf) = -2, and -2cos(pi/4) = -theta in
+    # Q(2cos(pi/4)) = Q(sqrt 2)
     a2 = gram_matrix(parse_coxeter_matrix("rank 2; m12=3"))
-    assert a2.entries[0][1].as_fraction() == Fraction(-1, 2)
+    assert a2.rows[0][1] == (-1,)
     inf = gram_matrix(parse_coxeter_matrix("rank 2; m12=inf"))
-    assert inf.entries[0][1].as_fraction() == -1
+    assert inf.rows[0][1] == (-2,)
     b2 = gram_matrix(parse_coxeter_matrix("rank 2; m12=4"))
-    x = b2.entries[0][1]
-    assert (x * x).as_fraction() == Fraction(1, 2) and x.sign() < 0
+    x = b2.rows[0][1]
+    assert x == (0, -1) and b2.field.mul(x, x) == (2, 0)
 
 
 def test_gram_diagonal_is_one():
+    # B_ii = 1, held as 2B_ii = 2
     gm = gram_matrix(parse_coxeter_matrix("rank 3; m12=5 m23=4"))
     for i in range(3):
-        assert gm.entries[i][i] == gm.field.one
+        assert gm.rows[i][i] == (2,) + (0,) * (gm.field.degree - 1)
+
+
+def _value(field, coeffs):
+    """sum(coeffs[i] theta^i), theta = 2cos(pi/N), at the working precision."""
+    theta = 2 * mpmath.cos(mpmath.pi / field.N)
+    return sum(c * theta ** i for i, c in enumerate(coeffs))
+
+
+def _assert_twice_b(gm):
+    assert len(gm.rows) == gm.cm.rank
+    for row, orders in zip(gm.rows, gm.cm.entries):
+        assert len(row) == gm.cm.rank
+        for e, m in zip(row, orders):
+            assert len(e) == gm.field.degree
+            want = -2 if m == INF else -2 * mpmath.cos(mpmath.pi / m)
+            assert abs(_value(gm.field, e) - want) < mpmath.mpf(10) ** -50, (gm.cm, m)
+
+
+@pytest.mark.parametrize("m", list(range(2, 61)) + [INF])
+def test_gram_rows_are_twice_b_in_every_field(m):
+    # 2B_ij = -2cos(pi/m_ij) to 50 digits, in the smallest field of the bond
+    # and inside a diagram whose field is larger (bond 7 next to it, and an
+    # infinite bond); at degree 174 (m = 59) terms c theta^i of up to ~10^64
+    # cancel, so the sums run at 150 digits
+    with mpmath.workdps(150):
+        alone = gram_matrix(CoxeterMatrix.make([[1, m], [m, 1]]))
+        assert alone.field.N == (m if m != INF and m >= 4 else 2)
+        _assert_twice_b(alone)
+        mixed = gram_matrix(CoxeterMatrix.make([[1, m, 7], [m, 1, INF], [7, INF, 1]]))
+        assert mixed.field.N == math.lcm(7, m if m != INF and m >= 4 else 1)
+        _assert_twice_b(mixed)
 
 
 # -- components -----------------------------------------------------------

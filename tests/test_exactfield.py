@@ -103,17 +103,26 @@ def test_sign_of_exact_zero_combination():
 
 
 def test_cosine_values():
+    # cos(pi/m) = D_(N/m)(theta)/2 for every m dividing N
     F = RealCyclotomicField(60)
     for m in (2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60):
         # float() Horner in the degree-16 field carries ~1e-11 roundoff
-        got = float(F.cos_pi_over(m))
+        got = float(F.scalar(F.dickson(60 // m), 2))
         assert abs(got - math.cos(math.pi / m)) < 1e-9
-    with pytest.raises(ValueError):
-        F.cos_pi_over(7)
-    # cos(pi/2) and cos(pi/3) are rational, so every field holds them
-    for N in (2, 4, 5, 7):
-        assert RealCyclotomicField(N).cos_pi_over(2) == 0
-        assert RealCyclotomicField(N).cos_pi_over(3) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 12, 30, 60, 385])
+def test_dickson_is_twice_the_cosine_of_k_pi_over_n(N):
+    # D_k(theta) = 2cos(k pi/N) to 40 digits for k over more than a period,
+    # at degrees 1 to 120; terms c theta^i reach ~10^60 at degree 120
+    F = RealCyclotomicField(N)
+    with mpmath.workdps(130):
+        theta = 2 * mpmath.cos(mpmath.pi / N)
+        for k in range(2 * N + 3):
+            coeffs = F.dickson(k)
+            assert len(coeffs) == F.degree and all(type(c) is int for c in coeffs)
+            got = sum(c * theta ** i for i, c in enumerate(coeffs))
+            assert abs(got - 2 * mpmath.cos(k * mpmath.pi / N)) < mpmath.mpf(10) ** -40, k
 
 
 def test_comparisons_and_float():

@@ -6,7 +6,6 @@ over the report field, and pins of key bytes and solver witnesses recorded
 before the packing."""
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import coxlen.reflen
 import coxlen.tits
 from coxlen.cli import main
-from coxlen.coxeter import GramMatrix, _form_rows, parse_coxeter_matrix
-from coxlen.errors import CertificateError
+from coxeter_oracles import scalar_gram
+from coxlen.coxeter import gram_matrix, parse_coxeter_matrix
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
@@ -110,15 +109,17 @@ def test_identity_and_involutions():
             assert (gen * gen).key == group.identity.key
 
 
-def test_non_integral_entries_are_refused():
-    # 2B is read as packed rows only when each entry lies in Z[theta]
-    gram = _group("T334").gram
-    field = gram.field
-    assert _form_rows(gram) == [[(e + e).num for e in row] for row in gram.entries]
-    quarter = field.from_rational(Fraction(1, 4))
-    entries = ((field.one, quarter), (quarter, field.one))
-    with pytest.raises(CertificateError):
-        _form_rows(GramMatrix(parse_coxeter_matrix("rank 2; m12=4"), field, entries))
+def test_gram_rows_are_twice_the_scalar_gram():
+    # the 2B the generators are built from, against twice the ExactScalar B
+    # of the oracle, at computation field degrees 1 to 12
+    for name, text in GROUPS.items():
+        cm = parse_coxeter_matrix(text)
+        gram = gram_matrix(cm)
+        field, B = scalar_gram(cm)
+        assert field is gram.field
+        doubled = [[e + e for e in row] for row in B]
+        assert all(e.den == 1 for row in doubled for e in row), name
+        assert [list(row) for row in gram.rows] == [[e.num for e in row] for row in doubled]
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,8 +279,8 @@ def test_reflections_match_the_matrix_products(case):
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_enumeration_matches_the_matrix_products(name):
     group = _group(name)
-    got = sorted((r.depth, tuple(c for x in r.root for c in x.num), r.element.key,
-                  r.word) for r in enumerate_reflections(group.gram, 4))
+    got = sorted((r.depth, r.root, r.element.key, r.word)
+                 for r in enumerate_reflections(group.gram, 4))
     assert got == _product_enumeration(group, 4)
 
 
@@ -366,7 +367,8 @@ def _report_rows(g):
     sum c_i theta'^i evaluated there with theta' = D_(N/N')(theta)."""
     report = RealCyclotomicField(g.gram.cm.conductor())
     small = g.gram.field
-    theta = report.dickson(report.N // small.N) if small.degree > 1 else report.zero
+    theta = report.scalar(report.dickson(report.N // small.N)) if small.degree > 1 \
+        else report.zero
     powers = [report.one]
     for _ in range(small.degree - 1):
         powers.append(powers[-1] * theta)
@@ -436,8 +438,7 @@ def test_canonical_key_matches_the_report_field_gram(case):
 def test_enumeration_order_matches_the_report_field_gram(name):
     group = _group(name)
     for D in range(5):
-        got = [(r.depth, r.word,
-                _root_key(group.gram, tuple(c for x in r.root for c in x.num)))
+        got = [(r.depth, r.word, _root_key(group.gram, r.root))
                for r in enumerate_reflections(group.gram, D)]
         assert got == report_enumeration(group.cm, D), D
 

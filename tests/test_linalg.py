@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlen import linalg
-from coxlen.coxeter import INF, CoxeterMatrix, _form_rows, gram_matrix, parse_coxeter_matrix
+from coxeter_oracles import scalar_gram
+from coxlen.coxeter import INF, CoxeterMatrix, gram_matrix, parse_coxeter_matrix
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.reflen import get_group
 from coxlen.tits import _entry_rows, fixed_space_codim, gram_signature
@@ -88,7 +89,7 @@ def test_irrational_pivots():
                            ("rank 3; m12=3 m13=3 m23=4", (2, 1, 0)),
                            ("rank 3; m12=3 m13=3 m23=3", (2, 0, 1))):
         gm = gram_matrix(parse_coxeter_matrix(text))
-        assert linalg.inertia(gm.field, _form_rows(gm)) == expected, text
+        assert linalg.inertia(gm.field, gm.rows) == expected, text
 
 
 # -- against the 2^n-minor oracle ------------------------------------------------
@@ -149,7 +150,7 @@ def _gram(draw, max_rank=5, orders=tuple(_ORDERS)):
 @settings(max_examples=60, deadline=None)
 @given(_gram())
 def test_gram_inertia_and_sylvester_criterion(gm):
-    P = _form_rows(gm)
+    P = gm.rows
     pos, neg, zero = linalg.inertia(gm.field, P)
     assert (pos, neg, zero) == _descartes_inertia(gm.field, P)
     minors = linalg.leading_principal_minors(gm.field, P)
@@ -161,8 +162,8 @@ def test_gram_inertia_and_sylvester_criterion(gm):
 def test_inertia_of_2b_matches_the_scalar_oracle_on_b(gm):
     # 2B has B's signature; the oracle eliminates B's rational and
     # irrational entries as ExactScalar, up to degree 32 (bonds 5, 8 and 12)
-    expected = scalar_inertia(gm.field, gm.entries)
-    assert linalg.inertia(gm.field, _form_rows(gm)) == expected
+    expected = scalar_inertia(*scalar_gram(gm.cm))
+    assert linalg.inertia(gm.field, gm.rows) == expected
     assert gram_signature(gm) == expected
 
 
@@ -239,9 +240,8 @@ def test_eliminations_build_no_exact_scalar(monkeypatch):
     # the signature, rank(M - I) and fixed_space_codim run on packed rows
     # alone, at field degrees 1, 2 and 4
     grams = [gram_matrix(parse_coxeter_matrix(text)) for text in _RANK_GROUPS]
-    forms = [_form_rows(gm) for gm in grams]
     elements = [get_group(gm.cm).element((0, 1, 2, 1)) for gm in grams]
-    signatures = [scalar_inertia(gm.field, gm.entries) for gm in grams]
+    signatures = [scalar_inertia(*scalar_gram(gm.cm)) for gm in grams]
     ranks = [scalar_matrix_rank(g.gram.field, _scalars(g.gram.field, _minus_identity_rows(g)))
              for g in elements]
     built = []
@@ -252,7 +252,7 @@ def test_eliminations_build_no_exact_scalar(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(ExactScalar, "__init__", counting)
-    assert [linalg.inertia(gm.field, P) for gm, P in zip(grams, forms)] == signatures
+    assert [linalg.inertia(gm.field, gm.rows) for gm in grams] == signatures
     assert [linalg.matrix_rank(g.gram.field, _minus_identity_rows(g))
             for g in elements] == ranks
     assert [fixed_space_codim(g) for g in elements] == ranks

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coxeter_oracles import scalar_gram
 from coxlen.coxeter import parse_coxeter_matrix, gram_matrix
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.reflen import get_group, get_reflections
@@ -22,11 +23,17 @@ def _entries(elt):
     return tuple(tuple((e.num, e.den) for e in row) for row in _scalar_rows(elt))
 
 
+def _scalar_root(gram, root):
+    """The packed root as a coordinate vector of ExactScalar."""
+    d = gram.field.degree
+    return tuple(ExactScalar(gram.field, root[i:i + d]) for i in range(0, len(root), d))
+
+
 def _form(gram, u, v):
-    """B(u, v) for coordinate vectors of ExactScalar."""
+    """B(u, v) for coordinate vectors of ExactScalar, B from the oracle."""
+    field, B = scalar_gram(gram.cm)
     n = len(u)
-    return sum((u[i] * gram.entries[i][j] * v[j] for i in range(n) for j in range(n)),
-               gram.field.zero)
+    return sum((u[i] * B[i][j] * v[j] for i in range(n) for j in range(n)), field.zero)
 
 
 def test_generator_matrices():
@@ -81,6 +88,7 @@ def _words(rank, length):
 def test_form_preserved_on_random_words(text):
     group = get_group(parse_coxeter_matrix(text))
     gm = group.gram
+    B = scalar_gram(gm.cm)[1]
     rng = random.Random(hash(text) & 0xFFFF)
     n = group.cm.rank
     for _ in range(12):
@@ -90,7 +98,7 @@ def test_form_preserved_on_random_words(text):
         images = [tuple(rows[k][i] for k in range(n)) for i in range(n)]
         for i in range(n):
             for j in range(n):
-                assert _form(gm, images[i], images[j]) == gm.entries[i][j]
+                assert _form(gm, images[i], images[j]) == B[i][j]
 
 
 def test_reflection_enumeration_counts():
@@ -117,9 +125,8 @@ def test_reflection_monotone_in_depth():
     previous = set()
     for d in range(4):
         roots = {r.root for r in enumerate_reflections(gm, d)}
-        keys = {tuple((x.num, x.den) for x in root) for root in roots}
-        assert previous <= keys
-        previous = keys
+        assert previous <= roots
+        previous = roots
 
 
 def test_reflection_invariants():
@@ -127,7 +134,8 @@ def test_reflection_invariants():
     for r in enumerate_reflections(group.gram, 3):
         assert (r.element * r.element).is_identity()
         assert fixed_space_codim(r.element) == 1
-        assert _form(group.gram, r.root, r.root) == group.field.one
+        root = _scalar_root(group.gram, r.root)
+        assert _form(group.gram, root, root) == group.field.one
         # the tracked conjugating word realizes the same matrix
         assert group.element(r.word).key == r.element.key
 
@@ -228,10 +236,9 @@ ENUM_DIGESTS = {
 
 
 def _report_root(gram, root):
-    """The root's (num, den) coordinates over the report field, through the
-    exact embedding of gram.field into it."""
-    packed = tuple(c for x in root for c in x.num)
-    return tuple((c, x.den) for c, x in zip(_report_entries(gram, packed), root))
+    """The packed root's (num, den) coordinates over the report field,
+    through the exact embedding of gram.field into it."""
+    return tuple((c, 1) for c in _report_entries(gram, root))
 
 
 def _enum_rows(gram, reflections):
@@ -250,17 +257,18 @@ def test_enumeration_lists_are_pinned():
 def test_enumerated_roots_are_positive_and_carry_their_reflection(name):
     group = get_group(parse_coxeter_matrix(ENUM_GROUPS[name]))
     n = group.cm.rank
+    B = scalar_gram(group.cm)[1]
     for r in enumerate_reflections(group.gram, 4):
-        signs = [x.sign() for x in r.root]
+        root = _scalar_root(group.gram, r.root)
+        signs = [x.sign() for x in root]
         assert min(signs) >= 0 and max(signs) > 0, r.word
         # the element is x -> x - 2 B(root, x) root, and its word realizes it
         rows = _scalar_rows(r.element)
         for i in range(n):
             for j in range(n):
-                two_b = sum((r.root[k] * group.gram.entries[k][j] for k in range(n)),
-                            group.field.zero) * 2
+                two_b = sum((root[k] * B[k][j] for k in range(n)), group.field.zero) * 2
                 delta = group.field.one if i == j else group.field.zero
-                assert rows[i][j] == delta - two_b * r.root[i]
+                assert rows[i][j] == delta - two_b * root[i]
         assert group.element(r.word).key == r.element.key
 
 

@@ -6,15 +6,16 @@ the package used before it computed in the smallest field.
   each entry's convolution accumulated over the inner index and reduced once
   modulo the minimal polynomial.  `convolution_mat_mul` multiplies packed
   matrices with it.
-* `report_gram(cm)` builds B over the report field Q(2cos(pi/N)), N =
-  cm.conductor(), every cos(pi/m) through `cos_pi_over`, m = 3 included.
-  `report_key`, `report_enumeration` read it with ExactScalar arithmetic
+* `report_gram(cm)` is the `GramMatrix` of 2B over the report field
+  Q(2cos(pi/N)), N = cm.conductor(), doubled from B as
+  `coxeter_oracles.scalar_gram` builds it there, m = 3 included.
+  `report_key`, `report_enumeration` read that B with ExactScalar arithmetic
   alone: the canonical bytes of an element's matrix, and the reflections of
   root depth <= D in (depth, root bytes) order, as the package listed them.
 """
 
-from coxlen.coxeter import INF, GramMatrix
-from coxlen.exactfield import RealCyclotomicField
+from coxeter_oracles import scalar_gram
+from coxlen.coxeter import GramMatrix
 
 
 def convolution_side(B, n, field):
@@ -61,23 +62,13 @@ def convolution_mat_mul(A, B, n, field):
 
 
 def report_gram(cm):
-    """B with B_ii = 1, B_ij = -cos(pi/m_ij) over Q(theta), theta =
-    2cos(pi/N), N = cm.conductor(): cos(pi/m) = D_(N/m)(theta)/2 by the
-    Dickson polynomial, for every finite m."""
-    field = RealCyclotomicField(cm.conductor())
-    rows = []
-    for i in range(cm.rank):
-        row = []
-        for j in range(cm.rank):
-            m = cm.entries[i][j]
-            if i == j:
-                row.append(field.one)
-            elif m == INF:
-                row.append(field.from_rational(-1))
-            else:
-                row.append(-field.scalar(field.dickson(field.N // m).num, 2))
-        rows.append(tuple(row))
-    return GramMatrix(cm, field, tuple(rows))
+    """2B over the report field, twice each ExactScalar entry of B, every
+    one of which lies in Z[theta]."""
+    field, B = scalar_gram(cm, cm.conductor())
+    doubled = [[e + e for e in row] for row in B]
+    if any(e.den != 1 for row in doubled for e in row):
+        raise ValueError("2B is not integral over the report field")
+    return GramMatrix(cm, field, tuple(tuple(e.num for e in row) for row in doubled))
 
 
 def _bytes(rows):
@@ -88,10 +79,10 @@ def report_key(cm, word):
     """The canonical bytes of the element's matrix over the report field:
     `repr` of its rows of (num, den) entries, from ExactScalar products of
     the generators sigma_s, column j of which is e_j - 2B_sj e_s."""
-    gram = report_gram(cm)
-    F, n = gram.field, cm.rank
+    F, B = scalar_gram(cm, cm.conductor())
+    n = cm.rank
     gens = [[[(F.one if i == j else F.zero)
-              - (gram.entries[s][j] * 2 if i == s else F.zero)
+              - (B[s][j] * 2 if i == s else F.zero)
               for j in range(n)] for i in range(n)] for s in range(n)]
     M = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
     for s in word:
@@ -106,8 +97,8 @@ def report_enumeration(cm, depth_cap):
     (depth, root bytes) order: the orbit of the simple roots under
     sigma_s(v) = v - 2B(alpha_s, v) alpha_s, skipping sigma_s on alpha_s,
     with word (s,) + parent word + (s,), over the report field."""
-    gram = report_gram(cm)
-    F, n = gram.field, cm.rank
+    F, B = scalar_gram(cm, cm.conductor())
+    n = cm.rank
     simple = [tuple(F.one if i == s else F.zero for i in range(n)) for s in range(n)]
     seen = {v: (0, (s,)) for s, v in enumerate(simple)}
     frontier = list(seen.items())
@@ -117,7 +108,7 @@ def report_enumeration(cm, depth_cap):
             for s in range(n):
                 if v == simple[s]:
                     continue
-                pairing = sum((gram.entries[s][j] * v[j] for j in range(n)), F.zero)
+                pairing = sum((B[s][j] * v[j] for j in range(n)), F.zero)
                 u = tuple(x - pairing * 2 if i == s else x for i, x in enumerate(v))
                 if u not in seen:
                     seen[u] = depth, (s,) + word + (s,)
