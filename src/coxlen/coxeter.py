@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import CertificateError, DomainError, InputError, ResourceCapError
+from .errors import DomainError, InputError, ResourceCapError, require
 from .exactfield import RealCyclotomicField, check_degree
 
 INF = 0  # sentinel bond order for m_ij = infinity
@@ -337,6 +337,5 @@ def minimal_nonaffine_subsets(cm: CoxeterMatrix):
                 grown.update(tuple(sorted(subset + (w,))) for w in near[v]
                              if not mask >> w & 1)
         layer = sorted(grown)
-    if not out:
-        raise CertificateError("non-affine group without a minimal non-affine subset")
+    require(out, "non-affine group without a minimal non-affine subset")
     return out

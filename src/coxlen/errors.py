@@ -1,9 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one kind per exit code.
 
-Exit-code mapping used by the CLI: InputError and DomainError are user/domain
-problems (exit 1); ResourceCapError means a configured cap was hit (exit 2);
-CertificateError means a check behind an exact result failed, which is a bug
-in the package, not in the input (exit 3).
+InputError and DomainError are problems with the input (exit 1);
+ResourceCapError means a fixed cap was hit (exit 2); CertificateError means a
+check behind an exact result failed, which is a bug in the package, not in
+the input (exit 3).  Every certificate check goes through `require`, so no
+other module constructs a CertificateError.
 """
 
 
@@ -16,7 +17,8 @@ class InputError(CoxlenError):
 
 
 class DomainError(CoxlenError):
-    """Structurally valid input outside an operation's domain."""
+    """Structurally valid input outside an operation's domain, including a
+    bounded search or construction that ends without a result."""
 
 
 class ResourceCapError(CoxlenError):
@@ -25,22 +27,12 @@ class ResourceCapError(CoxlenError):
 
 class CertificateError(CoxlenError):
     """A certificate check failed: a re-multiplied witness, a proven bound or
-    an exactness invariant did not hold.  Raised explicitly, so the checks
-    still run under `python -O`."""
+    an exactness invariant did not hold."""
 
 
-class UnsupportedParametersError(DomainError):
-    """Parameter combination outside the supported (rational) range."""
-
-
-class ConstructionFailedError(CoxlenError):
-    """A verify-and-retry construction exhausted its schedule."""
-
-
-class SearchExhaustedError(CoxlenError):
-    """A bounded search ended without a witness."""
-
-
-class NotCertifiedError(CoxlenError):
-    """Refusal to certify: the defect has not stabilized, or no positive
-    constant exists."""
+def require(ok, message, *args):
+    """Raise CertificateError(message % args) unless `ok`.  The message is
+    formatted only on failure, and the check is an explicit raise, so it
+    still runs under `python -O`."""
+    if not ok:
+        raise CertificateError(message % args)

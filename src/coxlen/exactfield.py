@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .errors import CertificateError, ResourceCapError
+from .errors import ResourceCapError, require
 
 # 333/106 < pi < 355/113: loose enough to keep the Fractions of the theta
 # certificate small, tight enough for every conductor
@@ -107,9 +107,7 @@ def _cosine_minimal_poly(N):
         for i, co in enumerate(prev):
             nxt[i] -= co
         prev, cur = cur, nxt
-    if out[-1] != 1:
-        raise CertificateError("real cyclotomic minimal polynomial for N=%d is not "
-                               "monic" % N)
+    require(out[-1] == 1, "real cyclotomic minimal polynomial for N=%d is not monic", N)
     return out
 
 
@@ -197,11 +195,9 @@ class RealCyclotomicField:
         lo = 2 - (_PI_HI / N) ** 2
         a, b = (lo.numerator << P) // lo.denominator, 2 << P
         second = 2 - (2 * _PI_LO / N) ** 2 + (2 * _PI_HI / N) ** 4 / 12
-        if not Fraction(a, 1 << P) > second:
-            raise CertificateError("failed to isolate theta for N=%d" % N)
-        if not _dyadic_sign(mp, a, P) < 0 < _dyadic_sign(mp, b, P):
-            raise CertificateError("minimal polynomial for N=%d does not change sign "
-                                   "around theta" % N)
+        require(Fraction(a, 1 << P) > second, "failed to isolate theta for N=%d", N)
+        require(_dyadic_sign(mp, a, P) < 0 < _dyadic_sign(mp, b, P),
+                "minimal polynomial for N=%d does not change sign around theta", N)
         self._a, self._b, self._prec = a, b, P
 
     def refine_theta(self, width):
@@ -226,9 +222,7 @@ class RealCyclotomicField:
                 a, b, P = a << _GUARD, b << _GUARD, P + _GUARD
             m = (a + b) >> 1
             s = _dyadic_sign(mp, m, P)
-            if s == 0:
-                raise CertificateError("minimal polynomial for N=%d has a rational root"
-                                       % self.N)
+            require(s != 0, "minimal polynomial for N=%d has a rational root", self.N)
             if s < 0:
                 a = m
             else:

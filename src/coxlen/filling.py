@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import INF, CoxeterMatrix
-from .errors import (CertificateError, DomainError, ResourceCapError,
-                     SearchExhaustedError, UnsupportedParametersError)
+from .errors import DomainError, ResourceCapError, require
 from .intervals import le_two_pi, margin_over_two_pi
 
 # the most short elements one cusp may have; the count grows linearly with h
@@ -55,10 +54,8 @@ class PlaneIsometry:
     @classmethod
     def make(cls, a, b, c, d, reversing):
         det = a * d - b * c
-        if det == 0:
-            raise CertificateError("singular matrix")
-        if (det < 0) != reversing:
-            raise CertificateError("orientation bit must match det sign")
+        require(det != 0, "singular matrix")
+        require((det < 0) == reversing, "orientation bit must match det sign")
         return cls(_normalize_proj((a, b, c, d)), reversing)
 
     def __mul__(self, other):
@@ -146,7 +143,7 @@ def build_triangle_model(p, q) -> TriangleModel:
     """
     key = (p, q)
     if key not in _SUPPORTED:
-        raise UnsupportedParametersError(
+        raise DomainError(
             "unsupported (p, q) = (%s, %s): integer matrices exist only for "
             "(2,3), (2,inf), (inf,inf) with the third exponent inf" % (p, q))
     mirror_x0 = PlaneIsometry.make(-1, 0, 0, 1, True)       # x -> -x
@@ -169,14 +166,12 @@ def build_triangle_model(p, q) -> TriangleModel:
     entries = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         order = _product_order(gens[i], gens[j])
-        if order is None:
-            raise CertificateError("generator pair (%d,%d) has unexpected order" % (i, j))
+        require(order is not None, "generator pair (%d,%d) has unexpected order", i, j)
         entries[i][j] = entries[j][i] = order
     cm = CoxeterMatrix.make(entries)
     want = {(0, 1): key[0], (0, 2): key[1], (1, 2): INF}
     for (i, j), m in want.items():
-        if entries[i][j] != m:
-            raise CertificateError("relation orders do not match the request")
+        require(entries[i][j] == m, "relation orders do not match the request")
     cusps = {}
     for s, vertex in cusp_vertices.items():
         cusps[s] = _cusp_data(gens, s, vertex)
@@ -189,8 +184,8 @@ def _conjugator_to_infinity(vertex):
     fr = Fraction(vertex)
     pnum, pden = fr.numerator, fr.denominator
     g, x, y = _ext_gcd(pnum, pden)
-    if g != 1 or x * pnum + y * pden != 1:
-        raise CertificateError("extended gcd of %s failed its Bezout check" % fr)
+    require(g == 1 and x * pnum + y * pden == 1,
+            "extended gcd of %s failed its Bezout check", fr)
     # bottom row (pden, -pnum) sends the vertex to infinity; det = -1
     return PlaneIsometry.make(x, y, pden, -pnum, reversing=True)
 
@@ -205,10 +200,8 @@ def _ext_gcd(a, b):
 def _mirror_offset(iso: PlaneIsometry):
     """For an infinity-fixing reflection x -> m - x, return m exactly."""
     a, b, c, d = iso.m
-    if c != 0 or not iso.reversing:
-        raise DomainError("element is not a reflection fixing infinity")
-    if Fraction(a, d) != -1:
-        raise DomainError("element fixing infinity is not a mirror reflection")
+    require(c == 0 and iso.reversing, "element is not a reflection fixing infinity")
+    require(Fraction(a, d) == -1, "element fixing infinity is not a mirror reflection")
     return Fraction(b, d)
 
 
@@ -222,8 +215,7 @@ def _cusp_data(gens, s, vertex):
         offsets.append(_mirror_offset(conj))
     m1, m2 = sorted(offsets)
     width = m2 - m1
-    if width <= 0:
-        raise CertificateError("cusp stabilizer mirrors must be distinct")
+    require(width > 0, "cusp stabilizer mirrors must be distinct")
     if offsets[0] > offsets[1]:
         pair = (pair[1], pair[0])
     return CuspData(s, vertex, u, pair, (m1, m2), width)
@@ -264,11 +256,9 @@ def _affine_action(cusp, v):
     """The conjugated action x -> eps*x + beta of an element v of V_s on the
     horocycle."""
     a, b, c, d = (cusp.conjugator * v * cusp.conjugator.inverse()).m
-    if c != 0:
-        raise DomainError("element does not stabilize the cusp")
+    require(c == 0, "element does not stabilize the cusp")
     eps = Fraction(a, d)
-    if eps not in (1, -1):
-        raise CertificateError("horocycle action must be x -> +-x + beta")
+    require(eps in (1, -1), "horocycle action must be x -> +-x + beta")
     return int(eps), Fraction(b, d)
 
 
@@ -317,19 +307,21 @@ def compute_short_elements(model: TriangleModel, s: int, h) -> list:
             out.append(ShortElement(word, kind, j, d, v))
             word, v, j = step + word, step_elem * v, j + (1 if j >= 0 else -1)
     out.sort(key=lambda e: (e.displacement, e.kind, e.parameter))
-    if any(e.matrix.is_identity() for e in out):
-        raise CertificateError("identity must be excluded")
+    require(not any(e.matrix.is_identity() for e in out), "identity must be excluded")
     return out
+
+
+def finite_parabolic_subsets(cm: CoxeterMatrix):
+    """The generator subsets of the finite standard parabolics of a rank-3
+    group: every generator, and every pair with a finite bond order."""
+    return [(i,) for i in range(3)] + [(i, j) for i in range(3) for j in range(i + 1, 3)
+                                       if cm.entries[i][j] != INF]
 
 
 def _finite_parabolic_elements(model: TriangleModel):
     """Nontrivial elements of every finite standard parabolic, with words."""
     out = {}
-    cm = model.cm
-    subsets = [(i,) for i in range(3)]
-    subsets += [(i, j) for i in range(3) for j in range(i + 1, 3)
-                if cm.entries[i][j] != INF]
-    for subset in subsets:
+    for subset in finite_parabolic_subsets(model.cm):
         elems = {}
         frontier = {(): IDENTITY}
         while frontier:
@@ -350,14 +342,13 @@ def _finite_parabolic_elements(model: TriangleModel):
 
 @dataclass
 class AvoidanceCertificate:
-    """A prime certifying a torsion-free congruence kernel avoiding A_s sets."""
+    """A prime certifying a torsion-free congruence kernel avoiding A_s sets:
+    no element of `short_sets` and no nontrivial element of a finite standard
+    parabolic is scalar mod `prime`."""
 
-    model_params: tuple
     h: Fraction
     prime: int
     short_sets: dict          # s -> list of ShortElement
-    nontrivial_mod_p: dict    # s -> list of (word, True)
-    parabolic_table: dict     # subset -> list of (word, injective bool)
     kernel_min_displacement: Fraction
     per_cusp_margin: dict     # s -> (min displacement, margin interval)
     margin_interval: tuple    # enclosure of min displacement - 2*pi
@@ -375,10 +366,8 @@ def _kernel_min_displacement(model, cusp, p, h):
     mod p iff p | j*width (width is 1 or 2 here, so iff p | j).
     """
     width = cusp.width
-    if width.denominator != 1 or width.numerator not in (1, 2):
-        raise CertificateError("cusp width %s is not 1 or 2" % width)
-    if width.numerator % p == 0:
-        raise CertificateError("prime %d divides the cusp width %s" % (p, width))
+    require(width in (1, 2), "cusp width %s is not 1 or 2", width)
+    require(width.numerator % p != 0, "prime %d divides the cusp width %s", p, width)
     return (p * width - width / 2) / Fraction(h)
 
 
@@ -412,14 +401,15 @@ def congruence_search(model: TriangleModel, h,
                 yield p
 
     def check(p):
+        """None when p works, else where its first element trivial mod p lies:
+        the cusp and the element's length, or the parabolic subset."""
         for s, elems in short_sets.items():
             for e in elems:
                 if e.matrix.is_scalar_mod(p):
-                    return "element %r of cusp %d is trivial mod %d" % (e.word, s, p)
+                    return "cusp %d, length %d" % (s + 1, len(e.word))
         for subset, elems in parabolics.items():
-            for word, mat in elems:
-                if mat.is_scalar_mod(p):
-                    return "parabolic %r element %r collapses mod %d" % (subset, word, p)
+            if any(mat.is_scalar_mod(p) for _, mat in elems):
+                return "parabolic %s" % "-".join(str(i + 1) for i in subset)
         return None
 
     diagnostics = []
@@ -433,37 +423,23 @@ def congruence_search(model: TriangleModel, h,
                 per_cusp[s] = (dmin, margin_over_two_pi(dmin))
                 global_min = dmin if global_min is None else min(global_min, dmin)
             cert = AvoidanceCertificate(
-                model_params=(model.p, model.q),
-                h=h,
-                prime=p,
-                short_sets=short_sets,
-                nontrivial_mod_p={s: [(e.word, True) for e in elems]
-                                  for s, elems in short_sets.items()},
-                parabolic_table={subset: [(w, True) for w, _ in elems]
-                                 for subset, elems in parabolics.items()},
-                kernel_min_displacement=global_min,
-                per_cusp_margin=per_cusp,
-                margin_interval=margin_over_two_pi(global_min),
-            )
-            if not cert.margin_positive:
-                raise CertificateError(
-                    "kernel displacement fails the 2*pi bound; the congruence "
-                    "search postcondition is violated")
+                h=h, prime=p, short_sets=short_sets, kernel_min_displacement=global_min,
+                per_cusp_margin=per_cusp, margin_interval=margin_over_two_pi(global_min))
+            require(cert.margin_positive, "kernel displacement fails the 2*pi bound; "
+                    "the congruence search postcondition is violated")
             return cert
-        diagnostics.append("p=%d: %s" % (p, failure))
-    raise SearchExhaustedError(
-        "no prime <= %d works; tried: %s" % (prime_cap, "; ".join(diagnostics)))
+        diagnostics.append("p=%d (%s)" % (p, failure))
+    raise DomainError("no prime <= %d works; an element trivial mod p for each p "
+                      "tried: %s" % (prime_cap, "; ".join(diagnostics)))
 
 
 def two_pi_certificate(model: TriangleModel, cert: AvoidanceCertificate, s: int):
     """Certified margin (rational interval) of cusp s over the 2*pi threshold."""
     if s not in model.cusps:
         raise DomainError("generator %d has no ideal vertex" % s)
-    dmin = _kernel_min_displacement(model, model.cusps[s], cert.prime, cert.h)
-    lo, hi = margin_over_two_pi(dmin)
-    if lo <= 0:
-        raise CertificateError("non-positive margin despite a successful search")
-    return dmin, (lo, hi)
+    dmin, margin = cert.per_cusp_margin[s]
+    require(margin[0] > 0, "non-positive margin despite a successful search")
+    return dmin, margin
 
 
 def boundary_circle_length(model: TriangleModel, cert: AvoidanceCertificate, s: int):

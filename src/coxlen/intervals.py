@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificateError
+from .errors import require
 
 # 3.141592653589793238462643383279502884197... (truncated / rounded up)
 PI_LO = Fraction(3141592653589793238462643383279, 10**30)
@@ -24,9 +24,8 @@ def le_two_pi(x: Fraction) -> bool:
     """Decide x <= 2*pi for rational x (never ambiguous)."""
     if x <= TWO_PI_LO:
         return True
-    if x >= TWO_PI_HI:
-        return False
-    raise CertificateError("pi enclosure too coarse for %r" % (x,))
+    require(x >= TWO_PI_HI, "pi enclosure too coarse for %r", x)
+    return False
 
 
 def margin_over_two_pi(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -21,9 +21,14 @@ from fractions import Fraction
 from math import ceil
 
 from .coxeter import INF, CoxeterMatrix
-from .errors import DomainError, InputError, NotCertifiedError, ResourceCapError
+from .errors import DomainError, InputError, ResourceCapError
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+# the most (a, c, b) combinations one defect window may visit
+MAX_COMBINATIONS = 5_000_000
+# the most powers g^1 .. g^K one lower-bound certificate lists (see the README)
+MAX_POWERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -182,11 +187,11 @@ def _defect_over_window(w: FreeCoxeterWord, B: int):
     return best, best_pair
 
 
-def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000) -> DefectResult:
+def defect_window(w: FreeCoxeterWord, B: int) -> DefectResult:
     """Exact defect of H_w over the window of reduced words of length <= B.
 
-    The enumeration is junction-based and exhaustive; `cap` bounds the
-    (a, c, b) combinations it may visit.  The result is flagged stabilized
+    The enumeration is junction-based and exhaustive; MAX_COMBINATIONS
+    bounds the (a, c, b) combinations it may visit.  The result is flagged stabilized
     when B >= 3|w|.  The value there equals the value at window B - 1, so
     that window is not computed: for B >= |w| the sides and middles of
     `_defect_over_window` are the words of length <= |w| - 1 at both B and
@@ -203,10 +208,10 @@ def defect_window(w: FreeCoxeterWord, B: int, cap=5_000_000) -> DefectResult:
                      for i in range(min(B, m - 1) + 1))
     mid_count = sum((w.k - 1) ** max(0, i - 1) * (w.k if i else 1)
                     for i in range(min(B, 2 * m - 1 if w.k >= 3 else B) + 1))
-    if side_count * side_count * mid_count > cap:
+    if side_count * side_count * mid_count > MAX_COMBINATIONS:
         raise ResourceCapError(
             "window enumeration would exceed %d combinations; "
-            "use a smaller window" % cap)
+            "use a smaller window" % MAX_COMBINATIONS)
     value, pair = _defect_over_window(w, B)
     return DefectResult(w, B, value, pair, stabilized=B >= 3 * m)
 
@@ -298,22 +303,27 @@ def build_certificate(k: int, pattern, window=None) -> QuasimorphismCert:
     window = 3 * len(w) if window is None else window
     defect = defect_window(w, window)
     if not defect.stabilized:
-        raise NotCertifiedError(
+        raise DomainError(
             "defect value not stabilized at window %d; refusing to certify" % window)
     d_phi = Fraction(2 * defect.value)
     gen_max = max((abs(homogenize(w, ch)) for ch in _ALPHABET[:k]), default=Fraction(0))
     denom = gen_max + d_phi
     if denom == 0:
-        raise NotCertifiedError("quasimorphism is a homomorphism with zero "
+        raise DomainError("quasimorphism is a homomorphism with zero "
                                 "generator values; no positive constant exists")
     return QuasimorphismCert(k, w, defect.value, window, d_phi, gen_max,
                              Fraction(1) / denom, defect.stabilized, defect.pair)
 
 
 def certify_lower_bound(cert: QuasimorphismCert, g, K: int):
-    """(C, [bound for g^1 .. g^K]) with bound_k = ceil(k |phi(g)| C)."""
+    """(C, [bound for g^1 .. g^K]) with bound_k = ceil(k |phi(g)| C), for
+    1 <= K <= MAX_POWERS."""
     if not cert.stabilized:
-        raise NotCertifiedError("certificate defect is not stabilized")
+        raise DomainError("certificate defect is not stabilized")
+    if K < 1:
+        raise DomainError("K must be >= 1")
+    if K > MAX_POWERS:
+        raise ResourceCapError("K = %d is above the cap of %d" % (K, MAX_POWERS))
     g = reduce_word(g, cert.k)
     return cert.constant, [cert.bound_for(g, k) for k in range(1, K + 1)]
 

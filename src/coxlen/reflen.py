@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import tits
 from .coxeter import CoxeterMatrix, Kind, classify_group
-from .errors import CertificateError, DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, require
 from .tits import GroupElement, TitsGroup, canonical_key, fixed_space_codim
 
 # the one cap of every search: elements stored by `min_product_length` and
@@ -92,22 +92,17 @@ class ReflLenResult:
 
     def __post_init__(self):
         if self.upper is not None:
-            _require(self.lower <= self.upper, "lower bound exceeds upper bound")
-            _require(self.upper % 2 == self.len_s % 2, "parity violation")
-            _require((self.status == "Exact") == (self.lower == self.upper),
-                     "status %s with bounds %d..%d" % (self.status, self.lower,
-                                                       self.upper))
+            require(self.lower <= self.upper, "lower bound exceeds upper bound")
+            require(self.upper % 2 == self.len_s % 2, "parity violation")
+            require((self.status == "Exact") == (self.lower == self.upper),
+                    "status %s with bounds %d..%d", self.status, self.lower,
+                    self.upper)
             if self.witness is not None:
-                _require(len(self.witness) == self.upper,
-                         "witness length differs from the upper bound")
+                require(len(self.witness) == self.upper,
+                        "witness length differs from the upper bound")
         else:
-            _require(self.status == "Bracketed",
-                     "no upper bound but status %s" % self.status)
-
-
-def _require(ok, message):
-    if not ok:
-        raise CertificateError(message)
+            require(self.status == "Bracketed",
+                    "no upper bound but status %s", self.status)
 
 
 def _check_caps(D, node_cap):
@@ -120,7 +115,6 @@ def _check_caps(D, node_cap):
 @dataclass
 class GrowthRecord:
     base_word: tuple
-    metric_name: str
     powers: list  # [(k, ReflLenResult), ...]
 
 
@@ -152,7 +146,7 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     for s in reduced_word:
         t = tits.reflection(group.gram, tits.image_root(prefix, s),
                             prefix.word + (s,) + prefix.word[::-1])
-        _require(t.key not in seen, "inversions of a reduced word must be distinct")
+        require(t.key not in seen, "inversions of a reduced word must be distinct")
         seen.add(t.key)
         out.append(t)
         prefix = prefix * group.generators[s]
@@ -276,7 +270,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             hit = layers[k].get(tits.row_key(y))
             if hit is not None:
                 return hit[0]
-        raise CertificateError("a row-key hit has no stored witness")
+        require(False, "a row-key hit has no stored witness")
 
     for n in range(1, n_top + 1):
         probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
@@ -319,10 +313,8 @@ def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=NODE_CAP,
     (hit,), capped = min_product_length(group, [(g, len(rw))], invs, cap)
     if capped:
         return None
-    if hit is None:
-        raise CertificateError(
-            "no inversion factorization within l_S; this contradicts the "
-            "minimal-length theorem and indicates a bug")
+    require(hit is not None, "no inversion factorization within l_S; this "
+            "contradicts the minimal-length theorem and indicates a bug")
     value, indices = hit
     return _witness(group, invs, indices, g)
 
@@ -333,7 +325,7 @@ def _witness(group, factors, indices, g):
     check = group.identity
     for part in parts:
         check = check * part
-    _require(check.key == g.key, "witness product must equal the element")
+    require(check.key == g.key, "witness product must equal the element")
     return len(indices), tuple(parts)
 
 
@@ -478,7 +470,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
                                          reduced_word=reduced)
         if solved is not None:
             value, parts = solved
-            _require(value >= lower, "exact value below a certified lower bound")
+            require(value >= lower, "exact value below a certified lower bound")
             witness = tuple(p.word for p in parts)
             return ReflLenResult(g, value, value, "Exact", witness, None, len_s,
                                  tuple(sources) + ("inversion-complete",))
@@ -501,7 +493,7 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
         if hit is not None:
             new_upper, parts = _witness(group, factors, hit[1], g)
             if upper is not None:
-                _require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
+                require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
             if upper is not None and new_upper == upper:
                 stable += 1
             else:
@@ -562,9 +554,9 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
     for _, _, _, upper, _ in rows:
         if upper is None:
             continue
-        _require(upper <= 2 * n,
-                 "element of reflection length %d exceeds the affine maximum %d"
-                 % (upper, 2 * n))
+        require(upper <= 2 * n,
+                "element of reflection length %d exceeds the affine maximum %d",
+                upper, 2 * n)
         counts[upper] = counts.get(upper, 0) + 1
     if not counts:
         raise DomainError("no exact values obtained at L=%d" % L)
@@ -584,4 +576,4 @@ def growth_profile(cm: CoxeterMatrix, base_word, K: int,
     for k in range(1, K + 1):
         res = reflen_element(cm, base_word * k, protocol, certificates)
         powers.append((k, res))
-    return GrowthRecord(base_word, "reflection", powers)
+    return GrowthRecord(base_word, powers)

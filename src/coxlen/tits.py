@@ -59,7 +59,7 @@ from operator import mul, sub
 
 from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
-from .errors import CertificateError, DomainError
+from .errors import DomainError, require
 from .exactfield import RealCyclotomicField
 
 
@@ -290,8 +290,8 @@ class TitsGroup:
         while (s := next(self._descents(key), None)) is not None:
             key = row_mul(key, row_factor(self.generators[s]), self.field)
             out.append(s)
-        if key != row_key(self.identity):
-            raise CertificateError("descent recursion did not end at the identity")
+        require(key == row_key(self.identity),
+                "descent recursion did not end at the identity")
         return tuple(reversed(out))
 
 

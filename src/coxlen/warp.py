@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionFailedError, DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError
 
 # the largest grid accepted, checked before the grid is built (see the README)
 MAX_GRID = 262_144
@@ -243,10 +243,10 @@ def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
         if best_violation is None or violation[1] < best_violation[1]:
             best_violation = violation
     if best_violation is None:
-        raise ConstructionFailedError(
+        raise DomainError(
             "none of the %d candidates in the schedule gave a feasible bridge for "
             "L = %r, r_T = %r; adjust (L, r_T)" % (attempts, L, r_T))
-    raise ConstructionFailedError(
+    raise DomainError(
         "no bridge in the schedule passed the grid checks (worst remaining "
         "violation: %s); adjust (L, r_T)" % (best_violation,))
 

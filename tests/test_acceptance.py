@@ -15,7 +15,8 @@ import pytest
 from coxlen.catalog import table_kind
 from coxlen.coxeter import (INF, CoxeterMatrix, Kind, classify_group,
                             gram_matrix, parse_coxeter_matrix)
-from coxlen.filling import build_triangle_model, congruence_search, two_pi_certificate
+from coxlen.filling import (_finite_parabolic_elements, build_triangle_model,
+                            congruence_search, two_pi_certificate)
 from coxlen.quasimorphism import (build_certificate, certify_lower_bound,
                                   counting_qm, homogenize, reduce_word)
 from coxlen.reflen import (affine_bound_experiment, carter_length_finite,
@@ -194,10 +195,12 @@ def test_criterion_6_filling_certificate():
     dmin, (lo, hi) = two_pi_certificate(model, cert, 0)
     assert dmin == Fraction(13, 2)
     assert lo > Fraction(21, 100)
-    assert all(flag for rows in cert.nontrivial_mod_p.values() for _, flag in rows)
-    pair_parabolics = [sub for sub in cert.parabolic_table if len(sub) == 2]
-    assert len(pair_parabolics) == 2
-    assert all(flag for sub in pair_parabolics for _, flag in cert.parabolic_table[sub])
+    assert not any(e.matrix.is_scalar_mod(7) for elems in cert.short_sets.values()
+                   for e in elems)
+    parabolics = _finite_parabolic_elements(model)
+    assert len([sub for sub in parabolics if len(sub) == 2]) == 2
+    assert not any(mat.is_scalar_mod(7) for elems in parabolics.values()
+                   for _, mat in elems)
     _report(6, "filling: p=7 with margin 13/2 - 2*pi in [%.6f, %.6f] "
                "(> 0.21), short sets nontrivial, parabolics injective"
             % (float(lo), float(hi)))

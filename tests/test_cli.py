@@ -197,7 +197,7 @@ _FILLING_PINS = {
     "2 3 3": (0, "f9919de65ad34511"),
     "2 3 5": (0, "2904ec588e1ae89c"),
     "2 3 10": (0, "7c069c9af55fa4c6"),
-    "2 3 25": (1, "9a802a270773d653"),
+    "2 3 25": (1, "121ffcde061b3de9"),
     "2 inf 1": (0, "33f05c8bdaeb8ee0"),
     "2 inf 3/2": (0, "70d1b55935cb98fe"),
     "2 inf 2": (0, "964516ed35a8a670"),
@@ -206,7 +206,7 @@ _FILLING_PINS = {
     "2 inf 3": (0, "c34ba86dc6aa42c9"),
     "2 inf 5": (0, "6fceedf05c484b23"),
     "2 inf 10": (0, "9a52b47498570615"),
-    "2 inf 25": (1, "06d1c40b9eb87e97"),
+    "2 inf 25": (1, "4c43eb542bb57558"),
     "inf inf 1": (0, "6af21e1ca106681e"),
     "inf inf 3/2": (0, "8e0bb2cfda82bdbe"),
     "inf inf 2": (0, "3903a5c2723e6f15"),
@@ -421,6 +421,41 @@ def test_exit_code_certificate_error(tmp_path, capsys, monkeypatch):
     assert "planted" in capsys.readouterr().err
 
 
+def _plant_in_cusp_data(monkeypatch, bad):
+    # cusp 1 of (2,3,inf) sits at infinity; one of its stabilizer's mirrors
+    # becomes the unit circle, whose reflection z -> 1/conj(z) moves infinity
+    import coxlen.filling as filling
+    real = filling._cusp_data
+    monkeypatch.setattr(filling, "_cusp_data",
+                        lambda gens, s, vertex: real(gens[:2] + (bad,), s, vertex))
+
+
+def _plant_in_model(monkeypatch, bad):
+    import coxlen.cli
+    real = coxlen.cli.build_triangle_model
+
+    def planted(p, q):
+        model = real(p, q)
+        model.generators = model.generators[:2] + (bad,)
+        return model
+
+    monkeypatch.setattr(coxlen.cli, "build_triangle_model", planted)
+
+
+@pytest.mark.parametrize("plant", [_plant_in_cusp_data, _plant_in_model],
+                         ids=["mirror-offset", "affine-action"])
+def test_filling_with_a_planted_bad_generator_exits_3(tmp_path, capsys, monkeypatch,
+                                                      plant):
+    # the filling model checks the matrices it builds itself, so a bad
+    # generator is a failed certificate check, not a bad input
+    from coxlen.filling import PlaneIsometry
+
+    plant(monkeypatch, PlaneIsometry.make(0, 1, 1, 0, True))
+    code, _ = run_cli(["filling", "--p", "2", "--q", "3", "--h", "1"], tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("certificate check failed: element ")
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     args = ["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4", "--word", "abcb"]
@@ -489,11 +524,25 @@ def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
     # a pair assigned twice, in either spelling
     ["classify", "--inline", "rank 2; m12=3 m12=inf"],
     ["classify", "--inline", "rank 2; m1_2=3 m12=4"],
-])
+    # a certificate lists the powers g^1 .. g^K, K >= 1
+] + [["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc", "--K", K]
+     for K in ("0", "-5")])
 def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["filling", "--p", "2", "--q", "inf", "--h", "40"],
+                                  ["filling", "--p", "inf", "--q", "inf", "--h", "160"]])
+def test_no_prime_refusal_is_one_short_line(tmp_path, capsys, argv):
+    # each prime is named by its cusp and the failing element's length, not
+    # its word, so the line does not grow with h
+    code, _ = run_cli(argv, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: no prime <= 100 works") and err.count("\n") == 1
+    assert len(err) < 1000
 
 
 @pytest.mark.parametrize("argv", [["classify", "--inline", text] for text in (
@@ -509,10 +558,9 @@ def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("resource cap: ")
 
 
-@pytest.mark.parametrize("h", ["1000", "1e400"])
-def test_short_element_cap_exits_2_in_bounded_time_and_memory(h):
-    # above filling.MAX_SHORT short elements per cusp; the run has a timeout
-    # and a 1 GiB address space, so an uncapped walk fails instead of hanging
+def _bounded_run(argv):
+    """Run the CLI in a subprocess with a timeout and a 1 GiB address space,
+    so an uncapped run fails instead of hanging or filling memory."""
     import os
     import resource
     import subprocess
@@ -524,11 +572,26 @@ def test_short_element_cap_exits_2_in_bounded_time_and_memory(h):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
-    out = subprocess.run([sys.executable, "-m", "coxlen.cli", "filling", "--p", "inf",
-                          "--q", "inf", "--h", h], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "coxlen.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("h", ["1000", "1e400"])
+def test_short_element_cap_exits_2_in_bounded_time_and_memory(h):
+    # above filling.MAX_SHORT short elements per cusp
+    out = _bounded_run(["filling", "--p", "inf", "--q", "inf", "--h", h])
     assert out.returncode == 2, out.stderr[-500:]
     assert out.stderr.startswith("resource cap: ")
+
+
+def test_power_cap_exits_2_in_bounded_time_and_memory():
+    # above quasimorphism.MAX_POWERS: refused before any bound is computed
+    out = _bounded_run(["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc",
+                        "--K", "100000000"])
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr == ("resource cap: K = 100000000 is above the cap of "
+                          "100000\n")
 
 
 def test_inputs_at_the_caps_are_classified(tmp_path):

@@ -38,10 +38,8 @@ PUBLIC_NAMES = [
 ]
 
 SIGNATURES = {
-    "AvoidanceCertificate": ("(model_params, h, prime, short_sets, "
-                             "nontrivial_mod_p, parabolic_table, "
-                             "kernel_min_displacement, per_cusp_margin, "
-                             "margin_interval)"),
+    "AvoidanceCertificate": ("(h, prime, short_sets, kernel_min_displacement, "
+                             "per_cusp_margin, margin_interval)"),
     "CoxeterMatrix": "(rank, entries)",
     "CoxeterMatrix.make": "(entries)",
     "CoxeterMatrix.submatrix": "(self, subset)",
@@ -55,7 +53,7 @@ SIGNATURES = {
     "GramMatrix": "(cm, field, rows)",
     "GroupElement": "(gram, packed, word=None)",
     "GroupElement.is_identity": "(self)",
-    "GrowthRecord": "(base_word, metric_name, powers)",
+    "GrowthRecord": "(base_word, powers)",
     "QuasimorphismCert": ("(k, pattern, raw_defect, window, "
                           "homogeneous_defect, generator_max, constant, "
                           "stabilized, defect_pair)"),
@@ -95,7 +93,7 @@ SIGNATURES = {
     "compute_short_elements": "(model, s, h)",
     "congruence_search": "(model, h, prime_cap=100)",
     "counting_qm": "(w, g)",
-    "defect_window": "(w, B, cap=5000000)",
+    "defect_window": "(w, B)",
     "enumerate_reflections": "(gram, depth_cap)",
     "evaluate_word": "(gens, word, identity=None)",
     "exact_reflection_length": "(group, g, cap=5000000, reduced_word=None)",
@@ -123,9 +121,7 @@ DATACLASS_FIELDS = {
     "filling.CuspData": "s vertex conjugator gen_indices mirror_offsets width",
     "filling.TriangleModel": "p q cm generators cusps",
     "filling.ShortElement": "word kind parameter displacement matrix",
-    "filling.AvoidanceCertificate": ("model_params h prime short_sets "
-                                     "nontrivial_mod_p parabolic_table "
-                                     "kernel_min_displacement "
+    "filling.AvoidanceCertificate": ("h prime short_sets kernel_min_displacement "
                                      "per_cusp_margin margin_interval"),
     "quasimorphism.FreeCoxeterWord": "letters k",
     "quasimorphism.DefectResult": "pattern window value pair stabilized",
@@ -135,7 +131,7 @@ DATACLASS_FIELDS = {
     "reflen.ReflenProtocol": "d_cap node_cap use_exact_solver",
     "reflen.ReflLenResult": ("element upper lower status witness depth_used "
                              "len_s lower_sources capped"),
-    "reflen.GrowthRecord": "base_word metric_name powers",
+    "reflen.GrowthRecord": "base_word powers",
     "reflen.BallResult": "cm L D results capped",
     "reflen.AffineBoundRecord": ("cm L euclidean_dim bound max_value "
                                  "attained value_counts ball_size"),
@@ -265,6 +261,41 @@ def test_exact_scalar_check_sees_every_spelling():
     assert _exact_scalar_lines(source) == [1, 3, 5]
 
 
+_ERROR_KINDS = ["CoxlenError", "InputError", "DomainError", "ResourceCapError",
+                "CertificateError"]
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _failure_paths(source):
+    """Lines of `source` that subclass a package error kind, or that call or
+    raise CertificateError instead of going through `errors.require`."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ClassDef) and any(_name(b) in _ERROR_KINDS for b in n.bases):
+            lines.add(n.lineno)
+        elif isinstance(n, (ast.Call, ast.Raise)) and _name(
+                n.func if isinstance(n, ast.Call) else n.exc) == "CertificateError":
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_failure_path_check_sees_every_spelling():
+    source = ("from . import errors\n"
+              "from .errors import CertificateError, DomainError, require\n"
+              "class SearchError(DomainError):\n"
+              "    pass\n"
+              "def f(x):\n"
+              "    require(x, 'bad %s', x)\n"
+              "    try:\n"
+              "        raise CertificateError('bad')\n"
+              "    except CertificateError:\n"
+              "        raise errors.CertificateError\n")
+    assert _failure_paths(source) == [3, 8, 10]
+
+
 _SOURCES = {path: path.read_text()
             for path in sorted(pathlib.Path(coxlen.__file__).parent.glob("*.py"))}
 
@@ -284,3 +315,17 @@ def test_no_computation_names_exact_scalar(path):
     # every computation works on Z[theta] coefficient tuples; ExactScalar is
     # public API, defined in exactfield and exported by __init__ alone
     assert _exact_scalar_lines(_SOURCES[path]) == []
+
+
+def test_errors_define_one_kind_per_exit_code():
+    # exit 1: InputError, DomainError; exit 2: ResourceCapError; exit 3:
+    # CertificateError, raised by `require` alone
+    tree = ast.parse(next(t for p, t in _SOURCES.items() if p.name == "errors.py"))
+    assert [n.name for n in tree.body if isinstance(n, ast.ClassDef)] == _ERROR_KINDS
+    assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == ["require"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(_SOURCES) if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_certificate_checks_go_through_require(path):
+    assert _failure_paths(_SOURCES[path]) == []

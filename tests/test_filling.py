@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlen.coxeter import INF, Kind, classify_group, gram_matrix
-from coxlen.errors import DomainError, SearchExhaustedError, UnsupportedParametersError
-from coxlen.filling import (PlaneIsometry, _kernel_min_displacement,
-                            boundary_circle_length, build_triangle_model,
-                            compute_short_elements, congruence_search,
-                            two_pi_certificate)
-from coxlen.errors import CertificateError
+from coxlen.errors import CertificateError, DomainError
+from coxlen.filling import (PlaneIsometry, _finite_parabolic_elements,
+                            _kernel_min_displacement, boundary_circle_length,
+                            build_triangle_model, compute_short_elements,
+                            congruence_search, two_pi_certificate)
 from coxlen.intervals import PI_HI, PI_LO, TWO_PI_HI, TWO_PI_LO, le_two_pi
 from coxlen.tits import gram_signature
 from filling_oracles import word_short_elements
@@ -49,7 +48,7 @@ def test_model_generators_are_reflections():
 
 def test_unsupported_parameters():
     for bad in ((5, 3), (3, 3), (2, 5), (7, INF)):
-        with pytest.raises(UnsupportedParametersError):
+        with pytest.raises(DomainError, match="unsupported"):
             build_triangle_model(*bad)
 
 
@@ -146,11 +145,11 @@ def test_congruence_search_finds_seven():
     assert cert.margin_positive
     lo, hi = cert.margin_interval
     assert Fraction(21, 100) < lo < hi < Fraction(22, 100)
-    # all short elements listed as surviving
-    for s, rows in cert.nontrivial_mod_p.items():
-        assert all(flag for _, flag in rows)
-    for subset, rows in cert.parabolic_table.items():
-        assert all(flag for _, flag in rows)
+    # no short element and no nontrivial finite parabolic element is scalar mod 7
+    assert not any(e.matrix.is_scalar_mod(7) for elems in cert.short_sets.values()
+                   for e in elems)
+    assert not any(mat.is_scalar_mod(7) for elems in _finite_parabolic_elements(m).values()
+                   for _, mat in elems)
 
 
 def test_congruence_oracle_mod_five_and_seven():
@@ -166,9 +165,10 @@ def test_congruence_oracle_mod_five_and_seven():
 
 def test_congruence_search_skips_parabolic_orders_and_caps():
     m = build_triangle_model(2, 3)
-    with pytest.raises(SearchExhaustedError):
+    with pytest.raises(DomainError, match=r"no prime <= 6 works; .* tried: "
+                                          r"p=5 \(cusp 1, length 10\)$"):
         congruence_search(m, 1, 6)   # 2, 3 excluded; 5 fails on t^5
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="prime cap"):
         congruence_search(m, 1, 3)
 
 

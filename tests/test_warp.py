@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxlen.cli import main
-from coxlen.errors import ConstructionFailedError, DomainError
+from coxlen.errors import DomainError
 from coxlen.warp import (_apex, _boundary, _bridge_eval, _grid_violation,
                          grid_checks, warp_profile)
 
@@ -75,7 +75,7 @@ def test_preconditions():
 @pytest.mark.parametrize("L", [1e5, 1e308])
 def test_lengths_beyond_float_cosh_fail_the_construction(L):
     # amp cosh(r_a - r_T) overflows for every candidate: no feasible bridge
-    with pytest.raises(ConstructionFailedError):
+    with pytest.raises(DomainError, match="feasible bridge"):
         warp_profile(L)
 
 
