@@ -317,13 +317,14 @@ def build_certificate(k: int, pattern, window=None) -> QuasimorphismCert:
 
 def certify_lower_bound(cert: QuasimorphismCert, g, K: int):
     """(C, [bound for g^1 .. g^K]) with bound_k = ceil(k |phi(g)| C), for
-    1 <= K <= MAX_POWERS."""
+    1 <= K <= MAX_POWERS: `bound_for(g, k)` for each k, with phi(g)
+    computed once."""
     if not cert.stabilized:
         raise DomainError("certificate defect is not stabilized")
     if K < 1:
         raise DomainError("K must be >= 1")
     if K > MAX_POWERS:
         raise ResourceCapError("K = %d is above the cap of %d" % (K, MAX_POWERS))
-    g = reduce_word(g, cert.k)
-    return cert.constant, [cert.bound_for(g, k) for k in range(1, K + 1)]
+    slope = abs(cert.phi(reduce_word(g, cert.k))) * cert.constant
+    return cert.constant, [ceil(k * slope) for k in range(1, K + 1)]
 

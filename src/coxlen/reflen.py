@@ -201,9 +201,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             hits.append(None)
             pending.append((i, g, n_max))
     n_top = max((n_max for _, _, n_max in pending), default=0)
-    field = group.field
-    row_mul = tits.row_mul
-    row_factors = [tits.row_factor(t) for t in factors]
+    products = [tits.row_factor(t) for t in factors]
     factor_keys = [tits.row_key(t) for t in factors]
     # layer k: row key -> (least factor index tuple, row key of its prefix)
     layers = {1: {key: ((i,), None) for i, key in enumerate(factor_keys)}}
@@ -216,8 +214,8 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
         for j in range(len(layers) + 1, k + 1):
             new = {}
             for key, (wit, _) in layers[j - 1].items():
-                for i, factor in enumerate(row_factors):
-                    y = row_mul(key, factor, field)
+                for i, product in enumerate(products):
+                    y = product(key)
                     if y not in new:
                         new[y] = (wit + (i,), key)
                         stored += 1
@@ -239,16 +237,16 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             if memo is not None and memo[0] is key:
                 return memo[1]
             wit, parent = layers[k][key]
-            value = row_mul(shifted(k - 1, parent), row_factors[wit[-1]], field)
+            value = products[wit[-1]](shifted(k - 1, parent))
             last[k] = key, value
             return value
 
         inner = layers[a if walk else b]
         for wit, parent in layers[a].values():
-            y = row_mul(shifted(a - 1, parent), row_factors[wit[-1]], field)
+            y = products[wit[-1]](shifted(a - 1, parent))
             if walk:
-                for factor in row_factors:
-                    if row_mul(y, factor, field) in inner:
+                for product in products:
+                    if product(y) in inner:
                         return wit
             elif y in inner:
                 return wit
@@ -261,9 +259,9 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
         for i in wit_a:
             y = factors[i] * y
         if walk:
-            factor = tits.row_factor(y)
+            product = tits.row_factor(y)
             for j, key in enumerate(factor_keys):
-                hit = layers[k].get(row_mul(key, factor, field))
+                hit = layers[k].get(product(key))
                 if hit is not None:
                     return (j,) + hit[0]
         else:

@@ -19,15 +19,30 @@ each entry in row-major order.  The generators are built from 2B, which
 `coxeter.gram_matrix` builds over Z[theta] in this format.  Roots are packed
 the same way, as one-column matrices, `Reflection.root` included.
 
-Two kernel paths.  Multiplication works on those ints directly, one row at
-a time (`row_mul`), against the matrix side of the right factor
-(`row_factor`).  Up to degree 4 the side is dense, the regular
-representation: one column per output coefficient, holding the
-coefficients of theta^q times each entry with the reduction included, so
-each output coefficient is one `sum(map(mul, row, column))`.  Above degree
-4, where it is faster, each entry's convolution is accumulated over the
-inner index over the nonzero coefficients only and reduced once modulo the
-minimal polynomial.
+Three kernels.  Multiplication works on those ints directly, one row at a
+time: `row_factor(g)` is the product row -> row M(g), with its kernel picked
+once, when it is made, and kept on g.
+
+* Reflections, up to degree 4 (`_DENSE_DEGREE`): a rank-one update.  A
+  reflection is t = I - beta rho with rho = beta^T 2B (Humphreys,
+  Reflection Groups and Coxeter Groups, 5.3), so r M(t) = r - <r, beta>
+  rho.  The d coefficients c_q of <r, beta> are dot products of r with the
+  regular-representation columns of beta, and the update subtracts c_q
+  times the reduced row theta^q rho: 2 n d^2 integer products where a
+  general product takes (n d)^2.  It is one straight-line function whose
+  source is generated once per (width n d, degree d), on first use; the
+  reflection's ints are its closure cells.  It computes in the same
+  canonical Z[theta] basis as the other kernels, so every product is the
+  same tuple of ints.  The generators are reflections too.
+* Any other element, up to degree 4: the dense kernel (`row_mul`) against
+  its matrix side (`_matrix_side`), the regular representation: one column
+  per output coefficient, holding the coefficients of theta^q times each
+  entry with the reduction included, so each output coefficient is one
+  `sum(map(mul, row, column))`.
+* Every element above degree 4, where it beats the dense kernel: the
+  sparse kernel, each entry's convolution accumulated over the inner index
+  over the nonzero coefficients only and reduced once modulo the minimal
+  polynomial.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
   matrices, so key equality is the word problem.
@@ -42,9 +57,9 @@ minimal polynomial.
   fundamental chamber of the contragredient action, where W acts simply
   transitively on the chambers of the Tits cone (Tits' theorem; Humphreys,
   Reflection Groups and Coxeter Groups, 5.13).  K(g h) = K(g) M(h), one
-  row-matrix product (`row_mul`, n^2 entry products where a matrix
-  product takes n^3); the matrix side of it (`row_factor`) is built
-  once per element and kept on the element.
+  row-matrix product (`row_factor(h)`, n^2 entry products where a matrix
+  product takes n^3, 2n for a reflection), made once per element and kept
+  on the element.
 * No `ExactScalar` is built: every entry is a tuple of ints over Z[theta],
   and the eliminations run on packed rows, `gram_signature` on 2B and
   `fixed_space_codim` on M - I, the packed identity subtracted, handed to
@@ -54,7 +69,8 @@ minimal polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from operator import mul, sub
 
 from . import linalg
@@ -63,9 +79,27 @@ from .errors import DomainError, require
 from .exactfield import RealCyclotomicField
 
 
-# the largest field degree at which `row_mul` runs the dense kernel; above
-# it the sparse convolution is faster
+# the largest field degree at which a product by a general element runs the
+# dense kernel and a product by a reflection the rank-one kernel; above it
+# both run the sparse convolution, which beats the dense kernel there
 _DENSE_DEGREE = 4
+
+
+def _theta_rows(row, field):
+    """row, theta row, ..., theta^(degree-1) row for a packed row over
+    Z[theta], each reduced modulo the minimal polynomial."""
+    d = field.degree
+    top_row = field._reduction[0]           # theta^degree
+    rows = [row]
+    for _ in range(d - 1):                  # row <- theta * row
+        nxt = []
+        for t in range(0, len(row), d):
+            top = row[t + d - 1]
+            low = [0, *row[t:t + d - 1]]
+            nxt += [c + top * x for c, x in zip(low, top_row)] if top else low
+        row = nxt
+        rows.append(row)
+    return rows
 
 
 def _matrix_side(B, n, field):
@@ -81,42 +115,30 @@ def _matrix_side(B, n, field):
     d = field.degree
     width = len(B) // n
     if d <= _DENSE_DEGREE:
-        top_row = field._reduction[0]           # theta^degree
-        rows = []
-        for r in range(0, len(B), width):
-            row = B[r:r + width]
-            rows.append(row)
-            for _ in range(d - 1):              # row <- theta * row
-                nxt = []
-                for t in range(0, width, d):
-                    top = row[t + d - 1]
-                    low = [0, *row[t:t + d - 1]]
-                    nxt += [c + top * x for c, x in zip(low, top_row)] if top else low
-                row = nxt
-                rows.append(row)
-        return list(zip(*rows))
+        return list(zip(*[row for r in range(0, len(B), width)
+                          for row in _theta_rows(B[r:r + width], field)]))
     m = width // d
     terms = [[(q, y) for q, y in enumerate(B[t:t + d]) if y]
              for t in range(0, len(B), d)]
     return [[(i, e) for i, e in enumerate(terms[j::m]) if e] for j in range(m)]
 
 
-def row_mul(row, factor, field):
-    """The packed row vector `row` times the matrix whose matrix side
-    (`row_factor`) is `factor`: n^2 entry products for a rank-n matrix,
-    where a matrix product takes n^3.  The one multiplication kernel: one
-    dot product per output coefficient up to degree _DENSE_DEGREE, above it
-    each entry's convolution accumulated over the inner index and reduced
-    once modulo the minimal polynomial."""
+def _dense_product(side, row):
+    """The dense kernel: one dot product per output coefficient."""
+    return tuple([sum(map(mul, row, col)) for col in side])
+
+
+def _sparse_product(side, field, row):
+    """The sparse kernel: each entry's convolution accumulated over the inner
+    index over the nonzero coefficients only, reduced once modulo the
+    minimal polynomial."""
     d = field.degree
-    if d <= _DENSE_DEGREE:
-        return tuple([sum(map(mul, row, col)) for col in factor])
     terms = [[(p, c) for p, c in enumerate(row[t:t + d]) if c]
              for t in range(0, len(row), d)]
     reduction = field._reduction_terms
     width = 2 * d - 1
     out = []
-    for col in factor:
+    for col in side:
         conv = [0] * width
         for i, b in col:
             a = terms[i]
@@ -129,6 +151,52 @@ def row_mul(row, factor, field):
                     conv[i] += top * c
         out += conv[:d]
     return tuple(out)
+
+
+def _side_kernel(side, field):
+    """row -> row times the matrix whose `_matrix_side` is `side`: the dense
+    kernel up to degree _DENSE_DEGREE, the sparse one above it."""
+    if field.degree <= _DENSE_DEGREE:
+        return partial(_dense_product, side)
+    return partial(_sparse_product, side, field)
+
+
+def row_mul(row, side, field):
+    """The packed row vector `row` times the matrix whose `_matrix_side` is
+    `side`: n^2 entry products for a rank-n matrix, where a matrix product
+    takes n^3."""
+    return _side_kernel(side, field)(row)
+
+
+@lru_cache(maxsize=None)
+def _rank_one_maker(w, d):
+    """make(*b, *x) for rows of width w = rank * degree at degree d: the
+    product by I - beta rho as one straight-line function of the row r,
+    bound to the d regular-representation columns b_q of beta and the d
+    reduced rows x_q = theta^q rho:
+
+        c_q = r_0 b_q0 + ... + r_(w-1) b_q(w-1)              (q < d)
+        out_i = r_i - c_0 x_0i - ... - c_(d-1) x_(d-1)i
+
+    so c = <r, beta> in Z[theta] and out = r - c rho, 2 w d products.  The
+    source is generated once per (w, d), on first use; the factor's entries
+    are the closure's cells."""
+    r = ["r%d" % i for i in range(w)]
+    b = ["b%d_%d" % (q, i) for q in range(d) for i in range(w)]
+    x = ["x%d_%d" % (q, i) for q in range(d) for i in range(w)]
+    lines = ["def make(%s):" % ", ".join(b + x),
+             " def product(row):",
+             "  %s, = row" % ", ".join(r)]
+    lines += ["  c%d = %s" % (q, " + ".join("r%d*b%d_%d" % (i, q, i) for i in range(w)))
+              for q in range(d)]
+    lines.append("  return (%s,)" % ", ".join(
+        "r%d" % i + "".join(" - c%d*x%d_%d" % (q, q, i) for q in range(d))
+        for i in range(w)))
+    lines.append(" return product")
+    namespace = {}
+    exec(compile("\n".join(lines), "<rank-one kernel w=%d d=%d>" % (w, d), "exec"),
+         namespace)
+    return namespace["make"]
 
 
 def _kept(gram, name, make):
@@ -171,18 +239,17 @@ class GroupElement:
         return self.packed
 
     def __mul__(self, other):
-        """`row_mul` of each row of self by other's kept `row_factor`."""
+        """Each row of self times other's kept `row_factor`."""
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         gram = self.gram
-        field = gram.field
-        factor = row_factor(other)
+        product = row_factor(other)
         A = self.packed
-        step = gram.cm.rank * field.degree
+        step = gram.cm.rank * gram.field.degree
         out = ()
         for r in range(0, len(A), step):
-            out += row_mul(A[r:r + step], factor, field)
+            out += product(A[r:r + step])
         return GroupElement(gram, out, word)
 
     def is_identity(self):
@@ -206,15 +273,21 @@ def row_key(g: GroupElement) -> tuple:
 
 
 def row_factor(g: GroupElement):
-    """The matrix side of `row_mul` for g's matrix, built on first use and
-    kept on g, so it lives exactly as long as g: a group's generators, the
-    enumerated reflections `reflen` holds per group, the inversion set of
-    one exact solve, or the right operand of a product."""
+    """The product by g's matrix, row -> row M(g), as a function of one
+    packed row, kept on g, so it lives exactly as long as g: a group's
+    generators, the enumerated reflections `reflen` holds per group, the
+    inversion set of one exact solve, or the right operand of a product.
+    The kernel is picked once, when the function is made: a reflection at
+    degree <= _DENSE_DEGREE carries the rank-one kernel from `reflection`;
+    any other element gets the dense or sparse kernel bound to its
+    `_matrix_side`, built here on first use."""
     try:
         return g._factor
     except AttributeError:
-        g._factor = factor = _matrix_side(g.packed, g.gram.cm.rank, g.gram.field)
-        return factor
+        field = g.gram.field
+        g._factor = product = _side_kernel(_matrix_side(g.packed, g.gram.cm.rank, field),
+                                           field)
+        return product
 
 
 def _make_form_factor(gram: GramMatrix):
@@ -225,14 +298,26 @@ def _make_form_factor(gram: GramMatrix):
 
 def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     """x -> x - 2B(beta, x) beta for the packed root beta: the matrix
-    I - beta rho with rho = beta^T 2B, one `row_mul` for rho and one for
-    each beta_i rho.  Every reflection of the package is built here."""
+    I - beta rho with rho = beta^T 2B, one `row_mul` for rho, whose reduced
+    rows theta^q rho give each row beta_i rho.  Every reflection of the
+    package is built here.
+
+    Up to degree _DENSE_DEGREE the reflection carries its `row_factor`, the
+    rank-one update r (I - beta rho) = r - <r, beta> rho in one generated
+    straight-line kernel (`_rank_one_maker`): 2 n d^2 integer products per
+    row where the dense kernel takes (n d)^2, exact in the same Z[theta]
+    basis, so every product is the same tuple of ints."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
     rho = row_mul(root, _kept(gram, "_form_factor", _make_form_factor), field)
-    rho = _matrix_side(rho, 1, field)
-    out = [c for i in range(0, n * d, d) for c in row_mul(root[i:i + d], rho, field)]
-    return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+    x = _theta_rows(rho, field)
+    cols = list(zip(*x))
+    out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
+    t = GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+    if d <= _DENSE_DEGREE:
+        b = _matrix_side(root, n, field)
+        t._factor = _rank_one_maker(n * d, d)(*chain(*b), *chain(*x))
+    return t
 
 
 def image_root(g: GroupElement, s: int) -> tuple:
@@ -264,7 +349,7 @@ class TitsGroup:
         word = self.reduced_word(g) if g.word is None else g.word
         row = row_key(self.identity)
         for s in reversed(word):
-            row = row_mul(row, row_factor(self.generators[s]), self.field)
+            row = row_factor(self.generators[s])(row)
         return row
 
     def element(self, word) -> GroupElement:
@@ -288,7 +373,7 @@ class TitsGroup:
         out = []
         key = row_key(g)
         while (s := next(self._descents(key), None)) is not None:
-            key = row_mul(key, row_factor(self.generators[s]), self.field)
+            key = row_factor(self.generators[s])(key)
             out.append(s)
         require(key == row_key(self.identity),
                 "descent recursion did not end at the identity")

@@ -6,10 +6,16 @@ over the report field, and pins of key bytes and solver witnesses recorded
 before the packing."""
 
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxlen
 import coxlen.reflen
 import coxlen.tits
 from coxlen.cli import main
@@ -18,9 +24,10 @@ from coxlen.coxeter import gram_matrix, parse_coxeter_matrix
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
-from coxlen.tits import (_DENSE_DEGREE, GroupElement, _entry_rows, _root_key,
-                         canonical_key, enumerate_reflections, fixed_space_codim,
-                         image_root, reflection, row_factor, row_key, row_mul)
+from coxlen.tits import (_DENSE_DEGREE, GroupElement, _dense_product, _entry_rows,
+                         _matrix_side, _root_key, _sparse_product, canonical_key,
+                         enumerate_reflections, fixed_space_codim, image_root,
+                         reflection, row_factor, row_key, row_mul)
 from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
                           convolution_side, report_enumeration, report_gram,
@@ -86,6 +93,19 @@ def test_packed_product_matches_exact_scalar_product(pair):
     assert product.key == group.element(u + v).key
 
 
+# the groups whose computation field has degree <= _DENSE_DEGREE
+RANK_ONE_GROUPS = ("W3", "A2T", "A3", "H3", "T334", "B4H", "W4", "P38")
+
+
+def _kernel_of(product):
+    """Which kernel a `row_factor` runs: the generated rank-one kernel, or
+    the dense or sparse kernel bound to a `_matrix_side`."""
+    if isinstance(product, partial):
+        return {_dense_product: "dense", _sparse_product: "sparse"}[product.func]
+    assert product.__code__.co_filename.startswith("<rank-one kernel ")
+    return "rank-one"
+
+
 def test_degrees_cover_the_kernel_paths():
     degrees = {name: _group(name).field.degree for name in GROUPS}
     assert degrees == {"W3": 1, "A2T": 1, "A3": 1, "H3": 2, "T334": 2, "B4H": 2,
@@ -97,6 +117,17 @@ def test_degrees_cover_the_kernel_paths():
     # the dense kernel up to degree 4, the sparse convolution above it
     assert _DENSE_DEGREE == 4
     assert {name for name, d in degrees.items() if d > _DENSE_DEGREE} == {"D16", "P57"}
+    assert set(RANK_ONE_GROUPS) == {name for name, d in degrees.items() if d <= _DENSE_DEGREE}
+    # a product by a reflection takes the rank-one kernel up to degree 4 and
+    # the sparse convolution above it; a general product the dense kernel up
+    # to degree 4
+    for name, d in degrees.items():
+        group = _group(name)
+        small = "rank-one" if d <= _DENSE_DEGREE else "sparse"
+        for t in group.generators + tuple(r.element for r in get_reflections(group, 2)):
+            assert _kernel_of(row_factor(t)) == small, name
+        general = group.element((0, 1))
+        assert _kernel_of(row_factor(general)) == ("dense" if d <= _DENSE_DEGREE else "sparse")
 
 
 def test_identity_and_involutions():
@@ -163,7 +194,7 @@ def test_row_product_extends_the_row_key(case):
     expected = row_key(x * t)
     t = GroupElement(group.gram, t.packed)
     for _ in range(2):
-        assert row_mul(row_key(x), row_factor(t), group.field) == expected
+        assert row_factor(t)(row_key(x)) == expected
     assert len(expected) == group.cm.rank * group.field.degree
 
 
@@ -178,6 +209,76 @@ def test_inverse_row_key_reads_any_word(pair):
     expected = row_key(group.element(tuple(reversed(u))))
     assert group.inverse_row_key(g) == expected
     assert group.inverse_row_key(GroupElement(group.gram, g.packed)) == expected
+
+
+# integer coefficients: small ones, and ones above 2^64 in absolute value
+_COEFFICIENTS = st.one_of(st.integers(min_value=-9, max_value=9),
+                          st.integers(min_value=2 ** 64, max_value=2 ** 96),
+                          st.integers(min_value=-2 ** 96, max_value=-2 ** 64))
+
+
+@st.composite
+def _rank_one_case(draw):
+    """(group, word, rows): a group of degree <= _DENSE_DEGREE, a random word
+    and random packed rows."""
+    group = _group(draw(st.sampled_from(RANK_ONE_GROUPS)))
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    width = group.cm.rank * group.field.degree
+    row = st.lists(_COEFFICIENTS, min_size=width, max_size=width).map(tuple)
+    return (group, tuple(draw(st.lists(letters, max_size=12))),
+            draw(st.lists(row, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_one_case())
+def test_rank_one_product_matches_the_matrix_side(case):
+    # every reflection of root depth <= 3 and every inversion of the word:
+    # the rank-one kernel against `row_mul` on the reflection's full matrix
+    group, word, rows = case
+    n, field = group.cm.rank, group.field
+    inversions = inversion_reflections(group, group.reduced_word(group.element(word)))
+    for t in [r.element for r in get_reflections(group, 3)] + inversions:
+        product = row_factor(t)
+        assert _kernel_of(product) == "rank-one"
+        side = _matrix_side(t.packed, n, field)
+        for row in rows:
+            assert product(row) == row_mul(row, side, field)
+
+
+def test_setup_generates_no_kernel():
+    # kernels are generated on first use, so importing the package and
+    # building a field, the benchmark's set-up, generates none
+    script = ("import coxlen, coxlen.cli\n"
+              "coxlen.RealCyclotomicField(5)\n"
+              "print(coxlen.tits._rank_one_maker.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def test_rank_64_degree_4_reflection_product():
+    # the widest kernel the parser admits: rank 64 at degree 4, w = 256
+    text = "rank 64; m1_2=8 " + " ".join("m%d_%d=3" % (i, i + 1) for i in range(2, 64))
+    gram = gram_matrix(parse_coxeter_matrix(text))
+    n, field = gram.cm.rank, gram.field
+    d = field.degree
+    assert (n, d) == (64, 4)
+    form = _matrix_side(tuple(c for row in gram.rows for e in row for c in e), n, field)
+    word = (1, 2, 3, 0, 1, 4)
+    v = (1,) + (0,) * (n * d - 1)                       # alpha_0
+    for s in word:                                      # v <- sigma_s(v)
+        rho = row_mul(v, form, field)
+        i = s * d
+        v = v[:i] + tuple(a - b for a, b in zip(v[i:i + d], rho[i:i + d])) + v[i + d:]
+    t = reflection(gram, v, word[::-1] + (0,) + word)
+    product = row_factor(t)
+    assert product.__code__.co_filename == "<rank-one kernel w=256 d=4>"
+    rng = random.Random(64)
+    row = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(n * d))
+    assert product(row) == row_mul(row, _matrix_side(t.packed, n, field), field)
+    assert product(product(row)) == row
 
 
 # -- oracles: the column scan and the matrix products the row-key walk and
@@ -422,7 +523,7 @@ def test_row_mul_matches_the_convolution_kernel(case):
     n, field = group.cm.rank, group.field
     oracle_side = convolution_side(t.packed, n, field)
     t = GroupElement(group.gram, t.packed)
-    assert row_mul(row_key(x), row_factor(t), field) == \
+    assert row_factor(t)(row_key(x)) == \
         convolution_row_mul(row_key(x), oracle_side, field)
     assert (x * t).packed == convolution_mat_mul(x.packed, t.packed, n, field)
 

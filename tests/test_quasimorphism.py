@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -241,6 +242,41 @@ def test_certificate_zero_slope_bounds_are_vacuous():
     _, bounds = certify_lower_bound(cert, "a", 4)
     assert bounds == [0, 0, 0, 0]
     assert cert.bound_for(reduce_word("ab", 3)) == 0  # finite-order element
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate(k, pattern):
+    return build_certificate(k, pattern)
+
+
+@st.composite
+def _certificate_case(draw):
+    """(certificate, g, K): a W_3 or W_4 pattern, a random word g, not
+    necessarily reduced, and a number of powers."""
+    k, pattern = draw(st.sampled_from([(3, "ab"), (3, "abc"), (3, "abcb"), (3, "acbab"),
+                                       (4, "abd"), (4, "acd"), (4, "dbc")]))
+    g = "".join(draw(st.lists(st.sampled_from("abcd"[:k]), max_size=14)))
+    return _certificate(k, pattern), g, draw(st.integers(min_value=1, max_value=40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certificate_case())
+def test_certificate_bounds_read_phi_once(case):
+    # the bounds are bound_for(g, k) for every power, from one homogenize call
+    cert, g, K = case
+    calls = []
+
+    def counted(w, h):
+        calls.append(h)
+        return homogenize(w, h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasimorphism, "homogenize", counted)
+        constant, bounds = certify_lower_bound(cert, g, K)
+    assert len(calls) == 1
+    assert constant == cert.constant
+    h = reduce_word(g, cert.k)
+    assert bounds == [cert.bound_for(h, k) for k in range(1, K + 1)]
 
 
 def test_certificate_preconditions():
