@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .coxeter import (INF, classify_group, minimal_nonaffine_subsets,
                       order_text, parse_any)
-from .errors import (CertificateError, CoxlenError, InputError,
+from .errors import (CertificateError, CoxlenError, DomainError, InputError,
                      ResourceCapError, require)
 from .filling import (boundary_circle_length, build_triangle_model,
                       congruence_search, finite_parabolic_subsets,
@@ -139,7 +139,10 @@ def cmd_growth(args):
     word = _parse_word(args.word, cm.rank)
     certs = ()
     if args.pattern:
-        certs = (build_certificate(cm.rank, args.pattern, window=args.window),)
+        if any(m != INF for i, row in enumerate(cm.entries) for m in row[i + 1:]):
+            raise DomainError("--pattern certifies free Coxeter groups only (every "
+                              "bond inf); this diagram has a finite bond")
+        certs = (build_certificate(cm.rank, args.pattern),)
     record = growth_profile(cm, word, args.K, _protocol(args), certs)
     rows = [(k, r.upper, r.lower, r.status) for k, r in record.powers]
     config = _config(args, ("inline", "input", "word", "K", "pattern"))
@@ -283,8 +286,8 @@ def build_parser():
     add_matrix_opts(p); add_common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--K", type=int, default=6)
-    p.add_argument("--pattern", help="attach a counting-quasimorphism certificate")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--pattern", help="attach a counting-quasimorphism certificate "
+                                     "(every bond inf)")
     p.add_argument("-D", type=int, default=6)
     p.set_defaults(fn=cmd_growth)
 

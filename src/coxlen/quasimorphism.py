@@ -208,10 +208,12 @@ def defect_window(w: FreeCoxeterWord, B: int) -> DefectResult:
                      for i in range(min(B, m - 1) + 1))
     mid_count = sum((w.k - 1) ** max(0, i - 1) * (w.k if i else 1)
                     for i in range(min(B, 2 * m - 1 if w.k >= 3 else B) + 1))
-    if side_count * side_count * mid_count > MAX_COMBINATIONS:
+    count = side_count * side_count * mid_count
+    if count > MAX_COMBINATIONS:
         raise ResourceCapError(
-            "window enumeration would exceed %d combinations; "
-            "use a smaller window" % MAX_COMBINATIONS)
+            "the defect window for k = %d and a pattern of length %d counts %d "
+            "(a, c, b) combinations, above the cap of %d"
+            % (w.k, m, count, MAX_COMBINATIONS))
     value, pair = _defect_over_window(w, B)
     return DefectResult(w, B, value, pair, stabilized=B >= 3 * m)
 
@@ -272,12 +274,9 @@ class QuasimorphismCert:
 
     def lower_bound_for_word(self, cm: CoxeterMatrix, word):
         """Adapter for the reflection-length engine (free Coxeter groups only)."""
-        if cm.rank != self.k:
+        if cm.rank != self.k or any(m != INF for i, row in enumerate(cm.entries)
+                                    for m in row[i + 1:]):
             return None
-        for i in range(cm.rank):
-            for j in range(i + 1, cm.rank):
-                if cm.entries[i][j] != INF:
-                    return None
         letters = "".join(_ALPHABET[s] for s in word)
         g = reduce_word(letters, self.k)
         return self.bound_for(g)

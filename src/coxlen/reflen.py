@@ -170,6 +170,8 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     `tits` module docstring), with its least factor index tuple and its
     prefix's key; it is never a matrix.  K(x t) = K(x) M(t),
     so a layer is extended by one row product per element and factor.
+    Factors are read only through their products (`tits.row_factor`), a
+    factor's key included: K(t) = K(1) M(t).
 
     Witness contract: the index tuple is the lexicographically least one of
     length n.  Layer k holds every product of k factors, inserted in the
@@ -181,7 +183,9 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     the probe tests g^-1 x instead, whose key K(g^-1) M(x) is carried down
     the prefixes of layer a (a layer lists the children of each prefix
     together, so each prefix costs one row product per walk).  Only on a
-    hit is x^-1 g formed as a matrix, to read its stored tuple in layer b.
+    hit is K(x^-1 g) formed, to read its stored tuple in layer b: K(1)
+    carried through the factors of x, last first, and then through the
+    product by g, made for that hit and not kept on g.
 
     When a single target probes an odd n = 2a + 1 >= 3 and layer a + 1 is
     not built yet, it is not built at all: g^-1 x lies in layer a + 1
@@ -202,7 +206,8 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             pending.append((i, g, n_max))
     n_top = max((n_max for _, _, n_max in pending), default=0)
     products = [tits.row_factor(t) for t in factors]
-    factor_keys = [tits.row_key(t) for t in factors]
+    one = tits.row_key(group.identity)
+    factor_keys = [product(one) for product in products]
     # layer k: row key -> (least factor index tuple, row key of its prefix)
     layers = {1: {key: ((i,), None) for i, key in enumerate(factor_keys)}}
     stored = len(factors)
@@ -254,20 +259,17 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
 
     def witness_in(k, g, wit_a, walk):
         """The stored tuple of x^-1 g in layer k (k + 1 when walking), where
-        x is the product of the factors at wit_a."""
-        y = GroupElement(group.gram, g.packed)
-        for i in wit_a:
-            y = factors[i] * y
-        if walk:
-            product = tits.row_factor(y)
-            for j, key in enumerate(factor_keys):
-                hit = layers[k].get(product(key))
-                if hit is not None:
-                    return (j,) + hit[0]
-        else:
-            hit = layers[k].get(tits.row_key(y))
+        x is the product of the factors at wit_a: K(x^-1 g), or K(t_j x^-1 g)
+        for each j when walking, carried through the products at wit_a, last
+        first, and then through g's."""
+        to_g = tits.row_factor(g, keep=False)
+        heads = [((j,), key) for j, key in enumerate(factor_keys)] if walk else [((), one)]
+        for head, row in heads:
+            for i in reversed(wit_a):
+                row = products[i](row)
+            hit = layers[k].get(to_g(row))
             if hit is not None:
-                return hit[0]
+                return head + hit[0]
         require(False, "a row-key hit has no stored witness")
 
     for n in range(1, n_top + 1):
@@ -304,8 +306,6 @@ def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=NODE_CAP,
     is guaranteed by Dyer's theorem; exceeding l_S(g) would falsify it and
     raises instead of returning a wrong value.
     """
-    if g.is_identity():
-        return 0, ()
     rw = group.reduced_word(g) if reduced_word is None else tuple(reduced_word)
     invs = inversion_reflections(group, rw)
     (hit,), capped = min_product_length(group, [(g, len(rw))], invs, cap)

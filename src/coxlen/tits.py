@@ -20,8 +20,10 @@ each entry in row-major order.  The generators are built from 2B, which
 the same way, as one-column matrices, `Reflection.root` included.
 
 Three kernels.  Multiplication works on those ints directly, one row at a
-time: `row_factor(g)` is the product row -> row M(g), with its kernel picked
-once, when it is made, and kept on g.
+time: every product by a matrix B is a function row -> row B, with its
+kernel picked once, when it is made (`_matrix_product`, or the rank-one
+kernel of a reflection), and kept: on g for `row_factor(g)`, on the Gram
+for 2B.
 
 * Reflections, up to degree 4 (`_DENSE_DEGREE`): a rank-one update.  A
   reflection is t = I - beta rho with rho = beta^T 2B (Humphreys,
@@ -34,14 +36,13 @@ once, when it is made, and kept on g.
   reflection's ints are its closure cells.  It computes in the same
   canonical Z[theta] basis as the other kernels, so every product is the
   same tuple of ints.  The generators are reflections too.
-* Any other element, up to degree 4: the dense kernel (`row_mul`) against
-  its matrix side (`_matrix_side`), the regular representation: one column
-  per output coefficient, holding the coefficients of theta^q times each
-  entry with the reduction included, so each output coefficient is one
-  `sum(map(mul, row, column))`.
-* Every element above degree 4, where it beats the dense kernel: the
-  sparse kernel, each entry's convolution accumulated over the inner index
-  over the nonzero coefficients only and reduced once modulo the minimal
+* Any other matrix, up to degree 4: the dense kernel on its regular
+  representation (`_regular_columns`): one column per output coefficient,
+  holding the coefficients of theta^q times each entry with the reduction
+  included, so each output coefficient is one `sum(map(mul, row, column))`.
+* Every matrix above degree 4, where it beats the dense kernel: the sparse
+  kernel, each entry's convolution accumulated over the inner index over
+  the nonzero coefficients only and reduced once modulo the minimal
   polynomial.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
@@ -102,33 +103,22 @@ def _theta_rows(row, field):
     return rows
 
 
-def _matrix_side(B, n, field):
-    """The matrix side of `row_mul` for a packed matrix B of n rows.
-
-    Dense, up to degree _DENSE_DEGREE: the columns of the regular
-    representation, whose row (i, q) is theta^q times row i of B, so that
-    column (j, p) holds at (i, q) the theta^p coefficient of theta^q B_ij
-    and a row times it is that coefficient of the product, reduction
-    included (at degree 1, the columns of B).  Sparse, above it: per
-    column, the (row index, nonzero (power, coefficient) terms) of each
-    nonzero entry."""
-    d = field.degree
+def _regular_columns(B, n, field):
+    """The regular-representation columns of a packed matrix B of n rows:
+    row (i, q) is theta^q times row i of B, so column (j, p) holds at (i, q)
+    the theta^p coefficient of theta^q B_ij, reduction included, and a row
+    times it is that coefficient of row B (at degree 1, B's columns)."""
     width = len(B) // n
-    if d <= _DENSE_DEGREE:
-        return list(zip(*[row for r in range(0, len(B), width)
-                          for row in _theta_rows(B[r:r + width], field)]))
-    m = width // d
-    terms = [[(q, y) for q, y in enumerate(B[t:t + d]) if y]
-             for t in range(0, len(B), d)]
-    return [[(i, e) for i, e in enumerate(terms[j::m]) if e] for j in range(m)]
+    return list(zip(*[row for r in range(0, len(B), width)
+                      for row in _theta_rows(B[r:r + width], field)]))
 
 
-def _dense_product(side, row):
+def _dense_product(cols, row):
     """The dense kernel: one dot product per output coefficient."""
-    return tuple([sum(map(mul, row, col)) for col in side])
+    return tuple([sum(map(mul, row, col)) for col in cols])
 
 
-def _sparse_product(side, field, row):
+def _sparse_product(cols, field, row):
     """The sparse kernel: each entry's convolution accumulated over the inner
     index over the nonzero coefficients only, reduced once modulo the
     minimal polynomial."""
@@ -138,7 +128,7 @@ def _sparse_product(side, field, row):
     reduction = field._reduction_terms
     width = 2 * d - 1
     out = []
-    for col in side:
+    for col in cols:
         conv = [0] * width
         for i, b in col:
             a = terms[i]
@@ -153,19 +143,20 @@ def _sparse_product(side, field, row):
     return tuple(out)
 
 
-def _side_kernel(side, field):
-    """row -> row times the matrix whose `_matrix_side` is `side`: the dense
-    kernel up to degree _DENSE_DEGREE, the sparse one above it."""
-    if field.degree <= _DENSE_DEGREE:
-        return partial(_dense_product, side)
-    return partial(_sparse_product, side, field)
-
-
-def row_mul(row, side, field):
-    """The packed row vector `row` times the matrix whose `_matrix_side` is
-    `side`: n^2 entry products for a rank-n matrix, where a matrix product
-    takes n^3."""
-    return _side_kernel(side, field)(row)
+def _matrix_product(B, n, field):
+    """The product row -> row B for a packed matrix B of n rows: n^2 entry
+    products for a rank-n matrix, where a matrix product takes n^3.  The
+    dense kernel on B's regular columns up to degree _DENSE_DEGREE; above
+    it the sparse kernel on, per column, the (row index, nonzero (power,
+    coefficient) terms) of each nonzero entry."""
+    d = field.degree
+    if d <= _DENSE_DEGREE:
+        return partial(_dense_product, _regular_columns(B, n, field))
+    m = len(B) // (n * d)
+    terms = [[(q, y) for q, y in enumerate(B[t:t + d]) if y]
+             for t in range(0, len(B), d)]
+    cols = [[(i, e) for i, e in enumerate(terms[j::m]) if e] for j in range(m)]
+    return partial(_sparse_product, cols, field)
 
 
 @lru_cache(maxsize=None)
@@ -272,50 +263,51 @@ def row_key(g: GroupElement) -> tuple:
     return tuple([sum(g.packed[t::step]) for t in range(step)])
 
 
-def row_factor(g: GroupElement):
+def row_factor(g: GroupElement, keep=True):
     """The product by g's matrix, row -> row M(g), as a function of one
     packed row, kept on g, so it lives exactly as long as g: a group's
     generators, the enumerated reflections `reflen` holds per group, the
     inversion set of one exact solve, or the right operand of a product.
-    The kernel is picked once, when the function is made: a reflection at
-    degree <= _DENSE_DEGREE carries the rank-one kernel from `reflection`;
-    any other element gets the dense or sparse kernel bound to its
-    `_matrix_side`, built here on first use."""
+    A reflection at degree <= _DENSE_DEGREE carries the rank-one kernel
+    from `reflection`; any other element gets `_matrix_product` of its
+    matrix, made here on first use and kept unless `keep` is false (a
+    search target, multiplied by once per hit)."""
     try:
         return g._factor
     except AttributeError:
-        field = g.gram.field
-        g._factor = product = _side_kernel(_matrix_side(g.packed, g.gram.cm.rank, field),
-                                           field)
+        product = _matrix_product(g.packed, g.gram.cm.rank, g.gram.field)
+        if keep:
+            g._factor = product
         return product
 
 
-def _make_form_factor(gram: GramMatrix):
-    """The matrix side of `row_mul` for 2B (`GramMatrix.rows`)."""
-    packed = tuple(c for row in gram.rows for e in row for c in e)
-    return _matrix_side(packed, gram.cm.rank, gram.field)
+def _form(gram: GramMatrix):
+    """The product row -> row 2B (`GramMatrix.rows`), kept on the Gram."""
+    return _kept(gram, "_form", lambda gram: _matrix_product(
+        tuple(c for row in gram.rows for e in row for c in e), gram.cm.rank, gram.field))
 
 
 def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     """x -> x - 2B(beta, x) beta for the packed root beta: the matrix
-    I - beta rho with rho = beta^T 2B, one `row_mul` for rho, whose reduced
-    rows theta^q rho give each row beta_i rho.  Every reflection of the
-    package is built here.
+    I - beta rho with rho = beta^T 2B, the product of beta by 2B, whose
+    reduced rows theta^q rho give each row beta_i rho.  Every reflection of
+    the package is built here.
 
     Up to degree _DENSE_DEGREE the reflection carries its `row_factor`, the
     rank-one update r (I - beta rho) = r - <r, beta> rho in one generated
-    straight-line kernel (`_rank_one_maker`): 2 n d^2 integer products per
-    row where the dense kernel takes (n d)^2, exact in the same Z[theta]
-    basis, so every product is the same tuple of ints."""
+    straight-line kernel (`_rank_one_maker`), bound to the regular columns
+    of beta: 2 n d^2 integer products per row where the dense kernel takes
+    (n d)^2, exact in the same Z[theta] basis, so every product is the same
+    tuple of ints."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
-    rho = row_mul(root, _kept(gram, "_form_factor", _make_form_factor), field)
+    rho = _form(gram)(root)
     x = _theta_rows(rho, field)
     cols = list(zip(*x))
     out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
     t = GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
     if d <= _DENSE_DEGREE:
-        b = _matrix_side(root, n, field)
+        b = _regular_columns(root, n, field)
         t._factor = _rank_one_maker(n * d, d)(*chain(*b), *chain(*x))
     return t
 
@@ -396,7 +388,7 @@ def evaluate_word(gens, word, identity=None) -> GroupElement:
 def _make_report_columns(gram: GramMatrix):
     """The exact embedding of gram.field, Q(theta') with theta' =
     2cos(pi/N'), into the report field Q(theta), theta = 2cos(pi/N) for N =
-    cm.conductor(), as dense `row_mul` columns: theta' = D_k(theta) with
+    cm.conductor(), as dense kernel columns: theta' = D_k(theta) with
     k = N/N' (`dickson`), so column j holds the theta^j coefficients of
     theta'^0, ..., theta'^(d'-1).  None when both fields have the same
     degree, hence the same coefficients: N' = N, or both are Q (N' = 2,
@@ -421,7 +413,7 @@ def _report_entries(gram: GramMatrix, packed):
     cols = _kept(gram, "_report_columns", _make_report_columns)
     if cols is None:
         return entries
-    return [tuple([sum(map(mul, e, col)) for col in cols]) for e in entries]
+    return [_dense_product(cols, e) for e in entries]
 
 
 def canonical_key(g: GroupElement) -> bytes:
@@ -460,7 +452,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     skipping sigma_s on alpha_s keeps every image positive and no sign is
     ever decided.  A new root u = sigma_s(v) = v - 2B(v, alpha_s) alpha_s
     differs from v in coordinate s alone, read off rho = v^T 2B (one
-    `row_mul` per parent), and carries its `reflection`, with word (s,) +
+    product by 2B per parent), and carries its `reflection`, with word (s,) +
     word(t) + (s,) for the parent's reflection t.  Roots are deduplicated by
     their packed ints and the result is sorted by (depth, root bytes over
     the report field), so it is deterministic.
@@ -468,7 +460,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     n = gram.cm.rank
     field = gram.field
     d = field.degree
-    form = _kept(gram, "_form_factor", _make_form_factor)
+    form = _form(gram)
     gens = [tits_generator(gram, s) for s in range(n)]
     simple = [(0,) * (s * d) + (1,) + (0,) * ((n - s) * d - 1) for s in range(n)]
     seen = {v: (0, t) for v, t in zip(simple, gens)}  # packed root -> (depth, reflection)
@@ -476,7 +468,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     for depth in range(1, depth_cap + 1):
         new_frontier = []
         for v, t in frontier:
-            rho = row_mul(v, form, field)
+            rho = form(v)
             for s in range(n):
                 if v == simple[s]:
                     continue  # sigma_s(alpha_s) = -alpha_s

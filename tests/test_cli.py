@@ -143,6 +143,41 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_defect_window_cap_states_the_count(tmp_path, capsys):
+    # every window >= 2|w| - 1 counts the same triples, so the message names
+    # k, |w|, the count and the cap instead of a window to try
+    code, _ = run_cli(["qm-certify", "--k", "4", "--pattern", "dabc", "--g", "adbcd"],
+                      tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "resource cap: the defect window for k = 4 and a pattern of length 4 "
+        "counts 12283757 (a, c, b) combinations, above the cap of 5000000\n")
+
+
+def test_growth_refuses_a_pattern_on_a_finite_bond(tmp_path, capsys):
+    # the certificate bounds reflection length in free Coxeter groups only;
+    # on a finite bond the pattern would be dropped from every row
+    code, data = run_cli(["growth", "--inline", "rank 3; m12=3 m13=3 m23=3",
+                          "--word", "abc", "--K", "3", "--pattern", "abc"], tmp_path)
+    assert (code, data) == (1, b"")
+    assert capsys.readouterr().err.startswith("error: --pattern certifies free")
+    code, data = run_cli(["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+                          "--word", "abc", "--K", "3", "--pattern", "abc"], tmp_path)
+    assert code == 0
+    assert data.decode().splitlines()[-3:] == ["1,3,3,Exact", "2,4,4,Exact",
+                                               "3,5,5,Exact"]
+
+
+def test_growth_has_no_window(tmp_path, capsys):
+    # every window >= 3|w| gives the same certificate, and the CSV never
+    # printed it
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+                 "--word", "abc", "--pattern", "abc", "--window", "9"], tmp_path)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --window 9" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(tmp_path):
     configs = [
         ["classify", "--inline", "rank 3; m12=3 m13=3 m23=4"],
@@ -237,7 +272,7 @@ _QM_PINS = {
     "--k 3 --pattern cab --g cbc --K 40": (0, "52d13c3f4d441ecf"),
     "--k 3 --pattern abc --g abc --K 6": (0, "2361f2f2e31eb8f3"),
     "--k 3 --pattern cbab --g bcbc --K 40": (0, "369fef536a94a384"),
-    "--k 4 --pattern dabc --g adbcd --K 40": (2, "de55c7ad63c00bba"),
+    "--k 4 --pattern dabc --g adbcd --K 40": (2, "011557fc29c5d360"),
     "--k 3 --pattern abc --g bcbab --K 40 --window 3": (1, "bd4b2d89d6ec125a"),
     "--k 3 --pattern abc --g bcbab --K 40 --window 4": (1, "520240ba1132b279"),
     "--k 3 --pattern abc --g bcbab --K 40 --window 5": (1, "4319c8489b3dd76a"),
@@ -592,6 +627,28 @@ def test_power_cap_exits_2_in_bounded_time_and_memory():
     assert out.returncode == 2, out.stderr[-500:]
     assert out.stderr == ("resource cap: K = 100000000 is above the cap of "
                           "100000\n")
+
+
+_W3 = "rank 3; m12=inf m13=inf m23=inf"
+
+
+def test_node_cap_bounds_the_ball_in_memory():
+    # ~830 B per standard-ball element at rank 3, degree 1: 500,000 of them
+    # fit under 1 GiB, where the ball of radius 40 would not
+    out = _bounded_run(["reflen", "--inline", _W3, "-L", "40", "-D", "0",
+                        "--node-cap", "500000"])
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr == "resource cap: standard ball exceeded 500000 nodes\n"
+
+
+def test_node_cap_bounds_the_word_searches_in_memory():
+    # ~350 B per stored search state: the solver and every ladder rung of
+    # (abc)^12 stop at the cap, and the report has no upper bound
+    out = _bounded_run(["reflen", "--inline", _W3, "--word", "abc" * 12,
+                        "--node-cap", "500000"])
+    assert out.returncode == 0, out.stderr[-500:]
+    report = json.loads(out.stdout)["report"]
+    assert (report["upper"], report["lower"], report["status"]) == (None, 2, "Bracketed")
 
 
 def test_inputs_at_the_caps_are_classified(tmp_path):

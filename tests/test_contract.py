@@ -329,3 +329,32 @@ def test_errors_define_one_kind_per_exit_code():
                          ids=lambda p: p.name)
 def test_certificate_checks_go_through_require(path):
     assert _failure_paths(_SOURCES[path]) == []
+
+
+# the multiplication kernels and the one maker of a product function
+_KERNELS = {"_matrix_product", "_dense_product", "_sparse_product", "_rank_one_maker"}
+
+
+def _kernel_lines(source):
+    """Lines of `source` that name a kernel or `_matrix_product`: a name
+    read or bound, an attribute, an import or a definition."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if _KERNELS & {getattr(n, "id", None), getattr(n, "attr", None),
+                                 getattr(n, "name", None)})
+
+
+def test_kernel_check_sees_every_spelling():
+    source = ("from .tits import _matrix_product, row_factor\n"
+              "from . import tits\n"
+              "f = tits._dense_product\n"
+              "'_sparse_product in a string is prose'\n"
+              "def _rank_one_maker(w, d):\n"
+              "    return row_factor\n")
+    assert _kernel_lines(source) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(_SOURCES) if p.name != "tits.py"],
+                         ids=lambda p: p.name)
+def test_products_are_made_in_tits_alone(path):
+    # every other module multiplies through `row_factor` or `GroupElement`
+    assert _kernel_lines(_SOURCES[path]) == []

@@ -25,9 +25,9 @@ from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.tits import (_DENSE_DEGREE, GroupElement, _dense_product, _entry_rows,
-                         _matrix_side, _root_key, _sparse_product, canonical_key,
+                         _matrix_product, _root_key, _sparse_product, canonical_key,
                          enumerate_reflections, fixed_space_codim, image_root,
-                         reflection, row_factor, row_key, row_mul)
+                         reflection, row_factor, row_key)
 from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
                           convolution_side, report_enumeration, report_gram,
@@ -99,7 +99,7 @@ RANK_ONE_GROUPS = ("W3", "A2T", "A3", "H3", "T334", "B4H", "W4", "P38")
 
 def _kernel_of(product):
     """Which kernel a `row_factor` runs: the generated rank-one kernel, or
-    the dense or sparse kernel bound to a `_matrix_side`."""
+    the dense or sparse kernel of a `_matrix_product`."""
     if isinstance(product, partial):
         return {_dense_product: "dense", _sparse_product: "sparse"}[product.func]
     assert product.__code__.co_filename.startswith("<rank-one kernel ")
@@ -188,7 +188,7 @@ def _row_case(draw):
 @settings(max_examples=200, deadline=None)
 @given(_row_case())
 def test_row_product_extends_the_row_key(case):
-    # K(x t) = K(x) M(t), with the factor side built on first use and then
+    # K(x t) = K(x) M(t), with the product function made on first use and then
     # read back from the element
     group, x, t = case
     expected = row_key(x * t)
@@ -233,16 +233,17 @@ def _rank_one_case(draw):
 @given(_rank_one_case())
 def test_rank_one_product_matches_the_matrix_side(case):
     # every reflection of root depth <= 3 and every inversion of the word:
-    # the rank-one kernel against `row_mul` on the reflection's full matrix
+    # the rank-one kernel against `_matrix_product` of the reflection's full
+    # matrix
     group, word, rows = case
     n, field = group.cm.rank, group.field
     inversions = inversion_reflections(group, group.reduced_word(group.element(word)))
     for t in [r.element for r in get_reflections(group, 3)] + inversions:
         product = row_factor(t)
         assert _kernel_of(product) == "rank-one"
-        side = _matrix_side(t.packed, n, field)
+        general = _matrix_product(t.packed, n, field)
         for row in rows:
-            assert product(row) == row_mul(row, side, field)
+            assert product(row) == general(row)
 
 
 def test_setup_generates_no_kernel():
@@ -265,11 +266,11 @@ def test_rank_64_degree_4_reflection_product():
     n, field = gram.cm.rank, gram.field
     d = field.degree
     assert (n, d) == (64, 4)
-    form = _matrix_side(tuple(c for row in gram.rows for e in row for c in e), n, field)
+    form = _matrix_product(tuple(c for row in gram.rows for e in row for c in e), n, field)
     word = (1, 2, 3, 0, 1, 4)
     v = (1,) + (0,) * (n * d - 1)                       # alpha_0
     for s in word:                                      # v <- sigma_s(v)
-        rho = row_mul(v, form, field)
+        rho = form(v)
         i = s * d
         v = v[:i] + tuple(a - b for a, b in zip(v[i:i + d], rho[i:i + d])) + v[i + d:]
     t = reflection(gram, v, word[::-1] + (0,) + word)
@@ -277,7 +278,7 @@ def test_rank_64_degree_4_reflection_product():
     assert product.__code__.co_filename == "<rank-one kernel w=256 d=4>"
     rng = random.Random(64)
     row = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(n * d))
-    assert product(row) == row_mul(row, _matrix_side(t.packed, n, field), field)
+    assert product(row) == _matrix_product(t.packed, n, field)(row)
     assert product(product(row)) == row
 
 

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from coxlen.coxeter import INF, CoxeterMatrix, classify_group, parse_coxeter_matrix
 from coxlen.errors import CertificateError, DomainError
-from coxlen.reflen import (AffineBoundRecord, ReflenProtocol, affine_bound_experiment,
+from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
+                           affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
                            get_group, get_reflections, growth_profile,
                            inversion_reflections, min_product_length,
                            reflection_distances, reflen_ball, reflen_element,
                            standard_ball)
-from coxlen.tits import GroupElement, enumerate_reflections, fixed_space_codim
+from coxlen.tits import (GroupElement, enumerate_reflections, fixed_space_codim,
+                         row_factor)
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
 B2 = parse_coxeter_matrix("rank 2; m12=4")
@@ -635,6 +637,47 @@ def test_search_caps_are_pinned():
                                                            d_cap=4, node_cap=cap))
         assert (res.upper, res.witness, res.depth_used, res.capped) == \
             (3, ((2,), (2, 1, 2), (2, 1, 0, 1, 2)), 4, False)
+
+
+# groups of field degree <= 4: 1 and 2 in PROPERTY_GROUPS below, H3 at 2,
+# and rank 3 with bonds 3 and 8 at 4
+PRODUCT_ONLY_GROUPS = ["rank 3; m12=3 m23=4", "rank 3; m12=3 m13=3 m23=3",
+                       "rank 3; m12=inf m13=inf m23=inf",
+                       "rank 4; m12=4 m23=3 m34=4 m14=3", "rank 3; m12=3 m23=5",
+                       "rank 3; m12=3 m23=8"]
+
+
+def _product_only(t):
+    """A copy of the factor t without its matrix, its product function bound."""
+    copy = GroupElement(t.gram, None, t.word)
+    copy._factor = row_factor(t)
+    return copy
+
+
+@st.composite
+def _search_case(draw):
+    """(group, factors, targets, cap): the inversion set of a random word or
+    R_2, the word's element and up to three more targets, and a cap."""
+    group = get_group(parse_coxeter_matrix(draw(st.sampled_from(PRODUCT_ONLY_GROUPS))))
+    words = st.lists(st.integers(0, group.cm.rank - 1), max_size=6).map(tuple)
+    g = group.element(draw(words))
+    rw = group.reduced_word(g)
+    if draw(st.booleans()):
+        factors = inversion_reflections(group, rw)
+    else:
+        factors = [r.element for r in get_reflections(group, 2)]
+    targets = [(g, len(rw))] + [(group.element(w), n) for w, n in draw(
+        st.lists(st.tuples(words, st.integers(0, 4)), max_size=3))]
+    return group, factors, targets, draw(st.sampled_from([30, 300, NODE_CAP]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_search_case())
+def test_search_reads_factors_only_through_their_products(case):
+    group, factors, targets, cap = case
+    expected = min_product_length(group, targets, factors, cap)
+    assert min_product_length(group, targets, [_product_only(t) for t in factors],
+                              cap) == expected
 
 
 # -- properties over random small Coxeter matrices --------------------------------
