@@ -2,8 +2,8 @@
 
 Every command reads its inputs, runs one module operation, and writes a
 deterministic report (JSON or CSV) to --output or stdout.  Exit codes:
-0 success, 1 domain/input errors, 2 resource caps, 3 a failed certificate
-check.
+0 success, 1 domain/input errors, 2 resource caps (running out of memory
+included), 3 a failed certificate check.
 """
 
 from __future__ import annotations
@@ -331,6 +331,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         data, code = args.fn(args)
+    except MemoryError:
+        code = None     # reported below, once the run's frames are freed
     except ResourceCapError as e:
         print("resource cap: %s" % e, file=sys.stderr)
         return 2
@@ -340,6 +342,12 @@ def main(argv=None):
     except CoxlenError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    if code is None:
+        hint = ""
+        if hasattr(args, "node_cap"):
+            hint = " at --node-cap %d; a lower --node-cap bounds the search" % args.node_cap
+        print("resource cap: out of memory%s" % hint, file=sys.stderr)
+        return 2
     write_report(data, args.output)
     return code
 

@@ -139,15 +139,23 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     """The l(w) reflections inverting w, from the prefixes of a reduced word
     s_1 ... s_l: the j-th is the `tits.reflection` of the root
     s_1 ... s_(j-1)(alpha_(s_j)), column s_j of the prefix matrix, with
-    word s_1 ... s_j s_(j-1) ... s_1."""
+    word s_1 ... s_j s_(j-1) ... s_1.
+
+    The inversions must be distinct, which fails for a word that is not
+    reduced.  They are compared on their row keys K(t) = K(1) M(t), read
+    through their products, so no inversion's matrix is built: K is
+    injective on W (see the `tits` module docstring), and t_beta = t_-beta
+    has one key where its two roots differ."""
     out = []
     seen = set()
+    one = tits.row_key(group.identity)
     prefix = group.identity
     for s in reduced_word:
         t = tits.reflection(group.gram, tits.image_root(prefix, s),
                             prefix.word + (s,) + prefix.word[::-1])
-        require(t.key not in seen, "inversions of a reduced word must be distinct")
-        seen.add(t.key)
+        key = tits.row_factor(t)(one)
+        require(key not in seen, "inversions of a reduced word must be distinct")
+        seen.add(key)
         out.append(t)
         prefix = prefix * group.generators[s]
     return out

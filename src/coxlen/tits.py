@@ -17,7 +17,9 @@ monic), so every product stays integral, and an element is stored packed:
 one flat tuple of Python ints, the `degree` coefficients (theta^0 first) of
 each entry in row-major order.  The generators are built from 2B, which
 `coxeter.gram_matrix` builds over Z[theta] in this format.  Roots are packed
-the same way, as one-column matrices, `Reflection.root` included.
+the same way, as one-column matrices, `Reflection.root` included.  A
+reflection up to degree 4 starts as its product (below) and gets its packed
+matrix only when something reads it.
 
 Three kernels.  Multiplication works on those ints directly, one row at a
 time: every product by a matrix B is a function row -> row B, with its
@@ -35,7 +37,10 @@ for 2B.
   source is generated once per (width n d, degree d), on first use; the
   reflection's ints are its closure cells.  It computes in the same
   canonical Z[theta] basis as the other kernels, so every product is the
-  same tuple of ints.  The generators are reflections too.
+  same tuple of ints.  The generators are reflections too.  Such a
+  reflection is made as this product alone: its matrix, row i being the
+  product of the i-th unit row, is built on first read, so the search,
+  which reads its factors only through their products, builds none.
 * Any other matrix, up to degree 4: the dense kernel on its regular
   representation (`_regular_columns`): one column per output coefficient,
   holding the coefficients of theta^q times each entry with the reduction
@@ -43,7 +48,8 @@ for 2B.
 * Every matrix above degree 4, where it beats the dense kernel: the sparse
   kernel, each entry's convolution accumulated over the inner index over
   the nonzero coefficients only and reduced once modulo the minimal
-  polynomial.
+  polynomial.  It is made from the matrix, so a reflection above degree 4
+  is built with its matrix.
 
 * `GroupElement.key` is the packed int tuple itself: equal keys mean equal
   matrices, so key equality is the word problem.
@@ -216,14 +222,35 @@ def _entry_rows(packed, n, d):
 
 
 class GroupElement:
-    """An element of W as a packed exact matrix, with an optional defining word."""
+    """An element of W as a packed exact matrix, with an optional defining
+    word.  An element made from its product alone (a reflection up to degree
+    _DENSE_DEGREE, see `reflection`) has no `packed` until something reads
+    it."""
 
     __slots__ = ("gram", "packed", "word", "_factor")   # _factor: see row_factor
 
     def __init__(self, gram, packed, word=None):
         self.gram = gram
-        self.packed = packed
+        if packed is not None:
+            self.packed = packed
         self.word = word
+        self._factor = None
+
+    def __getattr__(self, name):
+        """Runs only for a slot that is unset, so a read of a set `packed`
+        costs nothing extra.  An unset `packed` is built from the product
+        and kept: row i of M(g) is e_i M(g), the product of the i-th unit
+        row, the same canonical Z[theta] ints."""
+        if name != "packed" or self._factor is None:
+            raise AttributeError(name)
+        d = self.gram.field.degree
+        width = self.gram.cm.rank * d
+        zero = (0,) * width
+        out = ()
+        for i in range(0, width, d):
+            out += self._factor(zero[:i] + (1,) + zero[i + 1:])
+        self.packed = out
+        return out
 
     @property
     def key(self):
@@ -268,17 +295,16 @@ def row_factor(g: GroupElement, keep=True):
     packed row, kept on g, so it lives exactly as long as g: a group's
     generators, the enumerated reflections `reflen` holds per group, the
     inversion set of one exact solve, or the right operand of a product.
-    A reflection at degree <= _DENSE_DEGREE carries the rank-one kernel
-    from `reflection`; any other element gets `_matrix_product` of its
-    matrix, made here on first use and kept unless `keep` is false (a
-    search target, multiplied by once per hit)."""
-    try:
-        return g._factor
-    except AttributeError:
+    A reflection at degree <= _DENSE_DEGREE is made with its rank-one kernel
+    (`reflection`) and starts as that product alone; any other element gets
+    `_matrix_product` of its matrix, made here on first use and kept unless
+    `keep` is false (a search target, multiplied by once per hit)."""
+    product = g._factor
+    if product is None:
         product = _matrix_product(g.packed, g.gram.cm.rank, g.gram.field)
         if keep:
             g._factor = product
-        return product
+    return product
 
 
 def _form(gram: GramMatrix):
@@ -293,23 +319,25 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     reduced rows theta^q rho give each row beta_i rho.  Every reflection of
     the package is built here.
 
-    Up to degree _DENSE_DEGREE the reflection carries its `row_factor`, the
-    rank-one update r (I - beta rho) = r - <r, beta> rho in one generated
-    straight-line kernel (`_rank_one_maker`), bound to the regular columns
-    of beta: 2 n d^2 integer products per row where the dense kernel takes
-    (n d)^2, exact in the same Z[theta] basis, so every product is the same
-    tuple of ints."""
+    Up to degree _DENSE_DEGREE the reflection is its `row_factor` alone,
+    the rank-one update r (I - beta rho) = r - <r, beta> rho in one
+    generated straight-line kernel (`_rank_one_maker`), bound to the regular
+    columns of beta: 2 n d^2 integer products per row where the dense kernel
+    takes (n d)^2, exact in the same Z[theta] basis, so every product is the
+    same tuple of ints.  Its matrix is built from that product on first read
+    (`GroupElement.__getattr__`).  Above degree _DENSE_DEGREE the matrix is
+    built here, as the sparse kernel is made from it."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
-    rho = _form(gram)(root)
-    x = _theta_rows(rho, field)
-    cols = list(zip(*x))
-    out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
-    t = GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+    x = _theta_rows(_form(gram)(root), field)
     if d <= _DENSE_DEGREE:
+        t = GroupElement(gram, None, word)
         b = _regular_columns(root, n, field)
         t._factor = _rank_one_maker(n * d, d)(*chain(*b), *chain(*x))
-    return t
+        return t
+    cols = list(zip(*x))
+    out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
+    return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
 
 
 def image_root(g: GroupElement, s: int) -> tuple:

@@ -593,9 +593,10 @@ def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("resource cap: ")
 
 
-def _bounded_run(argv):
-    """Run the CLI in a subprocess with a timeout and a 1 GiB address space,
-    so an uncapped run fails instead of hanging or filling memory."""
+def _bounded_run(argv, address_space=1 << 30):
+    """Run the CLI in a subprocess with a timeout and an address space of
+    `address_space` bytes (1 GiB by default), so an uncapped run fails
+    instead of hanging or filling memory."""
     import os
     import resource
     import subprocess
@@ -604,7 +605,7 @@ def _bounded_run(argv):
     import coxlen
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
     return subprocess.run([sys.executable, "-m", "coxlen.cli"] + argv,
@@ -639,6 +640,16 @@ def test_node_cap_bounds_the_ball_in_memory():
                         "--node-cap", "500000"])
     assert out.returncode == 2, out.stderr[-500:]
     assert out.stderr == "resource cap: standard ball exceeded 500000 nodes\n"
+
+
+def test_memory_exhaustion_exits_2_with_a_cap_line():
+    # the default cap needs 2-4 GB for the ball of radius 40: under 300 MiB
+    # the run ends with a resource cap line naming --node-cap, not a traceback
+    out = _bounded_run(["reflen", "--inline", _W3, "-L", "40", "-D", "0"],
+                       address_space=300 << 20)
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr == ("resource cap: out of memory at --node-cap 5000000; "
+                          "a lower --node-cap bounds the search\n")
 
 
 def test_node_cap_bounds_the_word_searches_in_memory():

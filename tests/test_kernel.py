@@ -27,11 +27,11 @@ from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.tits import (_DENSE_DEGREE, GroupElement, _dense_product, _entry_rows,
                          _matrix_product, _root_key, _sparse_product, canonical_key,
                          enumerate_reflections, fixed_space_codim, image_root,
-                         reflection, row_factor, row_key)
+                         reflection, row_factor, row_key, tits_generator)
 from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
-                          convolution_side, report_enumeration, report_gram,
-                          report_key)
+                          convolution_side, matrix_is_built, reflection_matrix,
+                          report_enumeration, report_gram, report_key)
 
 # field degrees: report field / computation field
 GROUPS = {
@@ -280,6 +280,57 @@ def test_rank_64_degree_4_reflection_product():
     row = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(n * d))
     assert product(row) == _matrix_product(t.packed, n, field)(row)
     assert product(product(row)) == row
+
+
+def _fresh_reflections(group, word, depth):
+    """(reflection, root) for new generators, the reflections of root depth
+    <= depth, and the inversions of the word's element, none of them read
+    before."""
+    gram = group.gram
+    simple = [image_root(group.identity, s) for s in range(group.cm.rank)]
+    out = [(tits_generator(gram, s), root) for s, root in enumerate(simple)]
+    out += [(r.element, r.root) for r in enumerate_reflections(gram, depth)]
+    rw = group.reduced_word(group.element(word))
+    roots = [image_root(group.element(rw[:j]), s) for j, s in enumerate(rw)]
+    return out + list(zip(inversion_reflections(group, rw), roots))
+
+
+@st.composite
+def _lazy_case(draw):
+    """(group, word, depth): a group of degree <= _DENSE_DEGREE, a random
+    word and a root depth <= 3."""
+    group = _group(draw(st.sampled_from(RANK_ONE_GROUPS)))
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    return group, tuple(draw(st.lists(letters, max_size=10))), draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lazy_case())
+def test_reflection_matrix_is_built_from_its_product(case):
+    # up to degree 4 a reflection starts as its product: the matrix read
+    # from it is the eager I - beta rho, it squares to the identity, and its
+    # row key is K(1) carried through its product
+    group, word, depth = case
+    one = row_key(group.identity)
+    for t, root in _fresh_reflections(group, word, depth):
+        assert not matrix_is_built(t)
+        key = row_factor(t)(one)
+        assert not matrix_is_built(t)
+        assert t.packed == reflection_matrix(group.gram, root)
+        assert matrix_is_built(t)
+        assert row_key(t) == key
+        assert (t * t).is_identity()
+
+
+def test_reflection_above_degree_4_is_built_with_its_matrix():
+    # the sparse kernel is made from the matrix, so it is built eagerly
+    group = _group("D16")
+    assert group.field.degree == 8 > _DENSE_DEGREE
+    for t, root in _fresh_reflections(group, _word("abcbca"), 2):
+        assert matrix_is_built(t)
+        assert t.packed == reflection_matrix(group.gram, root)
+        assert _kernel_of(row_factor(t)) == "sparse"
+        assert (t * t).is_identity()
 
 
 # -- oracles: the column scan and the matrix products the row-key walk and

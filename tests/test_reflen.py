@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxlen.reflen
 from coxlen.coxeter import INF, CoxeterMatrix, classify_group, parse_coxeter_matrix
 from coxlen.errors import CertificateError, DomainError
 from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
@@ -16,7 +17,8 @@ from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
                            reflection_distances, reflen_ball, reflen_element,
                            standard_ball)
 from coxlen.tits import (GroupElement, enumerate_reflections, fixed_space_codim,
-                         row_factor)
+                         image_root, row_factor)
+from tits_oracles import matrix_is_built
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
 B2 = parse_coxeter_matrix("rank 2; m12=4")
@@ -528,6 +530,7 @@ def _least_factorizations(group, targets, factors):
 
 T334 = parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4")
 H3 = parse_coxeter_matrix("rank 3; m12=3 m23=5")
+B4H = parse_coxeter_matrix("rank 4; m12=4 m23=3 m34=4 m14=3")
 
 
 def _witness_cases():
@@ -676,8 +679,42 @@ def _search_case(draw):
 def test_search_reads_factors_only_through_their_products(case):
     group, factors, targets, cap = case
     expected = min_product_length(group, targets, factors, cap)
-    assert min_product_length(group, targets, [_product_only(t) for t in factors],
-                              cap) == expected
+    copies = [_product_only(t) for t in factors]
+    assert min_product_length(group, targets, copies, cap) == expected
+    assert not any(matrix_is_built(t) for t in copies)
+
+
+def test_exact_solver_builds_no_inversion_matrix(monkeypatch):
+    # the solver reads its inversions only through their products, so none
+    # gets its matrix; a witness part builds its own when its key is read
+    made = []
+
+    def recorded(group, reduced_word):
+        made[:] = inversion_reflections(group, reduced_word)
+        return made
+
+    monkeypatch.setattr(coxlen.reflen, "inversion_reflections", recorded)
+    for cm, word in ((W3, (0, 1, 2, 0, 2, 1)), (B4H, (0, 1, 2, 3, 0, 1, 2, 3)),
+                     (T334, (0, 2, 1, 2, 1, 0, 1, 2, 0, 1))):
+        group = get_group(cm)
+        value, parts = exact_reflection_length(group, group.element(word))
+        assert len(made) == len(word) > value
+        assert not any(matrix_is_built(t) for t in made)
+        assert [t.key for t in parts] == [group.element(t.word).key for t in parts]
+        assert all(matrix_is_built(t) for t in parts)
+
+
+def test_inversions_of_a_word_that_is_not_reduced_are_refused():
+    # the inversions are compared on their row keys: the second inversion of
+    # aa, and the fourth of abab past the longest element aba of A2, reflect
+    # the negative root -alpha_a, where t_beta = t_-beta is the first
+    group = get_group(A2)
+    assert len(inversion_reflections(group, (0, 1, 0))) == 3
+    minus_alpha_a = tuple(-c for c in image_root(group.identity, 0))
+    for word in ((0, 0), (0, 1, 0, 1)):
+        assert image_root(group.element(word[:-1]), word[-1]) == minus_alpha_a
+        with pytest.raises(CertificateError, match="must be distinct"):
+            inversion_reflections(group, word)
 
 
 # -- properties over random small Coxeter matrices --------------------------------

@@ -12,10 +12,19 @@ the package used before it computed in the smallest field.
   `report_key`, `report_enumeration` read that B with ExactScalar arithmetic
   alone: the canonical bytes of an element's matrix, and the reflections of
   root depth <= D in (depth, root bytes) order, as the package listed them.
+* `reflection_matrix(gram, root)` is the packed matrix I - beta rho that
+  `tits.reflection` built eagerly for every reflection before a reflection
+  up to degree 4 started as its product, here entry by entry with the
+  field's own multiplication.  `matrix_is_built(g)` tells whether g's
+  `packed` slot is set, without building it.
 """
+
+from functools import reduce
+from operator import add, sub
 
 from coxeter_oracles import scalar_gram
 from coxlen.coxeter import GramMatrix
+from coxlen.tits import GroupElement
 
 
 def convolution_side(B, n, field):
@@ -117,3 +126,33 @@ def report_enumeration(cm, depth_cap):
     rows = [(depth, word, repr(tuple((x.num, x.den) for x in v)).encode())
             for v, (depth, word) in seen.items()]
     return sorted(rows, key=lambda row: (row[0], row[2]))
+
+
+def reflection_matrix(gram, root):
+    """The packed matrix I - beta rho of the reflection of the packed root
+    beta, rho = beta^T 2B: entry (i, j) is delta_ij - beta_i rho_j with
+    rho_j = sum_k beta_k (2B)_kj, each product a `field.mul`."""
+    field = gram.field
+    n, d = gram.cm.rank, field.degree
+    zero = (0,) * d
+    one = (1,) + zero[1:]
+    beta = [root[i * d:(i + 1) * d] for i in range(n)]
+    rho = [reduce(lambda a, b: tuple(map(add, a, b)),
+                  (field.mul(beta[k], gram.rows[k][j]) for k in range(n)), zero)
+           for j in range(n)]
+    return tuple(c for i in range(n) for j in range(n)
+                 for c in map(sub, one if i == j else zero, field.mul(beta[i], rho[j])))
+
+
+# the `packed` slot itself: its __get__ raises AttributeError on an unset
+# slot without calling GroupElement.__getattr__, which would build it
+_PACKED = GroupElement.__dict__["packed"]
+
+
+def matrix_is_built(g):
+    """Whether g's `packed` slot is set; reading it this way builds nothing."""
+    try:
+        _PACKED.__get__(g)
+    except AttributeError:
+        return False
+    return True
