@@ -27,7 +27,7 @@ from .reflen import (GrowthRecord, ReflLenResult, ReflenProtocol,
                      reflen_element)
 from .tits import (GroupElement, Reflection, TitsGroup, canonical_key,
                    enumerate_reflections, evaluate_word, fixed_space_codim,
-                   gram_signature, tits_generator)
+                   tits_generator)
 from .warp import WarpProfile, warp_profile
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "classify_component", "classify_group", "compute_short_elements",
     "congruence_search", "counting_qm", "defect_window",
     "enumerate_reflections", "evaluate_word", "exact_reflection_length",
-    "fixed_space_codim", "gram_matrix", "gram_signature", "growth_profile",
+    "fixed_space_codim", "gram_matrix", "growth_profile",
     "homogenize", "irreducible_components", "minimal_nonaffine_subsets",
     "parse_coxeter_matrix", "reduce_word", "reflen_ball", "reflen_element",
     "tits_generator", "two_pi_certificate", "warp_profile",

@@ -25,8 +25,7 @@ from .filling import (boundary_circle_length, build_triangle_model,
 from .quasimorphism import build_certificate, certify_lower_bound, reduce_word
 from .reflen import (NODE_CAP, ReflenProtocol, affine_bound_experiment,
                      growth_profile, reflen_ball, reflen_element)
-from .reports import (csv_report, format_interval, format_rational,
-                      json_report, write_report)
+from .reports import csv_report, format_interval, json_report, write_report
 from .tits import canonical_key
 from .warp import grid_checks, warp_profile
 
@@ -181,11 +180,11 @@ def cmd_qm_certify(args):
         "window": cert.window,
         "stabilized": cert.stabilized,
         "defect_pair": list(cert.defect_pair),
-        "homogeneous_defect_bound": format_rational(cert.homogeneous_defect),
-        "generator_max": format_rational(cert.generator_max),
-        "constant": format_rational(constant),
+        "homogeneous_defect_bound": cert.homogeneous_defect,
+        "generator_max": cert.generator_max,
+        "constant": constant,
         "g": g.letters,
-        "phi_g": format_rational(cert.phi(g)),
+        "phi_g": cert.phi(g),
         "bounds": {str(k): b for k, b in zip(range(1, args.K + 1), bounds)},
     }
     config = _config(args, ("k", "pattern", "g", "K", "window"))
@@ -213,24 +212,23 @@ def cmd_filling(args):
     for s, cusp in sorted(model.cusps.items()):
         dmin, margin = two_pi_certificate(model, cert, s)
         cusps[str(s + 1)] = {
-            "vertex": "inf" if cusp.vertex is None else format_rational(cusp.vertex),
-            "width": format_rational(cusp.width),
+            "vertex": "inf" if cusp.vertex is None else cusp.vertex,
+            "width": cusp.width,
             "short_elements": len(cert.short_sets[s]),
             "all_nontrivial_mod_p": True,
-            "kernel_min_displacement": format_rational(dmin),
+            "kernel_min_displacement": dmin,
             "margin_over_two_pi": format_interval(margin),
-            "boundary_circle_length": format_rational(
-                boundary_circle_length(model, cert, s)),
+            "boundary_circle_length": boundary_circle_length(model, cert, s),
         }
     report = {
         "model": {"p": order_text(p), "q": order_text(q),
                   "matrix": [[order_text(m) for m in row] for row in model.cm.entries]},
-        "h": format_rational(h),
+        "h": h,
         "prime": cert.prime,
         "cusps": cusps,
         "parabolic_injectivity": {"-".join(str(i + 1) for i in subset): True
                                   for subset in finite_parabolic_subsets(model.cm)},
-        "certified_boundary_length_bound": format_rational(cert.kernel_min_displacement),
+        "certified_boundary_length_bound": cert.kernel_min_displacement,
         "margin_over_two_pi": format_interval(cert.margin_interval),
     }
     config = _config(args, ("p", "q", "h", "prime_cap"))

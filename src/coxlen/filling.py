@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import INF, CoxeterMatrix
+from .coxeter import INF, CoxeterMatrix, order_text
 from .errors import DomainError, ResourceCapError, require
 from .intervals import le_two_pi, margin_over_two_pi
 
@@ -145,7 +145,8 @@ def build_triangle_model(p, q) -> TriangleModel:
     if key not in _SUPPORTED:
         raise DomainError(
             "unsupported (p, q) = (%s, %s): integer matrices exist only for "
-            "(2,3), (2,inf), (inf,inf) with the third exponent inf" % (p, q))
+            "(2,3), (2,inf), (inf,inf) with the third exponent inf"
+            % (order_text(p), order_text(q)))
     mirror_x0 = PlaneIsometry.make(-1, 0, 0, 1, True)       # x -> -x
     mirror_x1 = PlaneIsometry.make(-1, 2, 0, 1, True)       # x -> 2 - x
     mirror_xh = PlaneIsometry.make(-1, 1, 0, 1, True)       # x -> 1 - x

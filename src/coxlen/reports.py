@@ -1,9 +1,12 @@
 """Deterministic report serialization.
 
-Identical configurations must yield byte-identical files: JSON keys are
-sorted, line endings are LF, rationals are rendered exactly, interval
-endpoints additionally carry a fixed 15-significant-digit decimal form, and
-every report embeds the tool version and the full configuration.
+Identical configurations yield byte-identical files, with LF line endings.
+`json_report` writes {tool, version, config, report}; `csv_report` writes the
+version, the configuration as one line of JSON, the header and the rows,
+each cell its `str` ("inf" for None).  Every JSON text comes from `_json`:
+sorted keys, no NaN or infinity, and a `Fraction` as "a/b" ("a" when whole)
+through the default hook `format_rational`, as `str` renders it in a cell.
+`format_interval` adds 15-significant-digit decimals to an interval's ends.
 """
 
 from __future__ import annotations
@@ -15,63 +18,41 @@ from . import __version__
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(Fraction(x))
 
 
 def format_interval(interval):
     lo, hi = interval
     return {
-        "exact": [format_rational(lo), format_rational(hi)],
+        "exact": [lo, hi],
         "decimal": ["%.15g" % float(lo), "%.15g" % float(hi)],
     }
 
 
-def jsonable(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, float):
-        return float(repr(x)) if x == x else None
-    if isinstance(x, bytes):
-        return x.hex()
-    return x
+def _json(x, indent=None) -> str:
+    return json.dumps(x, sort_keys=True, indent=indent, default=format_rational,
+                      allow_nan=False)
 
 
 def json_report(report: dict, config: dict) -> bytes:
     doc = {
         "tool": "coxlen",
         "version": __version__,
-        "config": jsonable(config),
-        "report": jsonable(report),
+        "config": config,
+        "report": report,
     }
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return (_json(doc, indent=2) + "\n").encode()
 
 
 def csv_report(header, rows, config: dict) -> bytes:
     lines = [
         "# coxlen %s" % __version__,
-        "# config: %s" % json.dumps(jsonable(config), sort_keys=True),
+        "# config: %s" % _json(config),
         header,
     ]
     for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+        lines.append(",".join("inf" if c is None else str(c) for c in row))
     return ("\n".join(lines) + "\n").encode()
-
-
-def _csv_cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    if isinstance(c, Fraction):
-        return format_rational(c)
-    if c is None:
-        return "inf"
-    return str(c)
 
 
 def write_report(data: bytes, path=None):

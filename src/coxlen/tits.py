@@ -373,7 +373,7 @@ class TitsGroup:
         return row
 
     def element(self, word) -> GroupElement:
-        return evaluate_word(self.generators, word, identity=self.identity)
+        return evaluate_word(self.generators, word)
 
     def _descents(self, key):
         """The right descents, smallest first, of the element g with row key
@@ -400,12 +400,10 @@ class TitsGroup:
         return tuple(reversed(out))
 
 
-def evaluate_word(gens, word, identity=None) -> GroupElement:
+def evaluate_word(gens, word) -> GroupElement:
     """Exact product of generator matrices; the empty word is the identity."""
-    if identity is None:
-        gram = gens[0].gram
-        identity = GroupElement(gram, _identity(gram.cm.rank, gram.field.degree), ())
-    out = identity
+    gram = gens[0].gram
+    out = GroupElement(gram, _identity(gram.cm.rank, gram.field.degree), ())
     for s in word:
         if not 0 <= s < len(gens):
             raise DomainError("generator index %d out of range" % s)

@@ -58,9 +58,6 @@ class WarpProfile:
     def r_b(self):
         return self.bridge.r_b
 
-    def value(self, r):
-        return _eval_profile(self, r)[0]
-
 
 def _apex(L, r_T, r):
     amp = 2 * math.pi / L

@@ -6,6 +6,7 @@ criterion FAILED.
 """
 
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -263,24 +264,26 @@ def test_criterion_8_quasimorphism_suite():
                "with zero violations")
 
 
+_CRITERION_9_CONFIGS = [
+    ["classify", "--inline", "rank 3; m12=3 m13=3 m23=4"],
+    ["subgroups", "--inline", "rank 3; m12=3 m13=3 m23=4"],
+    ["affine-bound", "--inline", "rank 2; m12=inf", "-L", "12"],
+    ["affine-bound", "--inline", "rank 3; m12=3 m13=3 m23=3", "-L", "8"],
+    ["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+     "--word", "abc", "--K", "4", "--pattern", "abc"],
+    ["reflen", "--inline", "rank 3; m12=3 m13=3 m23=3", "--word", "abcabc"],
+    ["reflen", "--inline", "rank 2; m12=3", "-L", "3", "-D", "2"],
+    ["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc", "--K", "6"],
+    ["filling", "--p", "2", "--q", "3", "--h", "1"],
+    ["warp", "--L", "6.5"],
+]
+
+
 def test_criterion_9_deterministic_reports(tmp_path):
     """Reports for the criteria scenarios are byte-identical across reruns."""
     from coxlen.cli import main
 
-    configs = [
-        ["classify", "--inline", "rank 3; m12=3 m13=3 m23=4"],
-        ["subgroups", "--inline", "rank 3; m12=3 m13=3 m23=4"],
-        ["affine-bound", "--inline", "rank 2; m12=inf", "-L", "12"],
-        ["affine-bound", "--inline", "rank 3; m12=3 m13=3 m23=3", "-L", "8"],
-        ["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf",
-         "--word", "abc", "--K", "4", "--pattern", "abc"],
-        ["reflen", "--inline", "rank 3; m12=3 m13=3 m23=3", "--word", "abcabc"],
-        ["reflen", "--inline", "rank 2; m12=3", "-L", "3", "-D", "2"],
-        ["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc", "--K", "6"],
-        ["filling", "--p", "2", "--q", "3", "--h", "1"],
-        ["warp", "--L", "6.5"],
-    ]
-    for idx, cfg in enumerate(configs):
+    for idx, cfg in enumerate(_CRITERION_9_CONFIGS):
         outputs = []
         for run in "abc":
             path = tmp_path / ("%d%s" % (idx, run))
@@ -289,4 +292,25 @@ def test_criterion_9_deterministic_reports(tmp_path):
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], cfg
     _report(9, "all %d criterion reports byte-identical across reruns"
-            % len(configs))
+            % len(_CRITERION_9_CONFIGS))
+
+
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_criterion_9_reports_are_strict_json(tmp_path):
+    """Every JSON document, and every CSV configuration line, of the criteria
+    scenarios parses as JSON without NaN or Infinity."""
+    from coxlen.cli import main
+
+    for idx, cfg in enumerate(_CRITERION_9_CONFIGS):
+        path = tmp_path / str(idx)
+        assert main(cfg + ["--output", str(path)]) == 0, cfg
+        text = path.read_text()
+        if not text.startswith("{"):
+            config_line = text.splitlines()[1]
+            assert config_line.startswith("# config: "), cfg
+            text = config_line[len("# config: "):]
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert isinstance(doc, dict), cfg

@@ -561,11 +561,20 @@ def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
     ["classify", "--inline", "rank 2; m1_2=3 m12=4"],
     # a certificate lists the powers g^1 .. g^K, K >= 1
 ] + [["qm-certify", "--k", "3", "--pattern", "abc", "--g", "abc", "--K", K]
-     for K in ("0", "-5")])
+     for K in ("0", "-5")] + [
+    # the warp report's configuration line is strict JSON: no NaN or infinity
+    ["warp", "--L", "inf"], ["warp", "--L", "nan"], ["warp", "--L", "7", "--rT", "nan"],
+    ["warp", "--L", "7", "--rT", "inf"], ["warp", "--L", "7", "--rT=-inf"]])
 def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     code, _ = run_cli(argv, tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unsupported_filling_pair_names_inf(tmp_path, capsys):
+    code, _ = run_cli(["filling", "--p", "3", "--q", "inf"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: unsupported (p, q) = (3, inf): ")
 
 
 @pytest.mark.parametrize("argv", [["filling", "--p", "2", "--q", "inf", "--h", "40"],

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "classify_component", "classify_group", "compute_short_elements",
     "congruence_search", "counting_qm", "defect_window",
     "enumerate_reflections", "evaluate_word", "exact_reflection_length",
-    "fixed_space_codim", "gram_matrix", "gram_signature", "growth_profile",
+    "fixed_space_codim", "gram_matrix", "growth_profile",
     "homogenize", "irreducible_components", "minimal_nonaffine_subsets",
     "parse_coxeter_matrix", "reduce_word", "reflen_ball", "reflen_element",
     "tits_generator", "two_pi_certificate", "warp_profile",
@@ -81,7 +81,6 @@ SIGNATURES = {
     "TriangleModel.element": "(self, word)",
     "TypeVerdict": "(kind, components, minimal_nonaffine, signature)",
     "WarpProfile": "(L, r_T, bridge, grid, f, fp, fpp, attempts)",
-    "WarpProfile.value": "(self, r)",
     "affine_bound_experiment": "(cm, L, protocol=None)",
     "build_certificate": "(k, pattern, window=None)",
     "build_triangle_model": "(p, q)",
@@ -95,11 +94,10 @@ SIGNATURES = {
     "counting_qm": "(w, g)",
     "defect_window": "(w, B)",
     "enumerate_reflections": "(gram, depth_cap)",
-    "evaluate_word": "(gens, word, identity=None)",
+    "evaluate_word": "(gens, word)",
     "exact_reflection_length": "(group, g, cap=5000000, reduced_word=None)",
     "fixed_space_codim": "(g)",
     "gram_matrix": "(cm)",
-    "gram_signature": "(gram)",
     "growth_profile": "(cm, base_word, K, protocol=None, certificates=())",
     "homogenize": "(w, g)",
     "irreducible_components": "(cm)",
