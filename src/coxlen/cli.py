@@ -316,9 +316,11 @@ def build_parser():
 
     p = sub.add_parser("warp", help="warped cone profile with convexity checks")
     add_common(p)
-    p.add_argument("--L", type=float, required=True)
+    negative = "; give a negative value in exponent or non-numeric form as %s=VALUE"
+    p.add_argument("--L", type=float, required=True,
+                   help="finite, > 2pi" + negative % "--L")
     p.add_argument("--rT", type=float, default=None,
-                   help="default: midpoint of (-L/2pi, -1)")
+                   help="default: midpoint of (-L/2pi, -1)" + negative % "--rT")
     p.add_argument("--grid", type=int, default=512)
     p.set_defaults(fn=cmd_warp)
     return ap

@@ -139,7 +139,10 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     """The l(w) reflections inverting w, from the prefixes of a reduced word
     s_1 ... s_l: the j-th is the `tits.reflection` of the root
     s_1 ... s_(j-1)(alpha_(s_j)), column s_j of the prefix matrix, with
-    word s_1 ... s_j s_(j-1) ... s_1.
+    word s_1 ... s_j s_(j-1) ... s_1.  The n rows of the prefix matrix are
+    walked from the identity's, each letter carrying each row through the
+    product by its generator, and the root is read off them as column s_j,
+    so no prefix is made an element.
 
     The inversions must be distinct, which fails for a word that is not
     reduced.  They are compared on their row keys K(t) = K(1) M(t), read
@@ -149,15 +152,22 @@ def inversion_reflections(group: TitsGroup, reduced_word):
     out = []
     seen = set()
     one = tits.row_key(group.identity)
-    prefix = group.identity
+    d = group.field.degree
+    width = group.cm.rank * d
+    identity = group.identity.packed
+    rows = [identity[r:r + width] for r in range(0, len(identity), width)]
+    prefix = ()
     for s in reduced_word:
-        t = tits.reflection(group.gram, tits.image_root(prefix, s),
-                            prefix.word + (s,) + prefix.word[::-1])
+        i = s * d
+        t = tits.reflection(group.gram, tuple(c for row in rows for c in row[i:i + d]),
+                            prefix + (s,) + prefix[::-1])
         key = tits.row_factor(t)(one)
         require(key not in seen, "inversions of a reduced word must be distinct")
         seen.add(key)
         out.append(t)
-        prefix = prefix * group.generators[s]
+        product = tits.row_factor(group.generators[s])
+        rows = [product(row) for row in rows]
+        prefix += (s,)
     return out
 
 
@@ -190,10 +200,13 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     factor is an involution, so every layer is closed under inversion and
     the probe tests g^-1 x instead, whose key K(g^-1) M(x) is carried down
     the prefixes of layer a (a layer lists the children of each prefix
-    together, so each prefix costs one row product per walk).  Only on a
-    hit is K(x^-1 g) formed, to read its stored tuple in layer b: K(1)
-    carried through the factors of x, last first, and then through the
-    product by g, made for that hit and not kept on g.
+    together, so each prefix costs one row product per walk).  K(g^-1) is
+    K(1) carried through a word of g, last letter first: g's own, or its
+    reduced word when it has none (as `TitsGroup.inverse_row_key` does).
+    Only on a hit is K(x^-1 g) formed, to read its stored tuple in layer
+    b: K(1) carried through the factors of x, last first, and then through
+    the same word of g, first letter first, one product by a generator per
+    letter, so no product by g's matrix is made.
 
     When a single target probes an odd n = 2a + 1 >= 3 and layer a + 1 is
     not built yet, it is not built at all: g^-1 x lies in layer a + 1
@@ -214,12 +227,13 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             pending.append((i, g, n_max))
     n_top = max((n_max for _, _, n_max in pending), default=0)
     products = [tits.row_factor(t) for t in factors]
+    generators = [tits.row_factor(s) for s in group.generators]
     one = tits.row_key(group.identity)
     factor_keys = [product(one) for product in products]
     # layer k: row key -> (least factor index tuple, row key of its prefix)
     layers = {1: {key: ((i,), None) for i, key in enumerate(factor_keys)}}
     stored = len(factors)
-    inverse_keys = {}   # target index -> K(g^-1), made on its first walk of a layer
+    walks = {}   # target index -> (g's word, K(g^-1)), made on its first walk of a layer
 
     def extend(k):
         """Build the layers up to k; False when the cap is hit first."""
@@ -265,17 +279,22 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 return wit
         return None
 
-    def witness_in(k, g, wit_a, walk):
+    def through(row, word):
+        """row M(s_1) ... M(s_k) for the word s_1 ... s_k."""
+        for s in word:
+            row = generators[s](row)
+        return row
+
+    def witness_in(k, word, wit_a, walk):
         """The stored tuple of x^-1 g in layer k (k + 1 when walking), where
-        x is the product of the factors at wit_a: K(x^-1 g), or K(t_j x^-1 g)
-        for each j when walking, carried through the products at wit_a, last
-        first, and then through g's."""
-        to_g = tits.row_factor(g, keep=False)
+        x is the product of the factors at wit_a and `word` spells g:
+        K(x^-1 g), or K(t_j x^-1 g) for each j when walking, carried through
+        the products at wit_a, last first, and then through the word."""
         heads = [((j,), key) for j, key in enumerate(factor_keys)] if walk else [((), one)]
         for head, row in heads:
             for i in reversed(wit_a):
                 row = products[i](row)
-            hit = layers[k].get(to_g(row))
+            hit = layers[k].get(through(row, word))
             if hit is not None:
                 return head + hit[0]
         require(False, "a row-key hit has no stored witness")
@@ -295,12 +314,13 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 if hit is not None:
                     hits[i] = n, hit[0]
                 continue
-            start = inverse_keys.get(i)
-            if start is None:
-                start = inverse_keys[i] = group.inverse_row_key(g)
+            if i not in walks:
+                word = group.reduced_word(g) if g.word is None else g.word
+                walks[i] = word, through(one, reversed(word))
+            word, start = walks[i]
             wit_a = first_hit(start, a, b, walk)
             if wit_a is not None:
-                hits[i] = n, wit_a + witness_in(a if walk else b, g, wit_a, walk)
+                hits[i] = n, wit_a + witness_in(a if walk else b, word, wit_a, walk)
         pending = [p for p in pending if hits[p[0]] is None]
     return hits, False
 

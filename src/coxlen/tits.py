@@ -25,7 +25,7 @@ Three kernels.  Multiplication works on those ints directly, one row at a
 time: every product by a matrix B is a function row -> row B, with its
 kernel picked once, when it is made (`_matrix_product`, or the rank-one
 kernel of a reflection), and kept: on g for `row_factor(g)`, on the Gram
-for 2B.
+for 2B and, by root, for reflections (below).
 
 * Reflections, up to degree 4 (`_DENSE_DEGREE`): a rank-one update.  A
   reflection is t = I - beta rho with rho = beta^T 2B (Humphreys,
@@ -35,12 +35,19 @@ for 2B.
   times the reduced row theta^q rho: 2 n d^2 integer products where a
   general product takes (n d)^2.  It is one straight-line function whose
   source is generated once per (width n d, degree d), on first use; the
-  reflection's ints are its closure cells.  It computes in the same
-  canonical Z[theta] basis as the other kernels, so every product is the
-  same tuple of ints.  The generators are reflections too.  Such a
-  reflection is made as this product alone: its matrix, row i being the
-  product of the i-th unit row, is built on first read, so the search,
-  which reads its factors only through their products, builds none.
+  root's ints are its closure cells.  It computes in the same canonical
+  Z[theta] basis as the other kernels, so every product is the same tuple
+  of ints.  The generators are reflections too.  Such a reflection is made
+  as this product alone: its matrix, row i being the product of the i-th
+  unit row, is built on first read, so the search, which reads its factors
+  only through their products, builds none.  The kernel is a function of
+  the root alone, so the Gram keeps one per packed root, shared by every
+  reflection of that root (a generator, an enumerated reflection, the
+  inversion of a word), up to _KEPT_KERNELS of them: the first made, which
+  are the shallow roots.  A kept kernel takes ~0.7 kB at rank 3 and degree
+  1, ~1.6 kB at rank 3 and degree 2 and ~100 kB at rank 64 and degree 4
+  (its 2 n d^2 closure cells), so a Gram keeps at most ~0.7 MB, ~1.6 MB
+  and ~100 MB of them.
 * Any other matrix, up to degree 4: the dense kernel on its regular
   representation (`_regular_columns`): one column per output coefficient,
   holding the coefficients of theta^q times each entry with the reduction
@@ -90,6 +97,9 @@ from .exactfield import RealCyclotomicField
 # dense kernel and a product by a reflection the rank-one kernel; above it
 # both run the sparse convolution, which beats the dense kernel there
 _DENSE_DEGREE = 4
+
+# the most rank-one kernels one Gram keeps (see `reflection`)
+_KEPT_KERNELS = 1024
 
 
 def _theta_rows(row, field):
@@ -290,20 +300,18 @@ def row_key(g: GroupElement) -> tuple:
     return tuple([sum(g.packed[t::step]) for t in range(step)])
 
 
-def row_factor(g: GroupElement, keep=True):
+def row_factor(g: GroupElement):
     """The product by g's matrix, row -> row M(g), as a function of one
-    packed row, kept on g, so it lives exactly as long as g: a group's
+    packed row, kept on g, so it lives at least as long as g: a group's
     generators, the enumerated reflections `reflen` holds per group, the
     inversion set of one exact solve, or the right operand of a product.
     A reflection at degree <= _DENSE_DEGREE is made with its rank-one kernel
-    (`reflection`) and starts as that product alone; any other element gets
-    `_matrix_product` of its matrix, made here on first use and kept unless
-    `keep` is false (a search target, multiplied by once per hit)."""
+    (`reflection`), which the Gram may keep too, and starts as that product
+    alone; any other element gets `_matrix_product` of its matrix, made
+    here on first use."""
     product = g._factor
     if product is None:
-        product = _matrix_product(g.packed, g.gram.cm.rank, g.gram.field)
-        if keep:
-            g._factor = product
+        product = g._factor = _matrix_product(g.packed, g.gram.cm.rank, g.gram.field)
     return product
 
 
@@ -322,28 +330,33 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     Up to degree _DENSE_DEGREE the reflection is its `row_factor` alone,
     the rank-one update r (I - beta rho) = r - <r, beta> rho in one
     generated straight-line kernel (`_rank_one_maker`), bound to the regular
-    columns of beta: 2 n d^2 integer products per row where the dense kernel
-    takes (n d)^2, exact in the same Z[theta] basis, so every product is the
-    same tuple of ints.  Its matrix is built from that product on first read
-    (`GroupElement.__getattr__`).  Above degree _DENSE_DEGREE the matrix is
-    built here, as the sparse kernel is made from it."""
+    columns of beta, read off one `_theta_rows` of beta: 2 n d^2 integer
+    products per row where the dense kernel takes (n d)^2, exact in the same
+    Z[theta] basis, so every product is the same tuple of ints.  The kernel
+    depends on the root alone, so it is kept on the Gram under the packed
+    root until the Gram holds _KEPT_KERNELS of them, and a reflection of a
+    kept root reuses it.  Its matrix is built from that product on first
+    read (`GroupElement.__getattr__`).  Above degree _DENSE_DEGREE the
+    matrix is built here, as the sparse kernel is made from it."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
-    x = _theta_rows(_form(gram)(root), field)
     if d <= _DENSE_DEGREE:
+        kept = _kept(gram, "_rank_one_kernels", lambda gram: {})
+        product = kept.get(root)
+        if product is None:
+            x = _theta_rows(_form(gram)(root), field)
+            beta = _theta_rows(root, field)     # row q: theta^q beta
+            b = (row[i + p] for p in range(d) for i in range(0, n * d, d) for row in beta)
+            product = _rank_one_maker(n * d, d)(*b, *chain(*x))
+            if len(kept) < _KEPT_KERNELS:
+                kept[root] = product
         t = GroupElement(gram, None, word)
-        b = _regular_columns(root, n, field)
-        t._factor = _rank_one_maker(n * d, d)(*chain(*b), *chain(*x))
+        t._factor = product
         return t
+    x = _theta_rows(_form(gram)(root), field)
     cols = list(zip(*x))
     out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
     return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
-
-
-def image_root(g: GroupElement, s: int) -> tuple:
-    """The packed root g(alpha_s): column s of g's matrix."""
-    n, d = g.gram.cm.rank, g.gram.field.degree
-    return tuple(c for t in range(s * d, n * n * d, n * d) for c in g.packed[t:t + d])
 
 
 def tits_generator(gram: GramMatrix, s: int) -> GroupElement:

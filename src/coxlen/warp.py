@@ -203,16 +203,18 @@ def _schedule(L, r_T):
 def warp_profile(L, r_T=None, grid=512) -> WarpProfile:
     """Construct and grid-verify the radial warp factor for the cone metric.
 
-    Preconditions: L > 2*pi and r_T in (-L/(2*pi), -1); r_T defaults to the
-    midpoint of that interval.  Verification on the grid over (r_T, 0]:
-    f > 0 everywhere, forward differences of f positive, central second
-    differences >= -1e-9 * max|f| * step^2 (`_grid_tests`, which
-    `grid_checks` reads too).  Candidate bridges are tried in a fixed
+    Preconditions: L finite and > 2*pi, and r_T in (-L/(2*pi), -1); r_T
+    defaults to the midpoint of that interval.  Verification on the grid
+    over (r_T, 0]: f > 0 everywhere, forward differences of f positive,
+    central second differences >= -1e-9 * max|f| * step^2 (`_grid_tests`,
+    which `grid_checks` reads too).  Candidate bridges are tried in a fixed
     order; exhaustion raises with the best violation seen.
     """
     L = float(L)
     if not L > 2 * math.pi:
         raise DomainError("need L > 2*pi, got L = %r" % L)
+    if not math.isfinite(L):
+        raise DomainError("need a finite L, got L = %r" % L)
     lo, hi = -L / (2 * math.pi), -1.0
     if r_T is None:
         r_T = (lo + hi) / 2

@@ -571,6 +571,23 @@ def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_warp_refusals_name_the_input_given(tmp_path, capsys):
+    # an infinite L is refused naming L, not the default r_T derived from it
+    code, _ = run_cli(["warp", "--L", "inf"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == "error: need a finite L, got L = inf\n"
+    # a negative r_T in exponent form reaches the program when given with
+    # "=", where argparse reads "--rT -1e308" as an option with no value
+    code, _ = run_cli(["warp", "--L", "7", "--rT=-1e308"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: r_T must lie in ") and err.endswith("got -1e+308\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["warp", "--L", "7", "--rT", "-1e308"], tmp_path)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_unsupported_filling_pair_names_inf(tmp_path, capsys):
     code, _ = run_cli(["filling", "--p", "3", "--q", "inf"], tmp_path)
     assert code == 1

@@ -356,3 +356,42 @@ def test_kernel_check_sees_every_spelling():
 def test_products_are_made_in_tits_alone(path):
     # every other module multiplies through `row_factor` or `GroupElement`
     assert _kernel_lines(_SOURCES[path]) == []
+
+
+def _readers(source, name):
+    """The enclosing function, dotted ("" at module level), of every read of
+    `name` in `source`: a bare name or an attribute, called or not."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + "." + node.name if scope else node.name
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_reader_check_sees_every_spelling():
+    source = ("from .tits import _rank_one_maker\n"
+              "make = _rank_one_maker\n"
+              "def reflection(gram):\n"
+              "    return _kept(gram, 'k', lambda gram: tits._rank_one_maker(3, 1))\n"
+              "class K:\n"
+              "    def f(self):\n"
+              "        def g():\n"
+              "            return _rank_one_maker\n"
+              "def _rank_one_maker(w, d):\n"
+              "    return '_rank_one_maker in a string is prose'\n")
+    assert _readers(source, "_rank_one_maker") == ["", "reflection", "K.f.g"]
+
+
+def test_rank_one_kernels_are_made_in_reflection_alone():
+    # `tits.reflection` keeps each kernel on the Gram under its root, so no
+    # reflection bypasses the kept kernels
+    readers = [(path.name, scope) for path, source in _SOURCES.items()
+               for scope in _readers(source, "_rank_one_maker")]
+    assert readers == [("tits.py", "reflection")]

@@ -24,13 +24,14 @@ from coxlen.coxeter import gram_matrix, parse_coxeter_matrix
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
                            inversion_reflections, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
-from coxlen.tits import (_DENSE_DEGREE, GroupElement, _dense_product, _entry_rows,
-                         _matrix_product, _root_key, _sparse_product, canonical_key,
-                         enumerate_reflections, fixed_space_codim, image_root,
+from coxlen.tits import (_DENSE_DEGREE, GroupElement, TitsGroup, _dense_product,
+                         _entry_rows, _matrix_product, _root_key, _sparse_product,
+                         canonical_key, enumerate_reflections, fixed_space_codim,
                          reflection, row_factor, row_key, tits_generator)
 from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
-                          convolution_side, matrix_is_built, reflection_matrix,
+                          convolution_side, image_root, matrix_is_built,
+                          prefix_inversions, reflection_matrix,
                           report_enumeration, report_gram, report_key)
 
 # field degrees: report field / computation field
@@ -333,6 +334,121 @@ def test_reflection_above_degree_4_is_built_with_its_matrix():
         assert (t * t).is_identity()
 
 
+# -- kept kernels: one rank-one kernel per root on the Gram, up to
+# `tits._KEPT_KERNELS`.  Each test builds its own group, so no other test has
+# filled the Gram's kernels first.
+
+
+def _kept_kernels(gram):
+    """The rank-one kernels the Gram keeps, by packed root."""
+    return gram.__dict__.get("_rank_one_kernels", {})
+
+
+def _inversion_roots(group, rw):
+    """The root of each inversion of the reduced word, read off the prefix
+    elements."""
+    return [image_root(group.element(rw[:j]), s) for j, s in enumerate(rw)]
+
+
+@pytest.mark.parametrize("name", RANK_ONE_GROUPS)
+def test_reflections_of_one_root_share_one_product(name):
+    group = TitsGroup(_group(name).cm)
+    gram = group.gram
+    for r in enumerate_reflections(gram, 2):
+        again = reflection(gram, r.root, r.word + r.word)
+        assert row_factor(again) is row_factor(r.element)
+        assert again.word == r.word + r.word
+    # a generator is the reflection of a simple root, made again by the
+    # enumeration and as the first inversion of a word
+    for s, gen in enumerate(group.generators):
+        assert row_factor(tits_generator(gram, s)) is row_factor(gen)
+        assert row_factor(inversion_reflections(group, (s,))[0]) is row_factor(gen)
+    rw = group.reduced_word(group.element((0, 1, 2, 0, 1)))
+    for t, root in zip(inversion_reflections(group, rw), _inversion_roots(group, rw)):
+        assert _kept_kernels(gram)[root] is row_factor(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_one_case())
+def test_kept_product_matches_the_matrix_product(case):
+    # a reflection made again from a kept root reuses its kernel, and that
+    # product is the general product by its matrix, built from it and
+    # entry by entry from the root
+    group, word, rows = case
+    group = TitsGroup(group.cm)
+    gram, n, field = group.gram, group.cm.rank, group.field
+    rw = group.reduced_word(group.element(word))
+    inversions = inversion_reflections(group, rw)
+    made = [(r.element, r.root) for r in enumerate_reflections(gram, 2)]
+    for t, root in made + list(zip(inversions, _inversion_roots(group, rw))):
+        again = reflection(gram, root, ())
+        product = row_factor(again)
+        assert product is row_factor(t) is _kept_kernels(gram)[root]
+        assert again.packed == reflection_matrix(gram, root)
+        general = _matrix_product(again.packed, n, field)
+        for row in rows:
+            assert product(row) == general(row)
+
+
+def test_kept_kernels_stop_at_their_bound(monkeypatch):
+    # W3 has 3 * (2^(D+1) - 1) roots of depth <= D, 1533 at D = 8
+    cm = _group("W3").cm
+    gram = gram_matrix(cm)
+    assert len(enumerate_reflections(gram, 8)) == 1533 > coxlen.tits._KEPT_KERNELS
+    assert len(_kept_kernels(gram)) == coxlen.tits._KEPT_KERNELS
+    # past a small bound: the first kernels made are kept, the generators
+    # first, and a reflection of a root past the bound gets a kernel of its
+    # own, whose products are still right
+    monkeypatch.setattr(coxlen.tits, "_KEPT_KERNELS", 5)
+    group = TitsGroup(cm)
+    gram = group.gram
+    reflections = enumerate_reflections(gram, 3)
+    assert len(reflections) == 45
+    kept = _kept_kernels(gram)
+    assert len(kept) == 5
+    simple = [image_root(group.identity, s) for s in range(3)]
+    assert list(kept)[:3] == simple
+    assert all(r.depth <= 1 for r in reflections if r.root in kept)
+    rng = random.Random(5)
+    rows = [tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(3)) for _ in range(3)]
+    for r in reflections:
+        again = reflection(gram, r.root, r.word)
+        assert (row_factor(again) is row_factor(r.element)) == (r.root in kept)
+        general = _matrix_product(reflection_matrix(gram, r.root), 3, gram.field)
+        for row in rows:
+            assert row_factor(again)(row) == row_factor(r.element)(row) == general(row)
+    assert len(_kept_kernels(gram)) == 5
+    exact = TitsGroup(cm)
+    value, parts = exact_reflection_length(exact, exact.element(_word("abcbcacab")))
+    assert tuple("".join("abc"[s] for s in p.word) for p in parts) == \
+        WITNESSES[("W3", "abcbcacab")]
+    assert len(_kept_kernels(exact.gram)) == 5
+
+
+@pytest.mark.parametrize("name", RANK_ONE_GROUPS)
+def test_exact_solve_makes_no_matrix_product_but_the_form(name, monkeypatch):
+    # up to degree 4 the solver multiplies by generators and inversions
+    # through their rank-one kernels, and carries a hit's key through the
+    # target's word, so the one general product it makes is by 2B, once
+    # per Gram, for the roots' rho
+    made = []
+    real = coxlen.tits._matrix_product
+
+    def counted(B, n, field):
+        made.append(B)
+        return real(B, n, field)
+
+    monkeypatch.setattr(coxlen.tits, "_matrix_product", counted)
+    group = TitsGroup(_group(name).cm)
+    form = tuple(c for row in group.gram.rows for e in row for c in e)
+    for word in ((0, 1, 2, 0, 1, 2), (0, 2, 1, 2, 1, 0, 1, 2, 0, 1), (1, 2, 1, 0, 2)):
+        g = group.element(word)
+        value, _ = exact_reflection_length(group, g)
+        assert value >= 2
+        exact_reflection_length(group, GroupElement(group.gram, g.packed))
+    assert made == [form]
+
+
 # -- oracles: the column scan and the matrix products the row-key walk and
 # `reflection` replaced.  W3, A2T, H3, T334, B4H and D16 cover degenerate and
 # indefinite forms and computation field degrees 1, 2 and 8.
@@ -609,3 +725,29 @@ def test_ball_csv_matches_the_report_field_gram(name, tmp_path, monkeypatch):
     assert get_group(parse_coxeter_matrix(GROUPS[name])).field.N == \
         parse_coxeter_matrix(GROUPS[name]).conductor()
     assert (tmp_path / "small").read_bytes() == (tmp_path / "report").read_bytes()
+
+
+@st.composite
+def _reduced_word_case(draw):
+    """(group, reduced word): a reduced word of a random word of up to 16
+    letters, at every computation field degree of FIELD_ORACLE_GROUPS."""
+    group = _group(draw(st.sampled_from(FIELD_ORACLE_GROUPS)))
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    word = tuple(draw(st.lists(letters, max_size=16)))
+    return group, group.reduced_word(group.element(word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reduced_word_case())
+def test_prefix_row_walk_matches_the_prefix_products(case):
+    # the inversions read off the walked prefix rows against the prefix
+    # elements they replaced: the same row keys, words and order, and the
+    # matrix of each against I - beta rho of the prefix's column s_j
+    group, rw = case
+    one = row_key(group.identity)
+    got = inversion_reflections(group, rw)
+    want = prefix_inversions(group, rw)
+    assert [(row_factor(t)(one), t.word) for t in got] == \
+        [(row_factor(t)(one), t.word) for t in want]
+    assert [t.packed for t in got] == \
+        [reflection_matrix(group.gram, root) for root in _inversion_roots(group, rw)]

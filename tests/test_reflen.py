@@ -17,8 +17,8 @@ from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
                            reflection_distances, reflen_ball, reflen_element,
                            standard_ball)
 from coxlen.tits import (GroupElement, enumerate_reflections, fixed_space_codim,
-                         image_root, row_factor)
-from tits_oracles import matrix_is_built
+                         row_factor)
+from tits_oracles import image_root, matrix_is_built
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
 B2 = parse_coxeter_matrix("rank 2; m12=4")

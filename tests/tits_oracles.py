@@ -17,6 +17,10 @@ the package used before it computed in the smallest field.
   up to degree 4 started as its product, here entry by entry with the
   field's own multiplication.  `matrix_is_built(g)` tells whether g's
   `packed` slot is set, without building it.
+* `image_root(g, s)` reads the root g(alpha_s) off g's matrix, and
+  `prefix_inversions(group, rw)` is `reflen.inversion_reflections` as it was
+  before it walked the prefix rows: one prefix element per letter, each
+  inversion the reflection of its column s_j.
 """
 
 from functools import reduce
@@ -24,7 +28,8 @@ from operator import add, sub
 
 from coxeter_oracles import scalar_gram
 from coxlen.coxeter import GramMatrix
-from coxlen.tits import GroupElement
+from coxlen.errors import require
+from coxlen.tits import GroupElement, reflection, row_factor, row_key
 
 
 def convolution_side(B, n, field):
@@ -156,3 +161,28 @@ def matrix_is_built(g):
     except AttributeError:
         return False
     return True
+
+
+def image_root(g, s):
+    """The packed root g(alpha_s): column s of g's matrix."""
+    n, d = g.gram.cm.rank, g.gram.field.degree
+    return tuple(c for t in range(s * d, n * n * d, n * d) for c in g.packed[t:t + d])
+
+
+def prefix_inversions(group, reduced_word):
+    """The inversions of a reduced word, the j-th the reflection of
+    `image_root` of the prefix s_1 ... s_(j-1) at s_j, each prefix an
+    element, distinct on their row keys."""
+    out = []
+    seen = set()
+    one = row_key(group.identity)
+    prefix = group.identity
+    for s in reduced_word:
+        t = reflection(group.gram, image_root(prefix, s),
+                       prefix.word + (s,) + prefix.word[::-1])
+        key = row_factor(t)(one)
+        require(key not in seen, "inversions of a reduced word must be distinct")
+        seen.add(key)
+        out.append(t)
+        prefix = prefix * group.generators[s]
+    return out
