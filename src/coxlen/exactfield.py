@@ -39,6 +39,14 @@ _PI_HI = Fraction(355, 113)
 # costs more with the degree (see the README)
 MAX_DEGREE = 300
 
+# the largest degree at which the field's `mul` is a generated straight-line
+# kernel (`_mul_maker`), made when the field is built; above it `mul` stays
+# the loop: compiling the kernel takes ~0.1-0.2 ms up to degree 4, ~0.5 ms
+# at degree 8 and ~3-4 ms at degree 24 (Python 3.11, a shared 2-vCPU VM),
+# and the wide-order classifications make only a few products in each field
+# they build
+_GENERATED_MUL_DEGREE = 4
+
 # bits of theta's starting enclosure a/2^P < theta < b/2^P, and the bits the
 # precision grows by once the enclosure is narrower than 2^_GUARD units
 _START_PREC = 64
@@ -111,6 +119,45 @@ def _cosine_minimal_poly(N):
     return out
 
 
+def _combination(terms):
+    """Source text of sum(c * x) over the (integer c, expression x) pairs,
+    zero coefficients left out; "0" when every one is zero."""
+    out = ""
+    for c, x in terms:
+        if c:
+            term = x if abs(c) == 1 else "%d*%s" % (abs(c), x)
+            out += (" - " if c < 0 else " + ") + term if out else \
+                ("-" if c < 0 else "") + term
+    return out or "0"
+
+
+def _mul_maker(reduction):
+    """mul(a, b) for the field of degree d whose reduction rows (theta^d,
+    ..., theta^(2d-2) over 1, ..., theta^(d-1)) are `reduction`, as one
+    straight-line function of the 2d coefficients: the convolution
+    t_k = sum_(p+q=k) a_p b_q, with each top coefficient folded into the
+    low ones through the reduction rows as integer constants,
+
+        out_i = t_i + sum_j reduction[j][i] t_(d+j)
+
+    the same ints as the loop in `RealCyclotomicField.mul`."""
+    d = len(reduction) + 1
+    # conv[k]: the products a_p b_q with p + q = k
+    conv = [[(1, "a%d*b%d" % (p, k - p)) for p in range(max(0, k - d + 1), min(k, d - 1) + 1)]
+            for k in range(2 * d - 1)]
+    lines = ["def mul(a, b):",
+             " %s, = a" % ", ".join("a%d" % p for p in range(d)),
+             " %s, = b" % ", ".join("b%d" % q for q in range(d))]
+    lines += [" t%d = %s" % (k, _combination(conv[k])) for k in range(d, 2 * d - 1)]
+    lines.append(" return (%s,)" % ", ".join(
+        _combination(conv[i] + [(row[i], "t%d" % (d + j))
+                                for j, row in enumerate(reduction)])
+        for i in range(d)))
+    namespace = {}
+    exec(compile("\n".join(lines), "<mul kernel d=%d>" % d, "exec"), namespace)
+    return namespace["mul"]
+
+
 def _dyadic_sign(coeffs, m, P):
     """Exact sign of sum(coeffs[i] (m/2^P)^i), from the integer homogeneous
     Horner sum(coeffs[i] m^i 2^(P(d-i))) = 2^(Pd) times the value."""
@@ -165,6 +212,8 @@ class RealCyclotomicField:
         # the nonzero (power, coefficient) terms of each reduction row
         self._reduction_terms = tuple(
             tuple((i, c) for i, c in enumerate(row) if c) for row in red)
+        if 1 < d <= _GENERATED_MUL_DEGREE:
+            self.mul = _mul_maker(self._reduction)
         self._theta_float = 2.0 * math.cos(math.pi / N)
         self._isolate_theta()
         # D_0 = 2 and D_1 = theta (rational, -minpoly[0], at degree 1): see dickson
@@ -249,7 +298,11 @@ class RealCyclotomicField:
 
     def mul(self, a, b):
         """The product of two elements given by their `degree` coefficients:
-        the convolution, reduced once modulo the minimal polynomial."""
+        the convolution, reduced once modulo the minimal polynomial.  From
+        degree 2 to _GENERATED_MUL_DEGREE each field replaces this loop,
+        when it is built, by its own straight-line kernel (`_mul_maker`)
+        with the same ints; above that degree the kernel would cost more to
+        compile than the few products a field of high degree makes."""
         d = self.degree
         if d == 1:
             return (a[0] * b[0],)

@@ -252,9 +252,10 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
         return True
 
     def first_hit(start, a, b, walk):
-        """The stored tuple of the first x in layer a with g^-1 x in layer b
-        (with g^-1 x t_j in layer a for some j when walking), where start =
-        K(g^-1); or None."""
+        """(stored tuple, j) of the first x in layer a with g^-1 x in layer
+        b (j = None), or, when walking, with g^-1 x t_j in layer a for some
+        j, the least such j; where start = K(g^-1).  None when there is no
+        such x."""
         last = [None] * a   # level k: (key, K(g^-1 y)) of the last prefix y
 
         def shifted(k, key):
@@ -272,11 +273,11 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
         for wit, parent in layers[a].values():
             y = products[wit[-1]](shifted(a - 1, parent))
             if walk:
-                for product in products:
+                for j, product in enumerate(products):
                     if product(y) in inner:
-                        return wit
+                        return wit, j
             elif y in inner:
-                return wit
+                return wit, None
         return None
 
     def through(row, word):
@@ -285,19 +286,20 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             row = generators[s](row)
         return row
 
-    def witness_in(k, word, wit_a, walk):
-        """The stored tuple of x^-1 g in layer k (k + 1 when walking), where
-        x is the product of the factors at wit_a and `word` spells g:
-        K(x^-1 g), or K(t_j x^-1 g) for each j when walking, carried through
-        the products at wit_a, last first, and then through the word."""
-        heads = [((j,), key) for j, key in enumerate(factor_keys)] if walk else [((), one)]
-        for head, row in heads:
-            for i in reversed(wit_a):
-                row = products[i](row)
-            hit = layers[k].get(through(row, word))
-            if hit is not None:
-                return head + hit[0]
-        require(False, "a row-key hit has no stored witness")
+    def witness_in(k, word, wit_a, j):
+        """The stored tuple of x^-1 g in layer k, or, when walking (j not
+        None), (j,) and that of t_j x^-1 g in layer k, where x is the
+        product of the factors at wit_a and `word` spells g: K(x^-1 g), or
+        K(t_j x^-1 g), carried through the products at wit_a, last first,
+        and then through the word.  g^-1 x t_j lies in layer k exactly when
+        its inverse t_j x^-1 g does, so the j `first_hit` found is the least
+        head."""
+        head, row = ((), one) if j is None else ((j,), factor_keys[j])
+        for i in reversed(wit_a):
+            row = products[i](row)
+        hit = layers[k].get(through(row, word))
+        require(hit is not None, "a row-key hit has no stored witness")
+        return head + hit[0]
 
     for n in range(1, n_top + 1):
         probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
@@ -318,9 +320,10 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 word = group.reduced_word(g) if g.word is None else g.word
                 walks[i] = word, through(one, reversed(word))
             word, start = walks[i]
-            wit_a = first_hit(start, a, b, walk)
-            if wit_a is not None:
-                hits[i] = n, wit_a + witness_in(a if walk else b, word, wit_a, walk)
+            found = first_hit(start, a, b, walk)
+            if found is not None:
+                wit_a, j = found
+                hits[i] = n, wit_a + witness_in(a if walk else b, word, wit_a, j)
         pending = [p for p in pending if hits[p[0]] is None]
     return hits, False
 

@@ -21,9 +21,9 @@ the same way, as one-column matrices, `Reflection.root` included.  A
 reflection up to degree 4 starts as its product (below) and gets its packed
 matrix only when something reads it.
 
-Three kernels.  Multiplication works on those ints directly, one row at a
-time: every product by a matrix B is a function row -> row B, with its
-kernel picked once, when it is made (`_matrix_product`, or the rank-one
+Three product kernels.  Multiplication works on those ints directly, one
+row at a time: every product by a matrix B is a function row -> row B, with
+its kernel picked once, when it is made (`_matrix_product`, or the rank-one
 kernel of a reflection), and kept: on g for `row_factor(g)`, on the Gram
 for 2B and, by root, for reflections (below).
 
@@ -43,11 +43,10 @@ for 2B and, by root, for reflections (below).
   only through their products, builds none.  The kernel is a function of
   the root alone, so the Gram keeps one per packed root, shared by every
   reflection of that root (a generator, an enumerated reflection, the
-  inversion of a word), up to _KEPT_KERNELS of them: the first made, which
-  are the shallow roots.  A kept kernel takes ~0.7 kB at rank 3 and degree
-  1, ~1.6 kB at rank 3 and degree 2 and ~100 kB at rank 64 and degree 4
-  (its 2 n d^2 closure cells), so a Gram keeps at most ~0.7 MB, ~1.6 MB
-  and ~100 MB of them.
+  inversion of a word), the first made, which are the shallow roots, up to
+  _KEPT_CELLS closure cells in all (2 n d^2 per kernel).  A kept kernel
+  takes ~0.7 kB at rank 3 and degree 1 and ~100 kB at rank 64 and degree
+  4, so a Gram keeps at most ~1.9 MB and ~0.8 MB of them.
 * Any other matrix, up to degree 4: the dense kernel on its regular
   representation (`_regular_columns`): one column per output coefficient,
   holding the coefficients of theta^q times each entry with the reduction
@@ -63,7 +62,11 @@ for 2B and, by root, for reflections (below).
 * `canonical_key(g)` is the canonical byte serialization of the entries
   over the report field; it orders frontiers deterministically and names
   elements in reports (the CSV key digest), independently of the packing
-  and of the field the work runs in.
+  and of the field the work runs in.  It and the root bytes are written by
+  one kernel per Gram and shape (`_report_bytes`): a cached %-format
+  string that reproduces `repr`, fed each entry's report coefficients by a
+  generated straight-line map of its d ints (`_report_maker`), or the
+  packed ints themselves when both fields are the same.
 * `row_key(g)` is K(g) = 1^T M(g), the column sums of g's matrix: rank *
   degree ints instead of rank^2 * degree.  It is injective on W for every
   Coxeter matrix, degenerate and indefinite forms included: K(g) is the
@@ -90,7 +93,7 @@ from operator import mul, sub
 from . import linalg
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
 from .errors import DomainError, require
-from .exactfield import RealCyclotomicField
+from .exactfield import RealCyclotomicField, _combination
 
 
 # the largest field degree at which a product by a general element runs the
@@ -98,8 +101,10 @@ from .exactfield import RealCyclotomicField
 # both run the sparse convolution, which beats the dense kernel there
 _DENSE_DEGREE = 4
 
-# the most rank-one kernels one Gram keeps (see `reflection`)
-_KEPT_KERNELS = 1024
+# the most closure cells of the rank-one kernels one Gram keeps, 2 n d^2 per
+# kernel (see `reflection`): 2,730 kernels at rank 3 and degree 1 (~1.9 MB),
+# 8 at rank 64 and degree 4 (~0.8 MB)
+_KEPT_CELLS = 2 ** 14
 
 
 def _theta_rows(row, field):
@@ -334,10 +339,11 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     products per row where the dense kernel takes (n d)^2, exact in the same
     Z[theta] basis, so every product is the same tuple of ints.  The kernel
     depends on the root alone, so it is kept on the Gram under the packed
-    root until the Gram holds _KEPT_KERNELS of them, and a reflection of a
-    kept root reuses it.  Its matrix is built from that product on first
-    read (`GroupElement.__getattr__`).  Above degree _DENSE_DEGREE the
-    matrix is built here, as the sparse kernel is made from it."""
+    root while the kept kernels' closure cells fit in _KEPT_CELLS, and a
+    reflection of a kept root reuses it.  Its matrix is built from that
+    product on first read (`GroupElement.__getattr__`).  Above degree
+    _DENSE_DEGREE the matrix is built here, as the sparse kernel is made
+    from it."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
     if d <= _DENSE_DEGREE:
@@ -348,7 +354,7 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
             beta = _theta_rows(root, field)     # row q: theta^q beta
             b = (row[i + p] for p in range(d) for i in range(0, n * d, d) for row in beta)
             product = _rank_one_maker(n * d, d)(*b, *chain(*x))
-            if len(kept) < _KEPT_KERNELS:
+            if len(kept) < _KEPT_CELLS // (2 * n * d * d):
                 kept[root] = product
         t = GroupElement(gram, None, word)
         t._factor = product
@@ -427,12 +433,12 @@ def evaluate_word(gens, word) -> GroupElement:
 def _make_report_columns(gram: GramMatrix):
     """The exact embedding of gram.field, Q(theta') with theta' =
     2cos(pi/N'), into the report field Q(theta), theta = 2cos(pi/N) for N =
-    cm.conductor(), as dense kernel columns: theta' = D_k(theta) with
-    k = N/N' (`dickson`), so column j holds the theta^j coefficients of
-    theta'^0, ..., theta'^(d'-1).  None when both fields have the same
-    degree, hence the same coefficients: N' = N, or both are Q (N' = 2,
-    N = 3).  A3 (N' = 2, N = 6) needs the map: its form lies in Q and its
-    report field is Q(2cos(pi/6)), of degree 2."""
+    cm.conductor(), as integer columns: theta' = D_k(theta) with k = N/N'
+    (`dickson`), so column j holds the theta^j coefficients of theta'^0,
+    ..., theta'^(d'-1).  None when both fields have the same degree, hence
+    the same coefficients: N' = N, or both are Q (N' = 2, N = 3).  A3
+    (N' = 2, N = 6) needs the map: its form lies in Q and its report field
+    is Q(2cos(pi/6)), of degree 2."""
     field, N = gram.field, gram.cm.conductor()
     report = RealCyclotomicField(N)
     if report.degree == field.degree:
@@ -441,29 +447,64 @@ def _make_report_columns(gram: GramMatrix):
     rows = [(1,) + (0,) * (report.degree - 1)]
     for _ in range(field.degree - 1):
         rows.append(report.mul(rows[-1], theta))
-    return [[row[j] for row in rows] for j in range(report.degree)]
+    return tuple(tuple(row[j] for row in rows) for j in range(report.degree))
 
 
-def _report_entries(gram: GramMatrix, packed):
-    """The entries of a packed matrix or root as coefficient tuples over the
-    report field (see `_make_report_columns`)."""
-    d = gram.field.degree
-    entries = [packed[t:t + d] for t in range(0, len(packed), d)]
-    cols = _kept(gram, "_report_columns", _make_report_columns)
+@lru_cache(maxsize=None)
+def _report_maker(cols):
+    """report(packed): the report-field coefficients of every entry of a
+    packed matrix or root, one flat tuple, through the embedding columns
+    `cols` (`_make_report_columns`) folded in as integer constants.  The
+    generated loop body maps one entry's d ints,
+
+        out += (cols[0][0] c_0 + ... + cols[0][d-1] c_(d-1), ...)
+
+    so the source does not grow with the rank.  Generated once per map."""
+    d = len(cols[0])
+    c = ["c%d" % i for i in range(d)]
+    source = "\n".join([
+        "def report(packed):",
+        " it = iter(packed)",
+        " out = []",
+        " for %s, in zip(%s):" % (", ".join(c), ", ".join(["it"] * d)),
+        "  out += (%s,)" % ", ".join(_combination(zip(col, c)) for col in cols),
+        " return tuple(out)"])
+    namespace = {}
+    exec(compile(source, "<report map d=%d>" % d, "exec"), namespace)
+    return namespace["report"]
+
+
+def _tuple_format(item, count):
+    """The %-format of `repr` of a tuple of `count` items of format `item`,
+    the trailing comma of a 1-tuple included."""
+    return "(%s,)" % item if count == 1 else "(%s)" % ", ".join([item] * count)
+
+
+def _report_bytes(gram: GramMatrix, rows):
+    """packed -> the canonical bytes of a packed matrix (rows = True) or
+    root over the report field: `repr` of its (coefficients, 1) entries, in
+    rows of n for a matrix, through one cached %-format string; each entry
+    first mapped into the report field by `_report_maker` unless both
+    fields are the same.  Made once per Gram and shape."""
+    n = gram.cm.rank
+    cols = _make_report_columns(gram)
+    degree = gram.field.degree if cols is None else len(cols)
+    fmt = _tuple_format("(%s, 1)" % _tuple_format("%d", degree), n)
+    if rows:
+        fmt = _tuple_format(fmt, n)
     if cols is None:
-        return entries
-    return [_dense_product(cols, e) for e in entries]
+        return lambda packed: (fmt % packed).encode()
+    report = _report_maker(cols)
+    return lambda packed: (fmt % report(packed)).encode()
 
 
 def canonical_key(g: GroupElement) -> bytes:
     """Canonical bytes of g's matrix over the report field Q(2cos(pi/N)),
     N = cm.conductor(): `repr` of its rows of (num, den) entries, every
-    denominator being 1.  The bytes do not depend on the field the work runs
+    denominator being 1, written by the Gram's kept kernel
+    (`_report_bytes`).  The bytes do not depend on the field the work runs
     in."""
-    n = g.gram.cm.rank
-    entries = _report_entries(g.gram, g.packed)
-    return repr(tuple(tuple((c, 1) for c in entries[r:r + n])
-                      for r in range(0, n * n, n))).encode()
+    return _kept(g.gram, "_matrix_bytes", lambda gram: _report_bytes(gram, True))(g.packed)
 
 
 @dataclass(frozen=True)
@@ -478,8 +519,8 @@ class Reflection:
 
 def _root_key(gram, root):
     """The bytes that order roots: `repr` of (report-field coeffs, 1) per
-    coordinate."""
-    return repr(tuple((c, 1) for c in _report_entries(gram, root))).encode()
+    coordinate, written by the Gram's kept kernel (`_report_bytes`)."""
+    return _kept(gram, "_root_bytes", lambda gram: _report_bytes(gram, False))(root)
 
 
 def enumerate_reflections(gram: GramMatrix, depth_cap: int):

@@ -358,21 +358,28 @@ def test_products_are_made_in_tits_alone(path):
     assert _kernel_lines(_SOURCES[path]) == []
 
 
-def _readers(source, name):
-    """The enclosing function, dotted ("" at module level), of every read of
-    `name` in `source`: a bare name or an attribute, called or not."""
+def _scopes(source, match):
+    """The enclosing function, dotted ("" at module level), of every node of
+    `source` that `match` accepts."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + "." + node.name if scope else node.name
-        if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+        if match(node):
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return out
+
+
+def _readers(source, name):
+    """The enclosing scope of every read of `name` in `source`: a bare name
+    or an attribute, called or not."""
+    return _scopes(source, lambda node: name in (getattr(node, "id", None),
+                                                 getattr(node, "attr", None)))
 
 
 def test_reader_check_sees_every_spelling():
@@ -395,3 +402,41 @@ def test_rank_one_kernels_are_made_in_reflection_alone():
     readers = [(path.name, scope) for path, source in _SOURCES.items()
                for scope in _readers(source, "_rank_one_maker")]
     assert readers == [("tits.py", "reflection")]
+
+
+# the names that run or compile source text, and the builtins module that
+# reaches them; `re.compile` compiles a pattern, not code
+_CODE_RUNNERS = {"exec", "compile", "eval", "builtins", "__builtins__"}
+
+
+def _runs_code(node):
+    """Whether the node names a runner of source text: a bare name, an
+    import, or the attribute `exec` or `eval` of anything."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("exec", "eval")
+    if isinstance(node, ast.Name):
+        return node.id in _CODE_RUNNERS
+    return isinstance(node, ast.alias) and node.name in _CODE_RUNNERS
+
+
+def test_code_runner_check_sees_every_spelling():
+    source = ("import re, builtins\n"
+              "from builtins import exec as run\n"
+              "pattern = re.compile('x')\n"
+              "'exec in a string is prose'\n"
+              "def _mul_maker(r):\n"
+              "    exec(compile('x = 1', '<k>', 'exec'), {})\n"
+              "class K:\n"
+              "    def f(self):\n"
+              "        return builtins.eval\n"
+              "g = eval\n")
+    assert _scopes(source, _runs_code) == ["", "", "_mul_maker", "_mul_maker",
+                                           "K.f", "K.f", ""]
+
+
+def test_code_is_generated_in_the_kernel_makers_alone():
+    # the straight-line kernels are the one place source text is compiled
+    scopes = {(path.name, scope) for path, source in _SOURCES.items()
+              for scope in _scopes(source, _runs_code)}
+    assert scopes == {("exactfield.py", "_mul_maker"), ("tits.py", "_rank_one_maker"),
+                      ("tits.py", "_report_maker")}

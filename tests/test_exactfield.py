@@ -50,6 +50,43 @@ def test_minimal_polynomials_match_sympy():
         assert list(RealCyclotomicField(N).minpoly) == _reference_minimal_poly(N), N
 
 
+# conductors of every field of degree 2 to 4, the degrees whose `mul` is a
+# generated kernel
+_GENERATED_MUL_CONDUCTORS = (4, 5, 6, 7, 9, 8, 10, 12, 15)
+
+
+@st.composite
+def _mul_case(draw):
+    """(field, a, b): a field whose `mul` is generated, and two coefficient
+    vectors with zero, negative and large coefficients."""
+    field = RealCyclotomicField(draw(st.sampled_from(_GENERATED_MUL_CONDUCTORS)))
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9),
+                      st.integers(-2 ** 200, 2 ** 200))
+    vector = st.tuples(*[coeff] * field.degree)
+    return field, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mul_case())
+def test_generated_mul_matches_the_loop(case):
+    field, a, b = case
+    assert field.mul.__code__.co_filename == "<mul kernel d=%d>" % field.degree
+    assert field.mul(a, b) == RealCyclotomicField.mul(field, a, b)
+    assert field.mul(a, (0,) * field.degree) == (0,) * field.degree
+
+
+def test_mul_is_generated_from_degree_2_to_4_alone():
+    degrees = {}
+    for N in range(1, 41):
+        field = RealCyclotomicField(N)
+        degrees.setdefault(field.degree, set()).add("mul" in vars(field))
+    assert {d: made for d, made in degrees.items() if d <= 4} == \
+        {1: {False}, 2: {True}, 3: {True}, 4: {True}}
+    assert all(made == {False} for d, made in degrees.items() if d > 4)
+    assert sorted(N for N in range(1, 41) if "mul" in vars(RealCyclotomicField(N))) == \
+        sorted(_GENERATED_MUL_CONDUCTORS)
+
+
 def test_small_pi_bounds_enclose_the_fine_ones():
     assert _PI_LO < intervals.PI_LO < intervals.PI_HI < _PI_HI
 

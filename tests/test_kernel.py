@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -22,17 +23,18 @@ from coxlen.cli import main
 from coxeter_oracles import scalar_gram
 from coxlen.coxeter import gram_matrix, parse_coxeter_matrix
 from coxlen.reflen import (exact_reflection_length, get_group, get_reflections,
-                           inversion_reflections, standard_ball)
+                           inversion_reflections, min_product_length, standard_ball)
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.tits import (_DENSE_DEGREE, GroupElement, TitsGroup, _dense_product,
-                         _entry_rows, _matrix_product, _root_key, _sparse_product,
-                         canonical_key, enumerate_reflections, fixed_space_codim,
+                         _entry_rows, _make_report_columns, _matrix_product, _report_maker,
+                         _root_key, _sparse_product, canonical_key, enumerate_reflections, fixed_space_codim,
                          reflection, row_factor, row_key, tits_generator)
 from linalg_oracles import scalar_matrix_rank
 from tits_oracles import (convolution_mat_mul, convolution_row_mul,
                           convolution_side, image_root, matrix_is_built,
                           prefix_inversions, reflection_matrix,
-                          report_enumeration, report_gram, report_key)
+                          report_enumeration, report_gram, report_key, report_key_bytes,
+                          report_root_bytes)
 
 # field degrees: report field / computation field
 GROUPS = {
@@ -260,10 +262,12 @@ def test_setup_generates_no_kernel():
     assert out.stdout.strip() == "0"
 
 
+# the widest kernel the parser admits: rank 64 at degree 4, w = 256
+_RANK_64 = "rank 64; m1_2=8 " + " ".join("m%d_%d=3" % (i, i + 1) for i in range(2, 64))
+
+
 def test_rank_64_degree_4_reflection_product():
-    # the widest kernel the parser admits: rank 64 at degree 4, w = 256
-    text = "rank 64; m1_2=8 " + " ".join("m%d_%d=3" % (i, i + 1) for i in range(2, 64))
-    gram = gram_matrix(parse_coxeter_matrix(text))
+    gram = gram_matrix(parse_coxeter_matrix(_RANK_64))
     n, field = gram.cm.rank, gram.field
     d = field.degree
     assert (n, d) == (64, 4)
@@ -335,8 +339,8 @@ def test_reflection_above_degree_4_is_built_with_its_matrix():
 
 
 # -- kept kernels: one rank-one kernel per root on the Gram, up to
-# `tits._KEPT_KERNELS`.  Each test builds its own group, so no other test has
-# filled the Gram's kernels first.
+# `tits._KEPT_CELLS` closure cells.  Each test builds its own group, so no
+# other test has filled the Gram's kernels first.
 
 
 def _kept_kernels(gram):
@@ -391,15 +395,17 @@ def test_kept_product_matches_the_matrix_product(case):
 
 
 def test_kept_kernels_stop_at_their_bound(monkeypatch):
-    # W3 has 3 * (2^(D+1) - 1) roots of depth <= D, 1533 at D = 8
+    # W3 has 3 * (2^(D+1) - 1) roots of depth <= D, 3069 at D = 9, and a
+    # kernel there holds 2 n d^2 = 6 closure cells
     cm = _group("W3").cm
     gram = gram_matrix(cm)
-    assert len(enumerate_reflections(gram, 8)) == 1533 > coxlen.tits._KEPT_KERNELS
-    assert len(_kept_kernels(gram)) == coxlen.tits._KEPT_KERNELS
+    bound = coxlen.tits._KEPT_CELLS // 6
+    assert len(enumerate_reflections(gram, 9)) == 3069 > bound
+    assert len(_kept_kernels(gram)) == bound
     # past a small bound: the first kernels made are kept, the generators
     # first, and a reflection of a root past the bound gets a kernel of its
     # own, whose products are still right
-    monkeypatch.setattr(coxlen.tits, "_KEPT_KERNELS", 5)
+    monkeypatch.setattr(coxlen.tits, "_KEPT_CELLS", 5 * 6 + 5)
     group = TitsGroup(cm)
     gram = group.gram
     reflections = enumerate_reflections(gram, 3)
@@ -423,6 +429,33 @@ def test_kept_kernels_stop_at_their_bound(monkeypatch):
     assert tuple("".join("abc"[s] for s in p.word) for p in parts) == \
         WITNESSES[("W3", "abcbcacab")]
     assert len(_kept_kernels(exact.gram)) == 5
+
+
+def test_rank_64_degree_4_kept_kernels_stay_within_the_cell_bound():
+    # 2 n d^2 = 2048 cells per kernel: the Gram keeps as many as the bound
+    # holds, ~100 kB each, and the products of the roots past it are right
+    gram = gram_matrix(parse_coxeter_matrix(_RANK_64))
+    n, field = gram.cm.rank, gram.field
+    cells = 2 * n * field.degree ** 2
+    coxlen.tits._rank_one_maker(n * field.degree, field.degree)   # compiled untraced
+    tracemalloc.start()
+    try:
+        reflections = enumerate_reflections(gram, 1)
+        past = [r.root for r in reflections if r.root not in _kept_kernels(gram)][-4:]
+        del reflections
+        kept_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = _kept_kernels(gram)
+    assert len(kept) * cells <= coxlen.tits._KEPT_CELLS < (len(kept) + 1) * cells
+    assert kept_bytes < 2 * 10 ** 6
+    rng = random.Random(64)
+    row = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(n * field.degree))
+    for root in past:
+        product = row_factor(reflection(gram, root, ()))
+        assert product is not row_factor(reflection(gram, root, ()))
+        assert product(row) == _matrix_product(reflection_matrix(gram, root), n, field)(row)
+    assert len(_kept_kernels(gram)) == len(kept)
 
 
 @pytest.mark.parametrize("name", RANK_ONE_GROUPS)
@@ -654,6 +687,59 @@ def test_canonical_key_is_the_serialized_matrix():
     assert canonical_key(g) == repr(entries).encode()
 
 
+# ranks 1 to 4, report fields of degree 1 to 16 over work fields of degree
+# 1 to 8: the same field (W3, A2T, the rank-2 groups), Q into degree 2 (A3)
+# and degree 2, 4 or 8 into a larger one
+KEY_GROUPS = ("rank 1", "rank 2; m12=3", "rank 2; m12=5", "rank 2; m12=8") + tuple(
+    GROUPS[name] for name in ("W3", "A2T", "A3", "H3", "T334", "B4H", "W4", "P38", "D16"))
+
+
+@st.composite
+def _report_bytes_case(draw):
+    """(gram, packed matrix, packed root) with zero, negative and large
+    coefficients."""
+    gram = get_group(parse_coxeter_matrix(draw(st.sampled_from(KEY_GROUPS)))).gram
+    n, d = gram.cm.rank, gram.field.degree
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 100, 2 ** 100))
+    return (gram, tuple(draw(st.lists(coeff, min_size=n * n * d, max_size=n * n * d))),
+            tuple(draw(st.lists(coeff, min_size=n * d, max_size=n * d))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_bytes_case())
+def test_report_bytes_match_the_repr_oracle(case):
+    gram, matrix, root = case
+    g = GroupElement(gram, matrix)
+    assert canonical_key(g) == report_key_bytes(g)
+    assert _root_key(gram, root) == report_root_bytes(gram, root)
+
+
+def test_report_bytes_of_one_tuples():
+    # rank 1 and degree-1 report fields write the trailing comma of a 1-tuple
+    a1 = get_group(parse_coxeter_matrix("rank 1"))
+    assert canonical_key(a1.generators[0]) == b"((((-1,), 1),),)"
+    assert _root_key(a1.gram, (1,)) == b"(((1,), 1),)"
+    a2 = get_group(parse_coxeter_matrix("rank 2; m12=3"))
+    assert _root_key(a2.gram, (1, 1)) == b"(((1,), 1), ((1,), 1))"
+
+
+def test_report_bytes_at_rank_64():
+    # the rank-64 degree-4 path maps into the degree-8 report field
+    # Q(2cos(pi/24)) through the same generated map as P38 at rank 3, so the
+    # generated code does not grow with the rank
+    group = TitsGroup(parse_coxeter_matrix(_RANK_64))
+    gram = group.gram
+    assert (gram.field.degree, gram.cm.conductor()) == (4, 24)
+    g = group.element((1, 2, 3, 0, 1, 4))
+    assert canonical_key(g) == report_key_bytes(g)
+    for r in enumerate_reflections(gram, 1)[-3:]:
+        assert _root_key(gram, r.root) == report_root_bytes(gram, r.root)
+    small = _group("P38").gram
+    assert _make_report_columns(gram) == _make_report_columns(small)
+    assert _report_maker(_make_report_columns(gram)) is \
+        _report_maker(_make_report_columns(small))
+
+
 def test_solver_witnesses_are_pinned():
     for (name, text), witness in WITNESSES.items():
         group = _group(name)
@@ -751,3 +837,38 @@ def test_prefix_row_walk_matches_the_prefix_products(case):
         [(row_factor(t)(one), t.word) for t in want]
     assert [t.packed for t in got] == \
         [reflection_matrix(group.gram, root) for root in _inversion_roots(group, rw)]
+
+
+@st.composite
+def _odd_hit_case(draw):
+    """(group, reduced word): a reduced word of a random word of up to 12
+    letters in a group of computation degree <= 4."""
+    group = _group(draw(st.sampled_from(RANK_ONE_GROUPS)))
+    letters = st.integers(min_value=0, max_value=group.cm.rank - 1)
+    word = tuple(draw(st.lists(letters, max_size=12)))
+    return group, group.reduced_word(group.element(word))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_hit_case())
+def test_walked_hit_witness_matches_the_built_layer(case):
+    # one target at odd n >= 3 walks the children of layer a; the same
+    # target twice builds layer a + 1 instead, and both read the least
+    # witness
+    group, rw = case
+    g = group.element(rw)
+    factors = inversion_reflections(group, rw)
+    (walked,), _ = min_product_length(group, [(g, len(rw))], factors)
+    built, _ = min_product_length(group, [(g, len(rw))] * 2, factors)
+    assert built == [walked, walked]
+
+
+def test_pinned_walked_witnesses_match_the_built_layer():
+    for (name, text), witness in WITNESSES.items():
+        group = _group(name)
+        g = group.element(_word(text))
+        rw = group.reduced_word(g)
+        factors = inversion_reflections(group, rw)
+        (walked,), _ = min_product_length(group, [(g, len(rw))], factors)
+        built, _ = min_product_length(group, [(g, len(rw))] * 2, factors)
+        assert walked[0] == len(witness) and built == [walked, walked], (name, text)

@@ -7,9 +7,9 @@ from coxeter_oracles import scalar_gram
 from coxlen.coxeter import parse_coxeter_matrix, gram_matrix
 from coxlen.exactfield import ExactScalar, RealCyclotomicField
 from coxlen.reflen import get_group, get_reflections
-from coxlen.tits import (_entry_rows, _report_entries, canonical_key,
-                         enumerate_reflections, evaluate_word, fixed_space_codim,
-                         gram_signature)
+from coxlen.tits import (_entry_rows, canonical_key, enumerate_reflections, evaluate_word,
+                         fixed_space_codim, gram_signature)
+from tits_oracles import report_entries
 
 
 def _scalar_rows(elt):
@@ -238,7 +238,7 @@ ENUM_DIGESTS = {
 def _report_root(gram, root):
     """The packed root's (num, den) coordinates over the report field,
     through the exact embedding of gram.field into it."""
-    return tuple((c, 1) for c in _report_entries(gram, root))
+    return tuple((c, 1) for c in report_entries(gram, root))
 
 
 def _enum_rows(gram, reflections):

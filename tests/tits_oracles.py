@@ -17,6 +17,11 @@ the package used before it computed in the smallest field.
   up to degree 4 started as its product, here entry by entry with the
   field's own multiplication.  `matrix_is_built(g)` tells whether g's
   `packed` slot is set, without building it.
+* `report_entries(gram, packed)` is the report-field map as `tits` ran it
+  before its generated kernels: each entry's coefficients times the
+  embedding columns, one dot product per report coefficient, and
+  `report_key_bytes` / `report_root_bytes` the `repr` that
+  `tits.canonical_key` and `tits._root_key` reproduce.
 * `image_root(g, s)` reads the root g(alpha_s) off g's matrix, and
   `prefix_inversions(group, rw)` is `reflen.inversion_reflections` as it was
   before it walked the prefix rows: one prefix element per letter, each
@@ -29,7 +34,8 @@ from operator import add, sub
 from coxeter_oracles import scalar_gram
 from coxlen.coxeter import GramMatrix
 from coxlen.errors import require
-from coxlen.tits import GroupElement, reflection, row_factor, row_key
+from coxlen.tits import (GroupElement, _make_report_columns, reflection, row_factor,
+                         row_key)
 
 
 def convolution_side(B, n, field):
@@ -147,6 +153,30 @@ def reflection_matrix(gram, root):
            for j in range(n)]
     return tuple(c for i in range(n) for j in range(n)
                  for c in map(sub, one if i == j else zero, field.mul(beta[i], rho[j])))
+
+
+def report_entries(gram, packed):
+    """The entries of a packed matrix or root as coefficient tuples over the
+    report field, through the embedding columns of `_make_report_columns`."""
+    d = gram.field.degree
+    entries = [packed[t:t + d] for t in range(0, len(packed), d)]
+    cols = _make_report_columns(gram)
+    if cols is None:
+        return entries
+    return [tuple(sum(x * y for x, y in zip(e, col)) for col in cols) for e in entries]
+
+
+def report_key_bytes(g):
+    """`repr` of g's rows of (report coefficients, 1) entries."""
+    n = g.gram.cm.rank
+    entries = report_entries(g.gram, g.packed)
+    return repr(tuple(tuple((c, 1) for c in entries[r:r + n])
+                      for r in range(0, n * n, n))).encode()
+
+
+def report_root_bytes(gram, root):
+    """`repr` of the root's (report coefficients, 1) coordinates."""
+    return repr(tuple((c, 1) for c in report_entries(gram, root))).encode()
 
 
 # the `packed` slot itself: its __get__ raises AttributeError on an unset
