@@ -22,14 +22,13 @@ from .errors import (CertificateError, CoxlenError, DomainError, InputError,
 from .filling import (boundary_circle_length, build_triangle_model,
                       congruence_search, finite_parabolic_subsets,
                       two_pi_certificate)
-from .quasimorphism import build_certificate, certify_lower_bound, reduce_word
+from .quasimorphism import (_ALPHABET, build_certificate, certify_lower_bound,
+                            every_bond_infinite, reduce_word)
 from .reflen import (NODE_CAP, ReflenProtocol, affine_bound_experiment,
                      growth_profile, reflen_ball, reflen_element)
 from .reports import csv_report, format_interval, json_report, write_report
 from .tits import canonical_key
 from .warp import grid_checks, warp_profile
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _read_matrix(args):
@@ -48,8 +47,8 @@ def _read_matrix(args):
 def _parse_word(text, rank):
     if all(ch.isspace() or "0" <= ch <= "9" for ch in text):
         word = tuple(int(tok) - 1 for tok in text.split())
-    elif all(ch.isspace() or ch in _LETTERS for ch in text):
-        word = tuple(_LETTERS.index(ch) for ch in text if not ch.isspace())
+    elif all(ch.isspace() or ch in _ALPHABET for ch in text):
+        word = tuple(_ALPHABET.index(ch) for ch in text if not ch.isspace())
     else:
         raise InputError("word %r is neither letters a-z nor 1-based indices" % text)
     for s in word:
@@ -59,7 +58,7 @@ def _parse_word(text, rank):
 
 
 def _word_text(word):
-    return "".join(_LETTERS[s] for s in word)
+    return "".join(_ALPHABET[s] for s in word)
 
 
 def _config(args, keys):
@@ -112,7 +111,7 @@ def cmd_reflen(args):
     config = _config(args, ("inline", "input", "word", "L", "D"))
     if args.word:
         word = _parse_word(args.word, cm.rank)
-        if max(word, default=0) >= len(_LETTERS):
+        if max(word, default=0) >= len(_ALPHABET):
             raise InputError("the report spells words in the letters a-z; generator %d "
                              "has no letter" % (max(word) + 1))
         res = reflen_element(cm, word, _protocol(args))
@@ -129,8 +128,7 @@ def cmd_reflen(args):
         return json_report(report, config), 0
     ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap)
     rows = [_result_row(res) for res in ball.results.values()]
-    data = csv_report("key,len_S,upper,lower,status", rows, config)
-    return data, (2 if ball.capped else 0)
+    return csv_report("key,len_S,upper,lower,status", rows, config), 0
 
 
 def cmd_growth(args):
@@ -138,7 +136,7 @@ def cmd_growth(args):
     word = _parse_word(args.word, cm.rank)
     certs = ()
     if args.pattern:
-        if any(m != INF for i, row in enumerate(cm.entries) for m in row[i + 1:]):
+        if not every_bond_infinite(cm):
             raise DomainError("--pattern certifies free Coxeter groups only (every "
                               "bond inf); this diagram has a finite bond")
         certs = (build_certificate(cm.rank, args.pattern),)

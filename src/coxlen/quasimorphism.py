@@ -31,6 +31,11 @@ MAX_COMBINATIONS = 5_000_000
 MAX_POWERS = 100_000
 
 
+def every_bond_infinite(cm: CoxeterMatrix) -> bool:
+    """Whether cm presents a free Coxeter group: every bond inf."""
+    return all(m == INF for i, row in enumerate(cm.entries) for m in row[i + 1:])
+
+
 @dataclass(frozen=True)
 class FreeCoxeterWord:
     """Reduced word in Z/2 * ... * Z/2 (k factors)."""
@@ -274,8 +279,7 @@ class QuasimorphismCert:
 
     def lower_bound_for_word(self, cm: CoxeterMatrix, word):
         """Adapter for the reflection-length engine (free Coxeter groups only)."""
-        if cm.rank != self.k or any(m != INF for i, row in enumerate(cm.entries)
-                                    for m in row[i + 1:]):
+        if cm.rank != self.k or not every_bond_infinite(cm):
             return None
         letters = "".join(_ALPHABET[s] for s in word)
         g = reduce_word(letters, self.k)

@@ -88,7 +88,6 @@ class ReflLenResult:
     depth_used: int | None
     len_s: int
     lower_sources: tuple = ()
-    capped: bool = False
 
     def __post_init__(self):
         if self.upper is not None:
@@ -178,10 +177,10 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     serves them all: the layers of half products are built once and shared,
     and each target is probed at n = its parity minimum, +2, ..., n_max
     (every factor is a reflection, so products of n factors have word
-    parity n).  Returns (hits, capped): hits[i] is (n, factor index tuple)
-    for the least such n, or None when target i has no factorization of
-    length <= its n_max.  Once the stored-element cap is hit, every target
-    not yet settled gets None and capped is True.
+    parity n).  Returns hits: hits[i] is (n, factor index tuple) for the
+    least such n, or None when target i has no factorization of length <=
+    its n_max.  Raises ResourceCapError when building a layer would store
+    more than `cap` elements, the factors included.
 
     Row keys.  A layer element x is stored as its row key K(x) = 1^T M(x)
     (`tits.row_key`), which is injective on W by Tits' theorem (see the
@@ -202,7 +201,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     the prefixes of layer a (a layer lists the children of each prefix
     together, so each prefix costs one row product per walk).  K(g^-1) is
     K(1) carried through a word of g, last letter first: g's own, or its
-    reduced word when it has none (as `TitsGroup.inverse_row_key` does).
+    reduced word when it has none.
     Only on a hit is K(x^-1 g) formed, to read its stored tuple in layer
     b: K(1) carried through the factors of x, last first, and then through
     the same word of g, first letter first, one product by a generator per
@@ -236,7 +235,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     walks = {}   # target index -> (g's word, K(g^-1)), made on its first walk of a layer
 
     def extend(k):
-        """Build the layers up to k; False when the cap is hit first."""
+        """Build the layers up to k, raising once `cap` is exceeded."""
         nonlocal stored
         for j in range(len(layers) + 1, k + 1):
             new = {}
@@ -247,9 +246,9 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                         new[y] = (wit + (i,), key)
                         stored += 1
                         if stored > cap:
-                            return False
+                            raise ResourceCapError("search exceeded the node cap "
+                                                   "of %d stored elements" % cap)
             layers[j] = new
-        return True
 
     def first_hit(start, a, b, walk):
         """(stored tuple, j) of the first x in layer a with g^-1 x in layer
@@ -308,8 +307,7 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
         a = n // 2
         b = n - a
         walk = len(probing) == 1 and 0 < a < b and b not in layers
-        if not extend(a if walk else b):
-            return hits, True
+        extend(a if walk else b)
         for i, g, _ in probing:
             if a == 0:
                 hit = layers[b].get(tits.row_key(g))
@@ -325,23 +323,22 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 wit_a, j = found
                 hits[i] = n, wit_a + witness_in(a if walk else b, word, wit_a, j)
         pending = [p for p in pending if hits[p[0]] is None]
-    return hits, False
+    return hits
 
 
 def exact_reflection_length(group: TitsGroup, g: GroupElement, cap=NODE_CAP,
                             reduced_word=None):
-    """(value, witness reflection elements) or None if the cap is hit.
+    """(value, witness reflection elements).
 
     Searches products of inversions of g, read off `reduced_word` (a reduced
-    word for g, computed when not given).  Termination within l_S(g) factors
-    is guaranteed by Dyer's theorem; exceeding l_S(g) would falsify it and
-    raises instead of returning a wrong value.
+    word for g, computed when not given), and raises ResourceCapError when
+    the search would store more than `cap` elements.  Termination within
+    l_S(g) factors is guaranteed by Dyer's theorem; exceeding l_S(g) would
+    falsify it and raises instead of returning a wrong value.
     """
     rw = group.reduced_word(g) if reduced_word is None else tuple(reduced_word)
     invs = inversion_reflections(group, rw)
-    (hit,), capped = min_product_length(group, [(g, len(rw))], invs, cap)
-    if capped:
-        return None
+    (hit,) = min_product_length(group, [(g, len(rw))], invs, cap)
     require(hit is not None, "no inversion factorization within l_S; this "
             "contradicts the minimal-length theorem and indicates a bug")
     value, indices = hit
@@ -366,21 +363,25 @@ def reflection_distances(group: TitsGroup, reflections, targets, level_cap,
     """Distances in Cayley(W, reflections) of the target keys, where at most
     level_cap.
 
-    Returns (dist: key -> (distance, witness index tuple), capped).  The
-    program calls `min_product_length` directly; this name stays because the
-    benchmark (`perfbench/`) still refers to it.
+    Returns (dist: key -> (distance, witness index tuple), capped), and
+    ({}, True) when the search exceeds node_cap.  The program calls
+    `min_product_length` directly; this name stays because the benchmark
+    (`perfbench/`) still refers to it.
     """
     elements = [GroupElement(group.gram, key) for key in targets]
     # a target's distance has the parity of its length: probe both parities
-    hits, capped = min_product_length(
-        group, [(e, n) for e in elements for n in (level_cap, level_cap - 1)],
-        [r.element for r in reflections], node_cap)
+    try:
+        hits = min_product_length(
+            group, [(e, n) for e in elements for n in (level_cap, level_cap - 1)],
+            [r.element for r in reflections], node_cap)
+    except ResourceCapError:
+        return {}, True
     dist = {}
     for e, hit, other in zip(elements, hits[::2], hits[1::2]):
         hit = hit or other
         if hit is not None:
             dist[e.key] = hit
-    return dist, capped
+    return dist, False
 
 
 def standard_ball(group: TitsGroup, L: int, node_cap=NODE_CAP):
@@ -408,7 +409,6 @@ class BallResult:
     L: int
     D: int
     results: dict  # key -> ReflLenResult
-    capped: bool = False
 
 
 def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
@@ -419,9 +419,8 @@ def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
     reflection has depth 0, so l_R^(D) <= l_S); witnesses are its
     meet-in-the-middle factorizations, each re-multiplied and checked against
     its element.  `node_cap` bounds the ball and the elements the search
-    stores.  Returns ([(key, element, l_S, upper, witness factors)], capped),
-    in ball order; upper and the factors are None where the search could not
-    settle the element under the cap.
+    stores, and either raises ResourceCapError when exceeded.  Returns
+    [(key, element, l_S, upper, witness factors)] in ball order.
     """
     _check_caps(D, node_cap)
     if L < 0:
@@ -429,14 +428,13 @@ def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
     factors = [r.element for r in get_reflections(group, D)]
-    hits, capped = min_product_length(group, list(ball.values()), factors, node_cap)
+    hits = min_product_length(group, list(ball.values()), factors, node_cap)
     rows = []
     for (key, (elt, len_s)), hit in zip(ball.items(), hits):
-        if hit is None:
-            rows.append((key, elt, len_s, None, None))
-        else:
-            rows.append((key, elt, len_s) + _witness(group, factors, hit[1], elt))
-    return rows, capped
+        require(hit is not None, "a ball element has no factorization within l_S, "
+                "though every simple reflection has depth 0")
+        rows.append((key, elt, len_s) + _witness(group, factors, hit[1], elt))
+    return rows
 
 
 def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
@@ -444,23 +442,17 @@ def reflen_ball(cm: CoxeterMatrix, L: int, D: int,
     """l_R^(D) over the ball of standard length <= L.
 
     Upper bounds and witnesses come from the shared `_ball_search`; lower
-    bounds are parity and fixed-space codimension.  Elements the search
-    could not settle under `node_cap` are reported with upper = None.
+    bounds are parity and fixed-space codimension.  A ball or search larger
+    than `node_cap` raises ResourceCapError.
     """
-    rows, capped = _ball_search(cm, L, D, node_cap)
     results = {}
     sources = ("parity", "fixed-space")
-    for key, elt, len_s, upper, parts in rows:
+    for key, elt, len_s, upper, parts in _ball_search(cm, L, D, node_cap):
         lower = combine_lower(len_s, parity_lower(len_s), fixed_space_codim(elt))
-        if upper is None:
-            results[key] = ReflLenResult(elt, None, lower, "Bracketed", None, D,
-                                         len_s, sources, capped=True)
-        else:
-            witness = tuple(p.word for p in parts)
-            status = "Exact" if lower == upper else "Bracketed"
-            results[key] = ReflLenResult(elt, upper, lower, status,
-                                         witness, D, len_s, sources)
-    return BallResult(cm, L, D, results, capped)
+        status = "Exact" if lower == upper else "Bracketed"
+        results[key] = ReflLenResult(elt, upper, lower, status,
+                                     tuple(p.word for p in parts), D, len_s, sources)
+    return BallResult(cm, L, D, results)
 
 
 # -- per-element protocol ------------------------------------------------------
@@ -476,7 +468,9 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     has held for two further rungs, every witness re-multiplied and checked;
     the result is Bracketed unless the unconditional lower bounds happen to
     meet the upper bound.  depth_used is the rung that gave the upper bound,
-    None when none did.  Every search runs under protocol.node_cap.
+    None when none did.  Every search runs under protocol.node_cap: a search
+    that exceeds it gives way to the next rung, and when no rung settles
+    after that, its ResourceCapError is raised.
     """
     protocol = protocol or ReflenProtocol()
     _check_caps(protocol.d_cap, protocol.node_cap)
@@ -494,11 +488,15 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
             sources.append("quasimorphism:%s" % cert.pattern_text())
     lower = combine_lower(len_s, parity_lower(len_s), codim, *cert_bounds)
 
+    cap_error = None
     if protocol.use_exact_solver:
-        solved = exact_reflection_length(group, g, cap=protocol.node_cap,
-                                         reduced_word=reduced)
-        if solved is not None:
-            value, parts = solved
+        try:
+            value, parts = exact_reflection_length(group, g, cap=protocol.node_cap,
+                                                   reduced_word=reduced)
+        except ResourceCapError as e:
+            # dropping the traceback frees the search's layers before the ladder
+            cap_error = e.with_traceback(None)
+        else:
             require(value >= lower, "exact value below a certified lower bound")
             witness = tuple(p.word for p in parts)
             return ReflLenResult(g, value, value, "Exact", witness, None, len_s,
@@ -511,30 +509,35 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     witness = None
     stable = 0
     depth_used = None
-    capped = False
     rungs = range(_D_START, protocol.d_cap + 1, _D_STEP)
     deepest = get_reflections(group, rungs[-1]) if rungs else []
     for D in rungs:
         factors = [r.element for r in deepest if r.depth <= D]
-        (hit,), rung_capped = min_product_length(group, [(g, len_s)], factors,
-                                                 protocol.node_cap)
-        capped = capped or rung_capped
-        if hit is not None:
-            new_upper, parts = _witness(group, factors, hit[1], g)
-            if upper is not None:
-                require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
-            if upper is not None and new_upper == upper:
-                stable += 1
-            else:
-                stable = 0
-            upper = new_upper
-            witness = tuple(p.word for p in parts)
-            depth_used = D
-            if stable >= _STABLE_INCREMENTS:
-                break
+        try:
+            (hit,) = min_product_length(group, [(g, len_s)], factors,
+                                        protocol.node_cap)
+        except ResourceCapError as e:
+            cap_error = e.with_traceback(None)
+            continue
+        require(hit is not None, "no rung factorization within l_S, though every "
+                "simple reflection has depth 0")
+        new_upper, parts = _witness(group, factors, hit[1], g)
+        if upper is not None:
+            require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
+        if upper is not None and new_upper == upper:
+            stable += 1
+        else:
+            stable = 0
+        upper = new_upper
+        witness = tuple(p.word for p in parts)
+        depth_used = D
+        if stable >= _STABLE_INCREMENTS:
+            break
+    if upper is None and cap_error is not None:
+        raise cap_error
     status = "Exact" if upper is not None and lower == upper else "Bracketed"
     return ReflLenResult(g, upper, lower, status, witness, depth_used, len_s,
-                         tuple(sources), capped=capped)
+                         tuple(sources))
 
 
 def carter_length_finite(cm: CoxeterMatrix, word) -> int:
@@ -571,24 +574,20 @@ def affine_bound_experiment(cm: CoxeterMatrix, L: int,
     docstring).  Requires every component Euclidean; checks the 2n ceiling
     on every element (a violation would falsify the experiment, not flag it)
     and raises CertificateError when it fails.  protocol.node_cap bounds the
-    ball and the search, whose unsettled rows are skipped.
+    ball and the search, and either raises ResourceCapError when exceeded.
     """
     protocol = protocol or ReflenProtocol()
     verdict = classify_group(cm)
     if any(k != Kind.AFFINE_EUCLIDEAN for _, k in verdict.components):
         raise DomainError("affine bound experiment needs every component Euclidean")
     n = cm.rank - len(verdict.components)
-    rows, _ = _ball_search(cm, L, max(L - 1, 0), protocol.node_cap)
+    rows = _ball_search(cm, L, max(L - 1, 0), protocol.node_cap)
     counts = {}
     for _, _, _, upper, _ in rows:
-        if upper is None:
-            continue
         require(upper <= 2 * n,
                 "element of reflection length %d exceeds the affine maximum %d",
                 upper, 2 * n)
         counts[upper] = counts.get(upper, 0) + 1
-    if not counts:
-        raise DomainError("no exact values obtained at L=%d" % L)
     max_value = max(counts)
     return AffineBoundRecord(cm, L, n, 2 * n, max_value, max_value == 2 * n,
                              dict(sorted(counts.items())), len(rows))

@@ -346,23 +346,23 @@ def reflection(gram: GramMatrix, root: tuple, word) -> GroupElement:
     from it."""
     field = gram.field
     n, d = gram.cm.rank, field.degree
-    if d <= _DENSE_DEGREE:
-        kept = _kept(gram, "_rank_one_kernels", lambda gram: {})
-        product = kept.get(root)
-        if product is None:
-            x = _theta_rows(_form(gram)(root), field)
-            beta = _theta_rows(root, field)     # row q: theta^q beta
-            b = (row[i + p] for p in range(d) for i in range(0, n * d, d) for row in beta)
-            product = _rank_one_maker(n * d, d)(*b, *chain(*x))
-            if len(kept) < _KEPT_CELLS // (2 * n * d * d):
-                kept[root] = product
-        t = GroupElement(gram, None, word)
-        t._factor = product
-        return t
-    x = _theta_rows(_form(gram)(root), field)
-    cols = list(zip(*x))
-    out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d) for col in cols]
-    return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+    kept = _kept(gram, "_rank_one_kernels", lambda gram: {})
+    product = kept.get(root)
+    if product is None:
+        x = _theta_rows(_form(gram)(root), field)
+        if d > _DENSE_DEGREE:
+            cols = list(zip(*x))
+            out = [sum(map(mul, root[i:i + d], col)) for i in range(0, n * d, d)
+                   for col in cols]
+            return GroupElement(gram, tuple(map(sub, _identity(n, d), out)), word)
+        beta = _theta_rows(root, field)     # row q: theta^q beta
+        b = (row[i + p] for p in range(d) for i in range(0, n * d, d) for row in beta)
+        product = _rank_one_maker(n * d, d)(*b, *chain(*x))
+        if len(kept) < _KEPT_CELLS // (2 * n * d * d):
+            kept[root] = product
+    t = GroupElement(gram, None, word)
+    t._factor = product
+    return t
 
 
 def tits_generator(gram: GramMatrix, s: int) -> GroupElement:
@@ -380,16 +380,6 @@ class TitsGroup:
         self.field = self.gram.field
         self.generators = tuple(tits_generator(self.gram, s) for s in range(cm.rank))
         self.identity = GroupElement(self.gram, _identity(cm.rank, self.field.degree), ())
-
-    def inverse_row_key(self, g: GroupElement) -> tuple:
-        """K(g^-1) = 1^T M(s_k) ... M(s_1) for a word s_1 ... s_k of g, one
-        row product per letter; an element without a word is given its
-        reduced word."""
-        word = self.reduced_word(g) if g.word is None else g.word
-        row = row_key(self.identity)
-        for s in reversed(word):
-            row = row_factor(self.generators[s])(row)
-        return row
 
     def element(self, word) -> GroupElement:
         return evaluate_word(self.generators, word)

@@ -389,8 +389,36 @@ def test_reflen_ball_honours_node_cap(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,cap", [
+    (["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf", "--word", "abcabcabcacb",
+      "--node-cap", "10"], None),
+    (["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4", "-L", "5", "-D", "4",
+      "--node-cap", "100"], None),
+    # growth has no --node-cap: the default is lowered in its place
+    (["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf", "--word", "abc",
+      "--K", "4"], 10),
+], ids=["word", "ball", "growth"])
+def test_a_search_cut_short_by_its_cap_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                 monkeypatch, argv, cap):
+    # a result the node cap truncated is never reported: the run names the
+    # cap on stderr and writes neither stdout nor --output
+    import coxlen.cli
+
+    if cap is not None:
+        monkeypatch.setattr(coxlen.cli, "NODE_CAP", cap)
+    limit = cap or int(argv[-1])
+    line = "resource cap: search exceeded the node cap of %d stored elements\n" % limit
+    assert run_cli(argv, tmp_path) == (2, b"")
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", line)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line)
+
+
 def test_reflen_word_runs_every_search_under_node_cap(tmp_path, monkeypatch):
-    # the exact solver and each ladder rung answer to --node-cap alike
+    # the exact solver and each ladder rung answer to --node-cap alike: on
+    # A~2 (abc)^6 the solver and the D = 6 rung exceed a cap of 200 and give
+    # way, and the D = 4 rung gives the upper bound
     import inspect
 
     import coxlen.reflen
@@ -405,10 +433,13 @@ def test_reflen_word_runs_every_search_under_node_cap(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(coxlen.reflen, "min_product_length", recording)
-    code, _ = run_cli(["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf",
-                       "--word", "abcabcabcacb", "--node-cap", "10"], tmp_path)
+    code, data = run_cli(["reflen", "--inline", "rank 3; m12=3 m13=3 m23=3",
+                          "--word", "abc" * 6, "--node-cap", "200"], tmp_path)
     assert code == 0
-    assert caps and max(caps) <= 10
+    assert caps == [200] * 4
+    report = json.loads(data)["report"]
+    assert (report["upper"], report["lower"], report["status"], report["depth_used"]) == \
+        (4, 2, "Bracketed", 4)
 
 
 @pytest.mark.parametrize("mode", [["-L", "2"], ["--word", "ab"]])
@@ -530,11 +561,15 @@ def test_classify_computes_each_signature_once(tmp_path, monkeypatch):
 
 
 def test_reflen_reports_null_depth_when_no_rung_ran(tmp_path):
-    code, data = run_cli(["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf",
-                          "--word", "abcabc", "-D", "0", "--node-cap", "5"], tmp_path)
+    # the exact solver settles the word, so no rung runs; under a cap it
+    # cannot meet, -D 0 leaves no rung to fall back on and the cap is named
+    argv = ["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf", "--word", "abcabc",
+            "-D", "0"]
+    code, data = run_cli(argv, tmp_path)
     assert code == 0
     report = json.loads(data)["report"]
-    assert (report["upper"], report["depth_used"]) == (None, None)
+    assert (report["upper"], report["status"], report["depth_used"]) == (4, "Exact", None)
+    assert run_cli(argv + ["--node-cap", "5"], tmp_path, "capped") == (2, b"")
 
 
 # -- parsed inputs end in a report or an error line, never a traceback ----------
@@ -680,12 +715,13 @@ def test_memory_exhaustion_exits_2_with_a_cap_line():
 
 def test_node_cap_bounds_the_word_searches_in_memory():
     # ~350 B per stored search state: the solver and every ladder rung of
-    # (abc)^12 stop at the cap, and the report has no upper bound
+    # (abc)^12 stop at the cap, so the run names it and reports nothing
     out = _bounded_run(["reflen", "--inline", _W3, "--word", "abc" * 12,
                         "--node-cap", "500000"])
-    assert out.returncode == 0, out.stderr[-500:]
-    report = json.loads(out.stdout)["report"]
-    assert (report["upper"], report["lower"], report["status"]) == (None, 2, "Bracketed")
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr == ("resource cap: search exceeded the node cap of 500000 "
+                          "stored elements\n")
+    assert out.stdout == ""
 
 
 def test_inputs_at_the_caps_are_classified(tmp_path):

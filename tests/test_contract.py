@@ -69,11 +69,10 @@ SIGNATURES = {
     "RealCyclotomicField.mul": "(self, a, b)",
     "RealCyclotomicField.sign_of": "(self, num, den)",
     "ReflLenResult": ("(element, upper, lower, status, witness, depth_used, "
-                      "len_s, lower_sources=(), capped=False)"),
+                      "len_s, lower_sources=())"),
     "Reflection": "(element, root, depth, word)",
     "ReflenProtocol": "(d_cap=6, node_cap=5000000, use_exact_solver=True)",
     "TitsGroup": "(cm)",
-    "TitsGroup.inverse_row_key": "(self, g)",
     "TitsGroup.element": "(self, word)",
     "TitsGroup.right_descents": "(self, g)",
     "TitsGroup.reduced_word": "(self, g)",
@@ -128,9 +127,9 @@ DATACLASS_FIELDS = {
                                         "constant stabilized defect_pair"),
     "reflen.ReflenProtocol": "d_cap node_cap use_exact_solver",
     "reflen.ReflLenResult": ("element upper lower status witness depth_used "
-                             "len_s lower_sources capped"),
+                             "len_s lower_sources"),
     "reflen.GrowthRecord": "base_word powers",
-    "reflen.BallResult": "cm L D results capped",
+    "reflen.BallResult": "cm L D results",
     "reflen.AffineBoundRecord": ("cm L euclidean_dim bound max_value "
                                  "attained value_counts ball_size"),
     "tits.Reflection": "element root depth word",

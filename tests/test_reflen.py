@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import coxlen.reflen
 from coxlen.coxeter import INF, CoxeterMatrix, classify_group, parse_coxeter_matrix
-from coxlen.errors import CertificateError, DomainError
+from coxlen.errors import CertificateError, DomainError, ResourceCapError
 from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
                            affine_bound_experiment,
                            carter_length_finite, exact_reflection_length,
@@ -175,7 +175,6 @@ def test_ball_uppers_match_plain_bfs(text, L, D):
     cm = parse_coxeter_matrix(text)
     group = get_group(cm)
     ball = reflen_ball(cm, L, D)
-    assert not ball.capped
     oracle = _truncated_distances(group, enumerate_reflections(group.gram, D),
                                   ball.results.keys())
     dist, capped = reflection_distances(group, enumerate_reflections(group.gram, D),
@@ -189,19 +188,23 @@ def test_ball_uppers_match_plain_bfs(text, L, D):
         assert prod.key == key
 
 
-def test_ball_search_cap_leaves_rows_unsettled():
+def test_ball_search_cap_raises():
+    # the 57-element ball fits under a cap of 100, the search's second layer
+    # over the 24 reflections of depth <= 4 does not, and no row is returned
     t334 = parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=4")
-    full = reflen_ball(t334, 5, 4)
-    capped = reflen_ball(t334, 5, 4, node_cap=100)
-    assert capped.capped and not full.capped
-    assert capped.results.keys() == full.results.keys()
-    unsettled = [r for r in capped.results.values() if r.upper is None]
-    assert unsettled and len(unsettled) < len(capped.results)
-    for key, res in capped.results.items():
-        if res.upper is None:
-            assert res.status == "Bracketed" and res.capped
-        else:
-            assert res.upper == full.results[key].upper
+    assert len(reflen_ball(t334, 5, 4).results) == 57
+    with pytest.raises(ResourceCapError, match="node cap of 100 stored"):
+        reflen_ball(t334, 5, 4, node_cap=100)
+
+
+def test_affine_bound_search_cap_raises():
+    # the 31-element A~2 ball of radius 4 fits under a cap of 60, its search
+    # at D = 3 does not; no verdict is drawn from the rows it settled
+    protocol = ReflenProtocol(node_cap=60)
+    assert len(standard_ball(get_group(AT2), 4, protocol.node_cap)) == 31
+    with pytest.raises(ResourceCapError, match="node cap of 60 stored"):
+        affine_bound_experiment(AT2, 4, protocol)
+    assert affine_bound_experiment(AT2, 4, ReflenProtocol(node_cap=100)).max_value == 3
 
 
 def test_shared_search_gives_each_target_its_own_hit():
@@ -209,9 +212,9 @@ def test_shared_search_gives_each_target_its_own_hit():
     factors = [r.element for r in enumerate_reflections(group.gram, 2)]
     targets = [(elt, n_max) for (elt, len_s), n_max in
                zip(standard_ball(group, 4).values(), itertools.cycle((4, 3, 1, 0)))]
-    hits, capped = min_product_length(group, targets, factors)
-    assert not capped and any(h is None for h in hits)
-    assert hits == [min_product_length(group, [t], factors)[0][0] for t in targets]
+    hits = min_product_length(group, targets, factors)
+    assert any(h is None for h in hits)
+    assert hits == [min_product_length(group, [t], factors)[0] for t in targets]
 
 
 def test_infinite_dihedral_ball_translation_value():
@@ -439,10 +442,9 @@ def _corrupted_search(monkeypatch):
     real = coxlen.reflen.min_product_length
 
     def corrupted(group, targets, factors, cap=2_000_000):
-        hits, capped = real(group, targets, factors, cap)
         return [h if not h or not h[1] else
                 (h[0], h[1][:-1] + ((h[1][-1] + 1) % len(factors),))
-                for h in hits], capped
+                for h in real(group, targets, factors, cap)]
 
     monkeypatch.setattr(coxlen.reflen, "min_product_length", corrupted)
 
@@ -456,7 +458,7 @@ def test_ladder_remultiplies_its_witness(monkeypatch):
 
 
 def test_ball_remultiplies_its_witnesses(monkeypatch):
-    assert not reflen_ball(AT2, 3, 2).capped
+    assert len(reflen_ball(AT2, 3, 2).results) == 19
     _corrupted_search(monkeypatch)
     with pytest.raises(CertificateError):
         reflen_ball(AT2, 3, 2)
@@ -468,8 +470,8 @@ def _reference_ladder(group, g, len_s, d_cap):
     upper, witness, depth_used, stable = None, None, None, 0
     for D in range(2, d_cap + 1, 2):
         reflections = enumerate_reflections(group.gram, D)
-        (hit,), _ = min_product_length(group, [(g, len_s)],
-                                       [r.element for r in reflections])
+        (hit,) = min_product_length(group, [(g, len_s)],
+                                    [r.element for r in reflections])
         if hit is not None:
             stable = stable + 1 if hit[0] == upper else 0
             upper = hit[0]
@@ -494,12 +496,14 @@ def test_ladder_matches_one_enumeration_per_rung(cm, d_cap):
 
 
 def test_depth_used_is_none_when_no_rung_gives_the_bound():
-    # no rung runs below D = 2; every rung (and the solver) hits a cap of 5
+    # no rung runs below D = 2; when the solver and every rung exceed a cap
+    # of 5, that cap is raised rather than a result without a bound
     for protocol in (ReflenProtocol(use_exact_solver=False, d_cap=0),
-                     ReflenProtocol(use_exact_solver=False, d_cap=1),
-                     ReflenProtocol(d_cap=4, node_cap=5)):
+                     ReflenProtocol(use_exact_solver=False, d_cap=1)):
         res = reflen_element(W3, (0, 1, 2, 0, 1, 2), protocol)
         assert (res.upper, res.witness, res.depth_used) == (None, None, None)
+    with pytest.raises(ResourceCapError, match="node cap of 5 stored"):
+        reflen_element(W3, (0, 1, 2, 0, 1, 2), ReflenProtocol(d_cap=4, node_cap=5))
 
 
 # -- the search's witness contract against brute force --------------------------
@@ -572,10 +576,9 @@ def test_search_hit_is_the_least_index_tuple_of_least_length():
         for form in _target_forms(group, targets):
             # one target at a time (odd n walks the children of each prefix) ...
             for target, expected in zip(form, oracle):
-                assert min_product_length(group, [target], factors) == \
-                    ([expected], False)
+                assert min_product_length(group, [target], factors) == [expected]
             # ... and all of them in one shared search
-            assert min_product_length(group, form, factors) == (oracle, False)
+            assert min_product_length(group, form, factors) == oracle
     # misses, and hits at odd and even n beyond a single factor
     assert {None, 2, 3, 4} <= lengths
 
@@ -589,27 +592,27 @@ def test_single_odd_target_settles_without_the_next_layer():
     assert len(factors) == 93
     target = group.element((0, 1, 2))
     assert min_product_length(group, [(target, 3)], factors, cap=1000) == \
-        ([(3, (0, 3, 11))], False)
-    assert min_product_length(group, [(target, 3)], factors) == \
-        ([(3, (0, 3, 11))], False)
+        [(3, (0, 3, 11))]
+    assert min_product_length(group, [(target, 3)], factors) == [(3, (0, 3, 11))]
 
 
 # stored-element caps just below and above the count after each layer: T334
 # over R_4 has layers of 24, 355 and 3960 elements, W3 over R_4 a first
-# layer of 93; sha256 of repr(hits) and capped, recorded before the layers
-# held row keys
+# layer of 93.  Below 380 stored elements the T334 search raises (None); at
+# 380 and above it settles every target: sha256 of repr(hits), recorded
+# before the layers held row keys
 T334_CAP_PINS = {
-    23: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
-    25: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
-    378: ("455937496e11651b826937cbcd0312463bb8684b5700cb43c9aa18af650545e3", True),
-    380: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
-    4338: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
-    4340: ("2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f", False),
+    23: None,
+    25: None,
+    378: None,
+    380: "2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f",
+    4338: "2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f",
+    4340: "2b8c2bb282985f2ba3de9fc750c332bdf0eaa934d700f44aa9810b4ed2d1022f",
 }
-# sha256 of repr((upper, witness, capped) per row) of reflen_ball(T334, 5, 4)
+# sha256 of repr((upper, witness) per row) of reflen_ball(T334, 5, 4)
 T334_BALL_CAP_PINS = {
-    378: ("ad0634eeac147005997c8c5b9fa50c6d51264b0c1ea55778d27e753a12592865", True),
-    380: ("a6b57dfa628d516fbde45ecfbd87d92b37c68e3b2f6e938fef9144fb9cd96607", False),
+    378: None,
+    380: "1ae9bb6b0fbbe6f0a1ef815c54b19e499b2364f7587cd364243574f6a7ca99d8",
 }
 
 
@@ -622,24 +625,30 @@ def test_search_caps_are_pinned():
     factors = [r.element for r in get_reflections(group, 4)]
     targets = [(elt, len_s) for elt, len_s in standard_ball(group, 5).values()]
     assert len(factors) == 24 and len(targets) == 57
-    for cap, (digest, capped) in T334_CAP_PINS.items():
-        hits, got = min_product_length(group, targets, factors, cap)
-        assert (_sha(hits), got) == (digest, capped), cap
-    for cap, (digest, capped) in T334_BALL_CAP_PINS.items():
-        ball = reflen_ball(T334, 5, 4, node_cap=cap)
-        rows = [(r.upper, r.witness, r.capped) for r in ball.results.values()]
-        assert (_sha(rows), ball.capped) == (digest, capped), cap
+    for cap, digest in T334_CAP_PINS.items():
+        if digest is None:
+            with pytest.raises(ResourceCapError, match="node cap of %d stored" % cap):
+                min_product_length(group, targets, factors, cap)
+        else:
+            assert _sha(min_product_length(group, targets, factors, cap)) == digest, cap
+    for cap, digest in T334_BALL_CAP_PINS.items():
+        if digest is None:
+            with pytest.raises(ResourceCapError, match="node cap of %d stored" % cap):
+                reflen_ball(T334, 5, 4, node_cap=cap)
+        else:
+            ball = reflen_ball(T334, 5, 4, node_cap=cap)
+            rows = [(r.upper, r.witness) for r in ball.results.values()]
+            assert _sha(rows) == digest, cap
     # the single odd probe stores layer 1 only, so no cap stops it
     group = get_group(W3)
     factors = [r.element for r in get_reflections(group, 4)]
     abc = group.element((0, 1, 2))
     for cap in (92, 94, 7785, 7787):
-        assert min_product_length(group, [(abc, 3)], factors, cap) == \
-            ([(3, (0, 3, 11))], False)
+        assert min_product_length(group, [(abc, 3)], factors, cap) == [(3, (0, 3, 11))]
         res = reflen_element(W3, (0, 1, 2), ReflenProtocol(use_exact_solver=False,
                                                            d_cap=4, node_cap=cap))
-        assert (res.upper, res.witness, res.depth_used, res.capped) == \
-            (3, ((2,), (2, 1, 2), (2, 1, 0, 1, 2)), 4, False)
+        assert (res.upper, res.witness, res.depth_used) == \
+            (3, ((2,), (2, 1, 2), (2, 1, 0, 1, 2)), 4)
 
 
 # groups of field degree <= 4: 1 and 2 in PROPERTY_GROUPS below, H3 at 2,
@@ -678,9 +687,16 @@ def _search_case(draw):
 @given(_search_case())
 def test_search_reads_factors_only_through_their_products(case):
     group, factors, targets, cap = case
-    expected = min_product_length(group, targets, factors, cap)
+
+    def search(factors):
+        try:
+            return min_product_length(group, targets, factors, cap)
+        except ResourceCapError as e:
+            return str(e)
+
+    expected = search(factors)
     copies = [_product_only(t) for t in factors]
-    assert min_product_length(group, targets, copies, cap) == expected
+    assert search(copies) == expected
     assert not any(matrix_is_built(t) for t in copies)
 
 
@@ -736,7 +752,7 @@ def _matrix_and_word(draw):
 def test_reflection_length_properties(case):
     # codim <= l_R <= l_S with l_R = l_S mod 2, l_R(w) = l_R(w^-1), and the
     # exact value below the ladder's upper bound; the ladder runs under a
-    # small node cap, so a rung whose layers outgrow it reports no bound.
+    # small node cap, which raises when every rung's layers outgrow it.
     # Over the ball of radius L, the search at D = L - 1 gives each exact value.
     cm, word, L = case
     group = get_group(cm)
@@ -747,10 +763,11 @@ def test_reflection_length_properties(case):
     assert value % 2 == len_s % 2
     inverse = group.element(tuple(reversed(word)))
     assert exact_reflection_length(group, inverse)[0] == value
-    ladder = reflen_element(cm, word, ReflenProtocol(use_exact_solver=False,
-                                                      d_cap=4, node_cap=5_000))
-    if ladder.upper is None:
-        assert ladder.capped
+    try:
+        ladder = reflen_element(cm, word, ReflenProtocol(use_exact_solver=False,
+                                                          d_cap=4, node_cap=5_000))
+    except ResourceCapError:
+        pass
     else:
         assert value <= ladder.upper
     for res in reflen_ball(cm, L, max(L - 1, 0)).results.values():
