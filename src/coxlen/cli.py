@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 from fractions import Fraction
 
@@ -66,7 +65,7 @@ def _config(args, keys):
 
 
 def _protocol(args):
-    return ReflenProtocol(d_cap=getattr(args, "D", ReflenProtocol.d_cap),
+    return ReflenProtocol(d_cap=getattr(args, "D", ReflenProtocol().d_cap),
                           node_cap=getattr(args, "node_cap", NODE_CAP))
 
 
@@ -101,11 +100,6 @@ def cmd_subgroups(args):
     return json_report(report, _config(args, ("inline", "input"))), 0
 
 
-def _result_row(res):
-    digest = hashlib.sha256(canonical_key(res.element)).hexdigest()[:16]
-    return digest, res.len_s, res.upper, res.lower, res.status
-
-
 def cmd_reflen(args):
     cm = _read_matrix(args)
     config = _config(args, ("inline", "input", "word", "L", "D"))
@@ -126,8 +120,12 @@ def cmd_reflen(args):
             "depth_used": res.depth_used,
         }
         return json_report(report, config), 0
+    # imported at its one use, so that no other command starts OpenSSL
+    import hashlib
+
     ball = reflen_ball(cm, args.L, args.D, node_cap=args.node_cap)
-    rows = [_result_row(res) for res in ball.results.values()]
+    rows = [(hashlib.sha256(canonical_key(res.element)).hexdigest()[:16], res.len_s,
+             res.upper, res.lower, res.status) for res in ball.results.values()]
     return csv_report("key,len_S,upper,lower,status", rows, config), 0
 
 

@@ -20,9 +20,9 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass
 
 from . import linalg
+from ._record import Record
 from .errors import DomainError, InputError, ResourceCapError, require
 from .exactfield import RealCyclotomicField, check_degree
 
@@ -41,12 +41,14 @@ def order_text(m: int) -> str:
     return "inf" if m == INF else str(m)
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(Record):
     """The combinatorial datum (S, m_ij); entries symmetric, m_ii = 1."""
 
-    rank: int
-    entries: tuple  # tuple of tuples of ints, 0 = infinity
+    __slots__ = ("rank", "entries")
+
+    def __init__(self, rank: int, entries: tuple):
+        self.rank = rank
+        self.entries = entries  # tuple of tuples of ints, 0 = infinity
 
     @classmethod
     def make(cls, entries):
@@ -158,13 +160,16 @@ def parse_any(text: str) -> CoxeterMatrix:
     return parse_coxeter_matrix(text)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """The bilinear form B, B_ii = 1 and B_ij = -cos(pi/m_ij), held as 2B."""
+class GramMatrix(Record):
+    """The bilinear form B, B_ii = 1 and B_ij = -cos(pi/m_ij), held as 2B.
+    Its `__dict__` keeps the kernels `tits` makes for it."""
 
-    cm: CoxeterMatrix
-    field: RealCyclotomicField
-    rows: tuple  # rows of 2B over Z[theta]: per entry, `degree` ints (theta^0 first)
+    __slots__ = ("cm", "field", "rows", "__dict__")
+
+    def __init__(self, cm: CoxeterMatrix, field: RealCyclotomicField, rows: tuple):
+        self.cm = cm
+        self.field = field
+        self.rows = rows  # rows of 2B over Z[theta]: per entry, `degree` ints (theta^0 first)
 
 
 def gram_matrix(cm: CoxeterMatrix) -> GramMatrix:
@@ -189,12 +194,15 @@ class Kind(enum.Enum):
     NON_AFFINE = "NonAffine"
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
-    kind: Kind
-    components: tuple  # ((subset tuple, Kind), ...)
-    minimal_nonaffine: bool
-    signature: tuple  # (positives, negatives, zeros) of the whole Gram form
+class TypeVerdict(Record):
+    __slots__ = ("kind", "components", "minimal_nonaffine", "signature")
+
+    def __init__(self, kind: Kind, components: tuple, minimal_nonaffine: bool,
+                 signature: tuple):
+        self.kind = kind
+        self.components = components  # ((subset tuple, Kind), ...)
+        self.minimal_nonaffine = minimal_nonaffine
+        self.signature = signature  # (positives, negatives, zeros) of the whole Gram form
 
 
 def _generator_subset(cm: CoxeterMatrix, subset):

@@ -19,9 +19,9 @@ certified rational-interval margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .coxeter import INF, CoxeterMatrix, order_text
 from .errors import DomainError, ResourceCapError, require
 from .intervals import le_two_pi, margin_over_two_pi
@@ -44,12 +44,14 @@ def _normalize_proj(m):
     return (a, b, c, d)
 
 
-@dataclass(frozen=True)
-class PlaneIsometry:
+class PlaneIsometry(Record):
     """Projectivized integer matrix with an orientation bit."""
 
-    m: tuple          # (a, b, c, d), gcd 1, first nonzero positive
-    reversing: bool
+    __slots__ = ("m", "reversing")
+
+    def __init__(self, m: tuple, reversing: bool):
+        self.m = m  # (a, b, c, d), gcd 1, first nonzero positive
+        self.reversing = reversing
 
     @classmethod
     def make(cls, a, b, c, d, reversing):
@@ -87,16 +89,19 @@ class PlaneIsometry:
 IDENTITY = PlaneIsometry((1, 0, 0, 1), False)
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(Record):
     """One cusp: stabilizer generators and the conjugated horocycle picture."""
 
-    s: int                    # V_s = < S \ {s} >
-    vertex: object            # Fraction or None for the point at infinity
-    conjugator: PlaneIsometry  # unimodular, sends the vertex to infinity
-    gen_indices: tuple        # the two generator indices spanning V_s
-    mirror_offsets: tuple     # (m1, m2): conjugated reflections x -> m_i - x
-    width: Fraction           # translation length of the stabilizer lattice
+    __slots__ = ("s", "vertex", "conjugator", "gen_indices", "mirror_offsets", "width")
+
+    def __init__(self, s: int, vertex: object, conjugator: PlaneIsometry,
+                 gen_indices: tuple, mirror_offsets: tuple, width: Fraction):
+        self.s = s                            # V_s = < S \ {s} >
+        self.vertex = vertex                  # Fraction or None for the point at infinity
+        self.conjugator = conjugator          # unimodular, sends the vertex to infinity
+        self.gen_indices = gen_indices        # the two generator indices spanning V_s
+        self.mirror_offsets = mirror_offsets  # (m1, m2): conjugated reflections x -> m_i - x
+        self.width = width                    # translation length of the stabilizer lattice
 
     @property
     def tau(self):
@@ -105,13 +110,16 @@ class CuspData:
         return (m1 / 2, m2 / 2)
 
 
-@dataclass
-class TriangleModel:
-    p: object
-    q: object
-    cm: CoxeterMatrix
-    generators: tuple        # three PlaneIsometry reflections
-    cusps: dict              # s -> CuspData for each ideal vertex
+class TriangleModel(Record):
+    __slots__ = ("p", "q", "cm", "generators", "cusps")
+
+    def __init__(self, p: object, q: object, cm: CoxeterMatrix, generators: tuple,
+                 cusps: dict):
+        self.p = p
+        self.q = q
+        self.cm = cm
+        self.generators = generators  # three PlaneIsometry reflections
+        self.cusps = cusps            # s -> CuspData for each ideal vertex
 
     def element(self, word):
         out = IDENTITY
@@ -242,15 +250,18 @@ def check_horoball_disjointness(model: TriangleModel, h: Fraction):
             "ball of Euclidean diameter 1/h > h touching the original" % h)
 
 
-@dataclass(frozen=True)
-class ShortElement:
+class ShortElement(Record):
     """A cusp-stabilizer element together with its exact displacement."""
 
-    word: tuple              # word in the global generator indices
-    kind: str                # "translation" | "reflection"
-    parameter: int           # t^j, or mirror index j
-    displacement: Fraction   # dist(tau, v tau) on the height-h horocycle
-    matrix: PlaneIsometry
+    __slots__ = ("word", "kind", "parameter", "displacement", "matrix")
+
+    def __init__(self, word: tuple, kind: str, parameter: int, displacement: Fraction,
+                 matrix: PlaneIsometry):
+        self.word = word                  # word in the global generator indices
+        self.kind = kind                  # "translation" | "reflection"
+        self.parameter = parameter        # t^j, or mirror index j
+        self.displacement = displacement  # dist(tau, v tau) on the height-h horocycle
+        self.matrix = matrix
 
 
 def _affine_action(cusp, v):
@@ -341,18 +352,23 @@ def _finite_parabolic_elements(model: TriangleModel):
     return out
 
 
-@dataclass
-class AvoidanceCertificate:
+class AvoidanceCertificate(Record):
     """A prime certifying a torsion-free congruence kernel avoiding A_s sets:
     no element of `short_sets` and no nontrivial element of a finite standard
     parabolic is scalar mod `prime`."""
 
-    h: Fraction
-    prime: int
-    short_sets: dict          # s -> list of ShortElement
-    kernel_min_displacement: Fraction
-    per_cusp_margin: dict     # s -> (min displacement, margin interval)
-    margin_interval: tuple    # enclosure of min displacement - 2*pi
+    __slots__ = ("h", "prime", "short_sets", "kernel_min_displacement",
+                 "per_cusp_margin", "margin_interval")
+
+    def __init__(self, h: Fraction, prime: int, short_sets: dict,
+                 kernel_min_displacement: Fraction, per_cusp_margin: dict,
+                 margin_interval: tuple):
+        self.h = h
+        self.prime = prime
+        self.short_sets = short_sets            # s -> list of ShortElement
+        self.kernel_min_displacement = kernel_min_displacement
+        self.per_cusp_margin = per_cusp_margin  # s -> (min displacement, margin interval)
+        self.margin_interval = margin_interval  # enclosure of min displacement - 2*pi
 
     @property
     def margin_positive(self):

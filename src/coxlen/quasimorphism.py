@@ -16,10 +16,10 @@ B = 3|w| already attains the global defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from ._record import Record
 from .coxeter import INF, CoxeterMatrix
 from .errors import DomainError, InputError, ResourceCapError
 
@@ -36,14 +36,14 @@ def every_bond_infinite(cm: CoxeterMatrix) -> bool:
     return all(m == INF for i, row in enumerate(cm.entries) for m in row[i + 1:])
 
 
-@dataclass(frozen=True)
-class FreeCoxeterWord:
+class FreeCoxeterWord(Record):
     """Reduced word in Z/2 * ... * Z/2 (k factors)."""
 
-    letters: str
-    k: int
+    __slots__ = ("letters", "k")
 
-    def __post_init__(self):
+    def __init__(self, letters: str, k: int):
+        self.letters = letters
+        self.k = k
         for x, y in zip(self.letters, self.letters[1:]):
             if x == y:
                 raise InputError("word %r is not reduced" % self.letters)
@@ -132,13 +132,16 @@ def _reduced_words_upto(k, maxlen):
     return out
 
 
-@dataclass
-class DefectResult:
-    pattern: FreeCoxeterWord
-    window: int
-    value: int
-    pair: tuple          # (g, h) strings attaining the value
-    stabilized: bool
+class DefectResult(Record):
+    __slots__ = ("pattern", "window", "value", "pair", "stabilized")
+
+    def __init__(self, pattern: FreeCoxeterWord, window: int, value: int, pair: tuple,
+                 stabilized: bool):
+        self.pattern = pattern
+        self.window = window
+        self.value = value
+        self.pair = pair  # (g, h) strings attaining the value
+        self.stabilized = stabilized
 
 
 def _defect_over_window(w: FreeCoxeterWord, B: int):
@@ -246,8 +249,7 @@ def homogenize(w: FreeCoxeterWord, g) -> Fraction:
     return Fraction(cyclic(w.letters) - cyclic(w.letters[::-1]))
 
 
-@dataclass
-class QuasimorphismCert:
+class QuasimorphismCert(Record):
     """A counting quasimorphism with its exact defect and derived constant.
 
     For any product of n conjugates of generators, homogeneity and
@@ -256,15 +258,21 @@ class QuasimorphismCert:
     which for the standard generating set is reflection length.
     """
 
-    k: int
-    pattern: FreeCoxeterWord
-    raw_defect: int
-    window: int
-    homogeneous_defect: Fraction  # bound: 2 * raw defect
-    generator_max: Fraction
-    constant: Fraction
-    stabilized: bool
-    defect_pair: tuple
+    __slots__ = ("k", "pattern", "raw_defect", "window", "homogeneous_defect",
+                 "generator_max", "constant", "stabilized", "defect_pair")
+
+    def __init__(self, k: int, pattern: FreeCoxeterWord, raw_defect: int, window: int,
+                 homogeneous_defect: Fraction, generator_max: Fraction,
+                 constant: Fraction, stabilized: bool, defect_pair: tuple):
+        self.k = k
+        self.pattern = pattern
+        self.raw_defect = raw_defect
+        self.window = window
+        self.homogeneous_defect = homogeneous_defect  # bound: 2 * raw defect
+        self.generator_max = generator_max
+        self.constant = constant
+        self.stabilized = stabilized
+        self.defect_pair = defect_pair
 
     def pattern_text(self):
         return self.pattern.letters

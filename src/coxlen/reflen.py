@@ -27,16 +27,11 @@ products, shared by every target of a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tits
+from ._record import Record
 from .coxeter import CoxeterMatrix, Kind, classify_group
 from .errors import DomainError, ResourceCapError, require
-from .tits import GroupElement, TitsGroup, canonical_key, fixed_space_codim
-
-# the one cap of every search: elements stored by `min_product_length` and
-# the standard ball, unless the caller gives another
-NODE_CAP = 5_000_000
+from .tits import NODE_CAP, GroupElement, TitsGroup, canonical_key, fixed_space_codim
 
 _GROUP_CACHE = {}
 # group -> (depth cap, enumerate_reflections list): the deepest made so far
@@ -49,15 +44,18 @@ def get_group(cm: CoxeterMatrix) -> TitsGroup:
     return _GROUP_CACHE[cm]
 
 
-def get_reflections(group: TitsGroup, D: int):
+def get_reflections(group: TitsGroup, D: int, cap=NODE_CAP):
     """The reflections of root depth <= D, as `enumerate_reflections` lists
-    them: the depth <= D prefix of the deepest enumeration made so far for
-    the group, enumerating again only for a deeper D."""
+    them under `cap`: the depth <= D prefix of the deepest enumeration made
+    so far for the group, enumerating again only for a deeper D.  The prefix
+    answers to `cap` as a new enumeration would."""
     cached = _REFLECTION_CACHE.get(group.cm)
     if cached is None or cached[0] < D:
-        cached = D, tits.enumerate_reflections(group.gram, D)
+        cached = D, tits.enumerate_reflections(group.gram, D, cap)
         _REFLECTION_CACHE[group.cm] = cached
-    return [r for r in cached[1] if r.depth <= D]
+    out = [r for r in cached[1] if r.depth <= D]
+    tits._check_reflection_cap(sum(r.depth < D for r in out), D, cap)
+    return out
 
 
 # the truncated ladder's schedule: D = 2, 4, ... up to ReflenProtocol.d_cap,
@@ -67,29 +65,36 @@ _D_STEP = 2
 _STABLE_INCREMENTS = 2
 
 
-@dataclass
-class ReflenProtocol:
+class ReflenProtocol(Record):
     """Caps for reflection-length computations: `d_cap` is the deepest rung
     of the truncated ladder, and `node_cap` bounds every search (the exact
-    solver, each ladder rung, and the ball and its shared search)."""
+    solver, each ladder rung, and the ball and its shared search) and the
+    reflection enumeration they draw on."""
 
-    d_cap: int = 6
-    node_cap: int = NODE_CAP
-    use_exact_solver: bool = True
+    __slots__ = ("d_cap", "node_cap", "use_exact_solver")
+
+    def __init__(self, d_cap: int = 6, node_cap: int = NODE_CAP,
+                 use_exact_solver: bool = True):
+        self.d_cap = d_cap
+        self.node_cap = node_cap
+        self.use_exact_solver = use_exact_solver
 
 
-@dataclass
-class ReflLenResult:
-    element: GroupElement
-    upper: int | None
-    lower: int
-    status: str               # "Exact" | "Bracketed"
-    witness: tuple | None     # reflection words whose product is the element
-    depth_used: int | None
-    len_s: int
-    lower_sources: tuple = ()
+class ReflLenResult(Record):
+    __slots__ = ("element", "upper", "lower", "status", "witness", "depth_used", "len_s",
+                 "lower_sources")
 
-    def __post_init__(self):
+    def __init__(self, element: GroupElement, upper: int | None, lower: int, status: str,
+                 witness: tuple | None, depth_used: int | None, len_s: int,
+                 lower_sources: tuple = ()):
+        self.element = element
+        self.upper = upper
+        self.lower = lower
+        self.status = status      # "Exact" | "Bracketed"
+        self.witness = witness    # reflection words whose product is the element
+        self.depth_used = depth_used
+        self.len_s = len_s
+        self.lower_sources = lower_sources
         if self.upper is not None:
             require(self.lower <= self.upper, "lower bound exceeds upper bound")
             require(self.upper % 2 == self.len_s % 2, "parity violation")
@@ -111,10 +116,12 @@ def _check_caps(D, node_cap):
         raise DomainError("node cap must be >= 0, got %d" % node_cap)
 
 
-@dataclass
-class GrowthRecord:
-    base_word: tuple
-    powers: list  # [(k, ReflLenResult), ...]
+class GrowthRecord(Record):
+    __slots__ = ("base_word", "powers")
+
+    def __init__(self, base_word: tuple, powers: list):
+        self.base_word = base_word
+        self.powers = powers  # [(k, ReflLenResult), ...]
 
 
 def parity_lower(len_s: int) -> int:
@@ -403,12 +410,14 @@ def standard_ball(group: TitsGroup, L: int, node_cap=NODE_CAP):
     return out
 
 
-@dataclass
-class BallResult:
-    cm: CoxeterMatrix
-    L: int
-    D: int
-    results: dict  # key -> ReflLenResult
+class BallResult(Record):
+    __slots__ = ("cm", "L", "D", "results")
+
+    def __init__(self, cm: CoxeterMatrix, L: int, D: int, results: dict):
+        self.cm = cm
+        self.L = L
+        self.D = D
+        self.results = results  # key -> ReflLenResult
 
 
 def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
@@ -418,16 +427,17 @@ def _ball_search(cm: CoxeterMatrix, L: int, D: int, node_cap=NODE_CAP):
     shared by every ball element and bounded by its l_S (every simple
     reflection has depth 0, so l_R^(D) <= l_S); witnesses are its
     meet-in-the-middle factorizations, each re-multiplied and checked against
-    its element.  `node_cap` bounds the ball and the elements the search
-    stores, and either raises ResourceCapError when exceeded.  Returns
-    [(key, element, l_S, upper, witness factors)] in ball order.
+    its element.  `node_cap` bounds the ball, the reflection enumeration and
+    the elements the search stores, and each raises ResourceCapError when
+    exceeded.  Returns [(key, element, l_S, upper, witness factors)] in ball
+    order.
     """
     _check_caps(D, node_cap)
     if L < 0:
         raise DomainError("ball radius must be >= 0, got %d" % L)
     group = get_group(cm)
     ball = standard_ball(group, L, node_cap)
-    factors = [r.element for r in get_reflections(group, D)]
+    factors = [r.element for r in get_reflections(group, D, node_cap)]
     hits = min_product_length(group, list(ball.values()), factors, node_cap)
     rows = []
     for (key, (elt, len_s)), hit in zip(ball.items(), hits):
@@ -468,9 +478,10 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     has held for two further rungs, every witness re-multiplied and checked;
     the result is Bracketed unless the unconditional lower bounds happen to
     meet the upper bound.  depth_used is the rung that gave the upper bound,
-    None when none did.  Every search runs under protocol.node_cap: a search
-    that exceeds it gives way to the next rung, and when no rung settles
-    after that, its ResourceCapError is raised.
+    None when none did.  Every search, and the enumeration of the top rung's
+    reflections, runs under protocol.node_cap: a search that exceeds it gives
+    way to the next rung, an enumeration to the rung below, and when no rung
+    settles after that, the last ResourceCapError is raised.
     """
     protocol = protocol or ReflenProtocol()
     _check_caps(protocol.d_cap, protocol.node_cap)
@@ -504,13 +515,20 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
 
     # truncated-reflection ladder with the two-stable-increments stopping
     # rule; the group's reflections at the top rung serve every rung, because
-    # the depth <= D prefix of them is the enumeration at D
+    # the depth <= D prefix of them is the enumeration at D.  A top rung whose
+    # enumeration exceeds the cap gives way to the rung below it.
     upper = None
     witness = None
     stable = 0
     depth_used = None
     rungs = range(_D_START, protocol.d_cap + 1, _D_STEP)
-    deepest = get_reflections(group, rungs[-1]) if rungs else []
+    while rungs:
+        try:
+            deepest = get_reflections(group, rungs[-1], protocol.node_cap)
+            break
+        except ResourceCapError as e:
+            cap_error = e.with_traceback(None)
+            rungs = rungs[:-1]
     for D in rungs:
         factors = [r.element for r in deepest if r.depth <= D]
         try:
@@ -552,16 +570,20 @@ def carter_length_finite(cm: CoxeterMatrix, word) -> int:
     return fixed_space_codim(group.element(tuple(word)))
 
 
-@dataclass
-class AffineBoundRecord:
-    cm: CoxeterMatrix
-    L: int
-    euclidean_dim: int       # n: rank minus number of components
-    bound: int               # 2n
-    max_value: int
-    attained: bool
-    value_counts: dict       # value -> number of ball elements
-    ball_size: int
+class AffineBoundRecord(Record):
+    __slots__ = ("cm", "L", "euclidean_dim", "bound", "max_value", "attained",
+                 "value_counts", "ball_size")
+
+    def __init__(self, cm: CoxeterMatrix, L: int, euclidean_dim: int, bound: int,
+                 max_value: int, attained: bool, value_counts: dict, ball_size: int):
+        self.cm = cm
+        self.L = L
+        self.euclidean_dim = euclidean_dim  # n: rank minus number of components
+        self.bound = bound                  # 2n
+        self.max_value = max_value
+        self.attained = attained
+        self.value_counts = value_counts    # value -> number of ball elements
+        self.ball_size = ball_size
 
 
 def affine_bound_experiment(cm: CoxeterMatrix, L: int,

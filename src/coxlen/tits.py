@@ -85,16 +85,20 @@ for 2B and, by root, for reflections (below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from operator import mul, sub
 
 from . import linalg
+from ._record import Record
 from .coxeter import CoxeterMatrix, GramMatrix, gram_matrix
-from .errors import DomainError, require
+from .errors import DomainError, ResourceCapError, require
 from .exactfield import RealCyclotomicField, _combination
 
+# the one cap of every search: elements stored by `reflen.min_product_length`
+# and the standard ball, and the reflections one level of
+# `enumerate_reflections` is built from, unless the caller gives another
+NODE_CAP = 5_000_000
 
 # the largest field degree at which a product by a general element runs the
 # dense kernel and a product by a reflection the rank-one kernel; above it
@@ -212,8 +216,8 @@ def _rank_one_maker(w, d):
 
 
 def _kept(gram, name, make):
-    """make(gram), made on first use and kept on the (frozen) Gram under
-    `name`, so it is found without hashing the Gram."""
+    """make(gram), made on first use and kept on the Gram under `name`, so it
+    is found without hashing the Gram."""
     try:
         return gram.__dict__[name]
     except KeyError:
@@ -497,14 +501,16 @@ def canonical_key(g: GroupElement) -> bytes:
     return _kept(g.gram, "_matrix_bytes", lambda gram: _report_bytes(gram, True))(g.packed)
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Record):
     """A conjugate w s w^{-1}, realized by its positive unit root."""
 
-    element: GroupElement
-    root: tuple  # packed, as a one-column matrix over gram.field
-    depth: int
-    word: tuple  # a (not necessarily reduced) word w + (s,) + reversed(w)
+    __slots__ = ("element", "root", "depth", "word")
+
+    def __init__(self, element: GroupElement, root: tuple, depth: int, word: tuple):
+        self.element = element
+        self.root = root    # packed, as a one-column matrix over gram.field
+        self.depth = depth
+        self.word = word    # a (not necessarily reduced) word w + (s,) + reversed(w)
 
 
 def _root_key(gram, root):
@@ -513,7 +519,16 @@ def _root_key(gram, root):
     return _kept(gram, "_root_bytes", lambda gram: _report_bytes(gram, False))(root)
 
 
-def enumerate_reflections(gram: GramMatrix, depth_cap: int):
+def _check_reflection_cap(held, depth_cap, cap):
+    """Raise ResourceCapError when `held`, the reflections of root depth <
+    depth_cap, exceed `cap`: a search over them counts them toward its own
+    cap, so it could store nothing beyond its first layer."""
+    if held > cap:
+        raise ResourceCapError("reflections of root depth < %d exceeded the node cap "
+                               "of %d stored elements" % (depth_cap, cap))
+
+
+def enumerate_reflections(gram: GramMatrix, depth_cap: int, cap=NODE_CAP):
     """All reflections whose positive root has breadth-first depth <= depth_cap.
 
     The orbit of the simple roots is expanded level by level through the
@@ -525,7 +540,9 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     product by 2B per parent), and carries its `reflection`, with word (s,) +
     word(t) + (s,) for the parent's reflection t.  Roots are deduplicated by
     their packed ints and the result is sorted by (depth, root bytes over
-    the report field), so it is deterministic.
+    the report field), so it is deterministic.  A level is built only while
+    the reflections found so far are at most `cap` (`_check_reflection_cap`),
+    so at most (rank - 1) * cap more are made.
     """
     n = gram.cm.rank
     field = gram.field
@@ -536,6 +553,7 @@ def enumerate_reflections(gram: GramMatrix, depth_cap: int):
     seen = {v: (0, t) for v, t in zip(simple, gens)}  # packed root -> (depth, reflection)
     frontier = list(zip(simple, gens))
     for depth in range(1, depth_cap + 1):
+        _check_reflection_cap(len(seen), depth_cap, cap)
         new_frontier = []
         for v, t in frontier:
             rho = form(v)

@@ -20,35 +20,41 @@ taken elementwise, so no array library is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, ResourceCapError
 
 # the largest grid accepted, checked before the grid is built (see the README)
 MAX_GRID = 262_144
 
 
-@dataclass
-class BridgeSpec:
-    r_a: float
-    r_b: float
-    knots: tuple       # ((s0, y0), (s1, y1), (s2, y2), (s3, y3)) in s = r - r_a
-    base_value: float  # f(r_a)
-    base_slope: float  # f'(r_a)
+class BridgeSpec(Record):
+    __slots__ = ("r_a", "r_b", "knots", "base_value", "base_slope")
+
+    def __init__(self, r_a: float, r_b: float, knots: tuple, base_value: float,
+                 base_slope: float):
+        self.r_a = r_a
+        self.r_b = r_b
+        self.knots = knots            # ((s0, y0), (s1, y1), (s2, y2), (s3, y3)) in s = r - r_a
+        self.base_value = base_value  # f(r_a)
+        self.base_slope = base_slope  # f'(r_a)
 
 
-@dataclass
-class WarpProfile:
+class WarpProfile(Record):
     """A verified profile: analytic end pieces plus a convex C^2 bridge."""
 
-    L: float
-    r_T: float
-    bridge: BridgeSpec
-    grid: tuple        # the grid points over (r_T, 0], as floats
-    f: tuple           # f, f' and f'' at the grid points
-    fp: tuple
-    fpp: tuple
-    attempts: int
+    __slots__ = ("L", "r_T", "bridge", "grid", "f", "fp", "fpp", "attempts")
+
+    def __init__(self, L: float, r_T: float, bridge: BridgeSpec, grid: tuple, f: tuple,
+                 fp: tuple, fpp: tuple, attempts: int):
+        self.L = L
+        self.r_T = r_T
+        self.bridge = bridge
+        self.grid = grid  # the grid points over (r_T, 0], as floats
+        self.f = f        # f, f' and f'' at the grid points
+        self.fp = fp
+        self.fpp = fpp
+        self.attempts = attempts
 
     @property
     def r_a(self):

@@ -654,10 +654,10 @@ def test_rank_and_field_degree_caps_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("resource cap: ")
 
 
-def _bounded_run(argv, address_space=1 << 30):
-    """Run the CLI in a subprocess with a timeout and an address space of
-    `address_space` bytes (1 GiB by default), so an uncapped run fails
-    instead of hanging or filling memory."""
+def _bounded_run(argv, address_space=1 << 30, timeout=60):
+    """Run the CLI in a subprocess with a timeout (60 s by default) and an
+    address space of `address_space` bytes (1 GiB by default), so an
+    uncapped run fails instead of hanging or filling memory."""
     import os
     import resource
     import subprocess
@@ -671,7 +671,7 @@ def _bounded_run(argv, address_space=1 << 30):
     src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
     return subprocess.run([sys.executable, "-m", "coxlen.cli"] + argv,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=60, preexec_fn=limit)
+                          text=True, timeout=timeout, preexec_fn=limit)
 
 
 @pytest.mark.parametrize("h", ["1000", "1e400"])
@@ -722,6 +722,17 @@ def test_node_cap_bounds_the_word_searches_in_memory():
     assert out.stderr == ("resource cap: search exceeded the node cap of 500000 "
                           "stored elements\n")
     assert out.stdout == ""
+
+
+def test_node_cap_bounds_the_reflection_enumeration(tmp_path):
+    # _W3 has 3 (2^31 - 1) reflections of root depth <= 30: the enumeration
+    # stops at the cap before any search runs, and no report is written
+    out = _bounded_run(["reflen", "--inline", _W3, "-L", "1", "-D", "30",
+                        "--node-cap", "10", "--output", str(tmp_path / "out")], timeout=2)
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr == ("resource cap: reflections of root depth < 30 exceeded the "
+                          "node cap of 10 stored elements\n")
+    assert out.stdout == "" and not (tmp_path / "out").exists()
 
 
 def test_inputs_at_the_caps_are_classified(tmp_path):

@@ -2,24 +2,28 @@
 
 The names in `coxlen.__all__`, the parameters and defaults of every public
 callable (each exported function and class, and each public method of an
-exported class) and the fields of every dataclass in the package are
-compared with the tables below.  A parameter, field or name cannot be added
+exported class) and the fields of every record in the package (the
+`__slots__` of each `_record.Record` class) are compared with the tables
+below.  A parameter, field or name cannot be added
 or removed without editing these tables, and each such edit is a change to
 the behaviour contract that CHANGES.md records.
 """
 
 import ast
 import collections
-import dataclasses
 import enum
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import coxlen
+from coxlen._record import Record
 
 PUBLIC_NAMES = [
     "AvoidanceCertificate", "CoxeterMatrix", "ExactScalar", "FreeCoxeterWord",
@@ -92,7 +96,7 @@ SIGNATURES = {
     "congruence_search": "(model, h, prime_cap=100)",
     "counting_qm": "(w, g)",
     "defect_window": "(w, B)",
-    "enumerate_reflections": "(gram, depth_cap)",
+    "enumerate_reflections": "(gram, depth_cap, cap=5000000)",
     "evaluate_word": "(gens, word)",
     "exact_reflection_length": "(group, g, cap=5000000, reduced_word=None)",
     "fixed_space_codim": "(g)",
@@ -110,7 +114,7 @@ SIGNATURES = {
     "warp_profile": "(L, r_T=None, grid=512)",
 }
 
-DATACLASS_FIELDS = {
+RECORD_FIELDS = {
     "coxeter.CoxeterMatrix": "rank entries",
     "coxeter.GramMatrix": "cm field rows",
     "coxeter.TypeVerdict": "kind components minimal_nonaffine signature",
@@ -166,15 +170,59 @@ def test_public_signatures_are_pinned():
 
 
 def test_dataclass_fields_are_pinned():
+    # the records were dataclasses; the table pins their fields as before
     seen = {}
     for info in pkgutil.iter_modules(coxlen.__path__):
         module = importlib.import_module("coxlen." + info.name)
         for name, obj in vars(module).items():
-            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+            if (inspect.isclass(obj) and issubclass(obj, Record) and obj is not Record
                     and obj.__module__ == module.__name__):
                 seen[info.name + "." + name] = " ".join(
-                    f.name for f in dataclasses.fields(obj))
-    assert seen == DATACLASS_FIELDS
+                    slot for slot in obj.__slots__ if slot != "__dict__")
+    assert seen == RECORD_FIELDS
+
+
+def test_records_compare_and_hash_by_their_fields():
+    from coxlen import (CoxeterMatrix, ReflLenResult, enumerate_reflections,
+                        gram_matrix, parse_coxeter_matrix, reflen_element)
+
+    cm = CoxeterMatrix.make(((1, 3), (3, 1)))
+    twin = parse_coxeter_matrix("rank 2; m12=3")
+    assert cm is not twin and cm == twin and hash(cm) == hash(twin)
+    assert cm != CoxeterMatrix.make(((1, 4), (4, 1))) and cm != (2, cm.entries)
+    assert repr(cm) == "CoxeterMatrix(rank=2, entries=((1, 3), (3, 1)))"
+
+    once, again = (enumerate_reflections(gram_matrix(cm), 1) for _ in range(2))
+    assert once == again and [hash(r) for r in once] == [hash(r) for r in again]
+    assert repr(once[-1]).startswith("Reflection(element=")
+    assert repr(once[-1]).endswith(", depth=1, word=(1, 0, 1))")
+
+    res = reflen_element(cm, (0, 1))
+    copy = ReflLenResult(res.element, res.upper, res.lower, res.status, res.witness,
+                         res.depth_used, res.len_s, res.lower_sources)
+    assert copy is not res and copy == res and hash(copy) == hash(res)
+    assert repr(res) == ("ReflLenResult(element=%r, upper=2, lower=2, status='Exact', "
+                         "witness=%r, depth_used=None, len_s=2, lower_sources=%r)"
+                         % (res.element, res.witness, res.lower_sources))
+
+
+def test_start_up_imports_no_unused_machinery(tmp_path):
+    # `dataclasses` brings `inspect`, `ast` and `dis`, and `hashlib` OpenSSL;
+    # importing the package and its CLI adds none of them, and the reflen
+    # ball, whose CSV digests its keys, brings `hashlib` when it runs
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import coxlen, coxlen.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))\n"
+            "coxlen.cli.main(['reflen', '--inline', 'rank 2; m12=3', '-L', '1', '-D', '0',\n"
+            "                 '--output', sys.argv[1]])\n"
+            "print('hashlib' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxlen.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ball.csv")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\nTrue\n", "")
+    assert (tmp_path / "ball.csv").exists()
 
 
 def _unused_imports(source):

@@ -506,6 +506,24 @@ def test_depth_used_is_none_when_no_rung_gives_the_bound():
         reflen_element(W3, (0, 1, 2, 0, 1, 2), ReflenProtocol(d_cap=4, node_cap=5))
 
 
+def test_a_top_rung_whose_enumeration_exceeds_the_cap_gives_way():
+    # W3 has 3, 9, 21, 45 and 93 reflections of root depth <= 0 .. 4: under a
+    # cap of 50 the enumeration to depth 6 stops before building depth 5, the
+    # depth <= 6 prefix of a deeper enumeration is refused alike, and the
+    # ladder runs the rungs D = 2 and 4 instead
+    group = get_group(W3)
+    refused = "root depth < 6 exceeded the node cap of 50 stored"
+    with pytest.raises(ResourceCapError, match=refused):
+        enumerate_reflections(group.gram, 6, 50)
+    assert len(get_reflections(group, 8)) == 3 * (2 ** 9 - 1)
+    with pytest.raises(ResourceCapError, match=refused):
+        get_reflections(group, 6, 50)
+    assert len(get_reflections(group, 4, 50)) == 93
+    res = reflen_element(W3, (0, 1, 2), ReflenProtocol(use_exact_solver=False, d_cap=6,
+                                                       node_cap=50))
+    assert (res.upper, res.depth_used) == (3, 4)
+
+
 # -- the search's witness contract against brute force --------------------------
 
 

@@ -306,9 +306,9 @@ def test_reflections_are_enumerated_once_per_group_and_depth(monkeypatch):
     real = coxlen.tits.enumerate_reflections
     calls = []
 
-    def counting(gram, depth_cap):
+    def counting(gram, depth_cap, cap):
         calls.append(depth_cap)
-        return real(gram, depth_cap)
+        return real(gram, depth_cap, cap)
 
     monkeypatch.setattr(coxlen.tits, "enumerate_reflections", counting)
     monkeypatch.setattr(coxlen.reflen, "_REFLECTION_CACHE", {})

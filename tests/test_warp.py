@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -113,7 +112,8 @@ _PLANTED = {
 def _planted(kind):
     profile = warp_profile(6.5, grid=64)
     n = len(profile.grid)
-    return dataclasses.replace(profile, f=tuple(_PLANTED[kind](i, n) for i in range(n)))
+    profile.f = tuple(_PLANTED[kind](i, n) for i in range(n))
+    return profile
 
 
 @pytest.mark.parametrize("kind", sorted(_PLANTED))
