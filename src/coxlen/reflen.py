@@ -27,6 +27,8 @@ products, shared by every target of a call.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import tits
 from ._record import Record
 from .coxeter import CoxeterMatrix, Kind, classify_group
@@ -222,6 +224,21 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     prefix are tested in turn, which stores nothing beyond layer a and
     costs at most the |layer a| * |factors| row products that building
     layer a + 1 costs.
+
+    When a single target's last probe (n = its n_max) is an even n = 2a >= 4
+    and layer a is not built, layer a is walked unbuilt: the children of
+    layer a - 1, parent by parent and factor by factor, first occurrences
+    only, which is layer a's order and stored tuples.  Layer a is layer
+    a - 1 times the factors, so g^-1 x lies in it exactly when g^-1 x t_j
+    lies in layer a - 1 for some j: the first x hit is the built walk's, and
+    x^-1 g's least a-tuple is the least such j followed by the stored tuple
+    of t_j x^-1 g in layer a - 1, as on the odd walk.  A child costs up to
+    |factors| products and lookups, while building layer a costs
+    |layer a - 1| * |factors| products and inserts, an insert about two
+    lookups; so after 2 |layer a - 1| children without a hit the layer is
+    built and walked.  The unbuilt walk is taken only when stored +
+    |layer a - 1| * |factors| <= cap, where building layer a could not
+    exceed the cap either, so no cap outcome changes.
     """
     hits = []
     pending = []        # (target index, element, n_max) still to settle
@@ -257,11 +274,8 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                                                    "of %d stored elements" % cap)
             layers[j] = new
 
-    def first_hit(start, a, b, walk):
-        """(stored tuple, j) of the first x in layer a with g^-1 x in layer
-        b (j = None), or, when walking, with g^-1 x t_j in layer a for some
-        j, the least such j; where start = K(g^-1).  None when there is no
-        such x."""
+    def shifter(start, a):
+        """K(g^-1 y) for y in a layer below a, where start = K(g^-1)."""
         last = [None] * a   # level k: (key, K(g^-1 y)) of the last prefix y
 
         def shifted(k, key):
@@ -274,10 +288,26 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             value = products[wit[-1]](shifted(k - 1, parent))
             last[k] = key, value
             return value
+        return shifted
 
-        inner = layers[a if walk else b]
-        for wit, parent in layers[a].values():
-            y = products[wit[-1]](shifted(a - 1, parent))
+    def children(shifted, a):
+        """(stored tuple, K(g^-1 x)) for x in layer a, in its order, from the
+        children of layer a - 1, each first occurrence told by K(g^-1 x)."""
+        seen = set()
+        for key, (wit, _) in layers[a - 1].items():
+            y = shifted(a - 1, key)
+            for i, product in enumerate(products):
+                z = product(y)
+                if z not in seen:
+                    seen.add(z)
+                    yield wit + (i,), z
+
+    def first_hit(candidates, inner, walk):
+        """(stored tuple, j) of the first candidate x, given as (stored
+        tuple, K(g^-1 x)), with g^-1 x in the layer `inner` (j = None), or,
+        when walking, with g^-1 x t_j in it for some j, the least such j.
+        None when there is no such x."""
+        for wit, y in candidates:
             if walk:
                 for j, product in enumerate(products):
                     if product(y) in inner:
@@ -313,8 +343,14 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             continue
         a = n // 2
         b = n - a
-        walk = len(probing) == 1 and 0 < a < b and b not in layers
-        extend(a if walk else b)
+        single = len(probing) == 1
+        walk = single and 0 < a < b and b not in layers
+        lazy = single and n == probing[0][2] and a == b > 1 and a not in layers
+        if lazy:
+            extend(a - 1)
+            lazy = stored + len(layers[a - 1]) * len(factors) <= cap
+        if not lazy:
+            extend(a if walk else b)
         for i, g, _ in probing:
             if a == 0:
                 hit = layers[b].get(tits.row_key(g))
@@ -325,10 +361,22 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 word = group.reduced_word(g) if g.word is None else g.word
                 walks[i] = word, through(one, reversed(word))
             word, start = walks[i]
-            found = first_hit(start, a, b, walk)
+            shifted = shifter(start, a)
+            if lazy:
+                made = children(shifted, a)
+                k = a - 1
+                found = first_hit(islice(made, 2 * len(layers[k])), layers[k], True)
+                if found is None and next(made, None) is not None:
+                    extend(a)   # past the budget: build layer a and walk it
+                    lazy = False
+            if not lazy:
+                k = a if walk else b
+                found = first_hit(((wit, products[wit[-1]](shifted(a - 1, parent)))
+                                   for wit, parent in layers[a].values()),
+                                  layers[k], walk)
             if found is not None:
                 wit_a, j = found
-                hits[i] = n, wit_a + witness_in(a if walk else b, word, wit_a, j)
+                hits[i] = n, wit_a + witness_in(k, word, wit_a, j)
         pending = [p for p in pending if hits[p[0]] is None]
     return hits
 
@@ -477,11 +525,14 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
     are computed for D = 2, 4, ... <= protocol.d_cap, stopping once a bound
     has held for two further rungs, every witness re-multiplied and checked;
     the result is Bracketed unless the unconditional lower bounds happen to
-    meet the upper bound.  depth_used is the rung that gave the upper bound,
-    None when none did.  Every search, and the enumeration of the top rung's
-    reflections, runs under protocol.node_cap: a search that exceeds it gives
-    way to the next rung, an enumeration to the rung below, and when no rung
-    settles after that, the last ResourceCapError is raised.
+    meet the upper bound.  The rung-D reflections are a prefix of the
+    rung-(D+2) ones, so each later rung searches only up to the previous
+    settled rung's bound, and the first up to l_S.  depth_used is the rung
+    that gave the upper bound, None when none did.  Every search, and the
+    enumeration of the top rung's reflections, runs under protocol.node_cap:
+    a search that exceeds it gives way to the next rung, an enumeration to
+    the rung below, and when no rung settles after that, the last
+    ResourceCapError is raised.
     """
     protocol = protocol or ReflenProtocol()
     _check_caps(protocol.d_cap, protocol.node_cap)
@@ -531,17 +582,17 @@ def reflen_element(cm: CoxeterMatrix, word, protocol: ReflenProtocol = None,
             rungs = rungs[:-1]
     for D in rungs:
         factors = [r.element for r in deepest if r.depth <= D]
+        bound = len_s if upper is None else upper
         try:
-            (hit,) = min_product_length(group, [(g, len_s)], factors,
+            (hit,) = min_product_length(group, [(g, bound)], factors,
                                         protocol.node_cap)
         except ResourceCapError as e:
             cap_error = e.with_traceback(None)
             continue
-        require(hit is not None, "no rung factorization within l_S, though every "
-                "simple reflection has depth 0")
+        require(hit is not None, "no rung factorization within %d factors, the %s",
+                bound, "l_S, though every simple reflection has depth 0"
+                if upper is None else "bound of a rung over fewer reflections")
         new_upper, parts = _witness(group, factors, hit[1], g)
-        if upper is not None:
-            require(new_upper <= upper, "l_R^(D) must be non-increasing in D")
         if upper is not None and new_upper == upper:
             stable += 1
         else:

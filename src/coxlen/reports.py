@@ -3,7 +3,7 @@
 Identical configurations yield byte-identical files, with LF line endings.
 `json_report` writes {tool, version, config, report}; `csv_report` writes the
 version, the configuration as one line of JSON, the header and the rows,
-each cell its `str` ("inf" for None).  Every JSON text comes from `_json`:
+each cell its `str`.  Every JSON text comes from `_json`:
 sorted keys, no NaN or infinity, and a `Fraction` as "a/b" ("a" when whole)
 through the default hook `format_rational`, as `str` renders it in a cell.
 `format_interval` adds 15-significant-digit decimals to an interval's ends.
@@ -51,7 +51,7 @@ def csv_report(header, rows, config: dict) -> bytes:
         header,
     ]
     for row in rows:
-        lines.append(",".join("inf" if c is None else str(c) for c in row))
+        lines.append(",".join(map(str, row)))
     return ("\n".join(lines) + "\n").encode()
 
 

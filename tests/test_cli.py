@@ -107,6 +107,35 @@ def test_warp_csv(tmp_path):
     assert float(last[0]) == 0.0 and float(last[1]) == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf", "--word", "abc", "--K", "3",
+     "-D", "0"],
+    ["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf", "--word", "abc", "--K", "3",
+     "--pattern", "abc"],
+    ["reflen", "--inline", "rank 3; m12=3 m13=3 m23=4", "-L", "3", "-D", "0"],
+    ["reflen", "--inline", "rank 3; m12=inf m13=inf m23=inf", "-L", "4", "-D", "2"],
+    ["warp", "--L", "6.5", "--grid", "16"],
+])
+def test_csv_rows_hold_no_none(tmp_path, monkeypatch, argv):
+    # csv_report renders a cell by str: every row a CLI report writes holds
+    # a value in each column, an upper bound included
+    import coxlen.cli
+
+    real = coxlen.cli.csv_report
+    written = []
+
+    def recording(header, rows, config):
+        rows = [tuple(row) for row in rows]
+        written.extend(rows)
+        return real(header, rows, config)
+
+    monkeypatch.setattr(coxlen.cli, "csv_report", recording)
+    code, data = run_cli(argv, tmp_path)
+    assert code == 0 and written
+    assert not any(c is None for row in written for c in row)
+    assert b"None" not in data
+
+
 @pytest.mark.parametrize("text, subsets", [
     ("rank 24; m12=inf m13=inf m23=inf", [[1, 2, 3]]),
     ("rank 42; m1_2=inf m1_3=inf m2_3=inf m4_5=3 m5_6=3 m6_7=3 m7_8=3 m4_8=4 "

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import coxlen.reflen
 from coxlen.coxeter import INF, CoxeterMatrix, classify_group, parse_coxeter_matrix
@@ -17,7 +17,7 @@ from coxlen.reflen import (NODE_CAP, AffineBoundRecord, ReflenProtocol,
                            reflection_distances, reflen_ball, reflen_element,
                            standard_ball)
 from coxlen.tits import (GroupElement, enumerate_reflections, fixed_space_codim,
-                         row_factor)
+                         row_factor, row_key)
 from tits_oracles import image_root, matrix_is_built
 
 A2 = parse_coxeter_matrix("rank 2; m12=3")
@@ -26,6 +26,7 @@ A3 = parse_coxeter_matrix("rank 3; m12=3 m23=3")
 AT1 = parse_coxeter_matrix("rank 2; m12=inf")
 AT2 = parse_coxeter_matrix("rank 3; m12=3 m13=3 m23=3")
 W3 = parse_coxeter_matrix("rank 3; m12=inf m13=inf m23=inf")
+W4 = parse_coxeter_matrix("rank 4; m12=inf m13=inf m14=inf m23=inf m24=inf m34=inf")
 
 
 # -- independent oracle: symmetric groups as permutations --------------------
@@ -612,6 +613,114 @@ def test_single_odd_target_settles_without_the_next_layer():
     assert min_product_length(group, [(target, 3)], factors, cap=1000) == \
         [(3, (0, 3, 11))]
     assert min_product_length(group, [(target, 3)], factors) == [(3, (0, 3, 11))]
+
+
+def _layer_sizes(group, factors, k):
+    """|L_1|, ..., |L_k|: the distinct products of 1, ..., k factors, on row keys."""
+    products = [row_factor(t) for t in factors]
+    layer = {product(row_key(group.identity)) for product in products}
+    sizes = [len(layer)]
+    for _ in range(k - 1):
+        layer = {product(key) for key in layer for product in products}
+        sizes.append(len(layer))
+    return sizes
+
+
+@st.composite
+def _last_probe_case(draw):
+    """(group, factors, g): a rank 3-4 diagram, an element of l_S 4-10, and
+    the reflections of depth <= 2 or 4, or the element's inversions.  Depth 4
+    is drawn at rank 3 only: at rank 4 it holds up to ~480 reflections, whose
+    second layer takes seconds to build."""
+    n = draw(st.integers(3, 4))
+    entries = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i][j] = entries[j][i] = draw(st.sampled_from([2, 3, 4, 6, INF]))
+    group = get_group(CoxeterMatrix.make(entries))
+    g = group.element(tuple(draw(st.lists(st.integers(0, n - 1), min_size=4,
+                                          max_size=10))))
+    rw = group.reduced_word(g)
+    assume(len(rw) >= 4)
+    D = draw(st.sampled_from([None, 2, 4] if n == 3 else [None, 2]))
+    if D is None:
+        return group, inversion_reflections(group, rw), g
+    return group, [r.element for r in get_reflections(group, D)], g
+
+
+def _check_last_probe(group, factors, g):
+    """The single-target search for g with n_max = l_S, and at n_max = n, its
+    hit's length, against the same search run to n + 2, whose probe at n is
+    not its last and builds the layers it walks: the same hit, and the same
+    hit or cap error at caps around stored + |L_(a-1)| |factors| for n = 2a."""
+    len_s = len(group.reduced_word(g))
+
+    def search(n_max, cap=NODE_CAP):
+        try:
+            return min_product_length(group, [(g, n_max)], factors, cap)
+        except ResourceCapError as e:
+            return str(e)
+
+    (hit,) = search(len_s)
+    n = hit[0]
+    caps = [len(factors), NODE_CAP]
+    if n % 2 == 0 and n >= 4:
+        sizes = _layer_sizes(group, factors, n // 2 - 1)
+        rule = len(factors) + sum(sizes[1:]) + sizes[-1] * len(factors)
+        caps += [rule - 1, rule, rule + 1]
+    assert search(n) == [hit]
+    settled = None   # a cap only raises: the built result under the least cap it settles at
+    for cap in sorted(caps):
+        expected = settled or search(n + 2, cap)
+        if not isinstance(expected, str):
+            settled = expected
+        assert search(n, cap) == expected, cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(_last_probe_case())
+def test_a_last_even_probe_hits_as_the_built_layer_does(case):
+    # a single target whose last probe n = 2a is even walks the children of
+    # layer a - 1 instead of building layer a, when the cap allows building it
+    _check_last_probe(*case)
+
+
+def _counted(factors):
+    """Copies of the factors read only through their products, and a list
+    whose one entry counts the row products made through them."""
+    count = [0]
+
+    def counting(product):
+        def apply(row):
+            count[0] += 1
+            return product(row)
+        return apply
+
+    copies = [_product_only(t) for t in factors]
+    for copy in copies:
+        copy._factor = counting(copy._factor)
+    return copies, count
+
+
+def test_a_last_even_probe_stops_at_its_first_hit():
+    # l_R^(4)(bcacbabc) = 4 in W3: over the 93 reflections of R_4 the probe
+    # at n = n_max = 4 stops at its first hit, where building layer 2 makes
+    # 93^2 = 8649 row products before it is walked
+    group = get_group(W3)
+    factors, count = _counted([r.element for r in get_reflections(group, 4)])
+    g = group.element((1, 2, 0, 2, 1, 0, 1, 2))
+    assert min_product_length(group, [(g, 4)], factors) == [(4, (0, 2, 19, 11))]
+    assert count[0] <= 1000
+    res = reflen_element(W3, g.word, ReflenProtocol(use_exact_solver=False, d_cap=4))
+    assert (res.upper, res.lower, res.status, res.depth_used) == (4, 2, "Bracketed", 4)
+    assert res.witness == ((2,), (0,), (0, 2, 1, 2, 0), (2, 1, 0, 1, 2))
+    # past the budget of 2 |L_(a-1)| children the layer is built and walked:
+    # over the inversions of dcbdabcacdabca in W4 the hit at n = 6 comes late
+    group = get_group(W4)
+    g = group.element((3, 2, 1, 3, 0, 1, 2, 0, 2, 3, 0, 1, 2, 0))
+    factors = inversion_reflections(group, group.reduced_word(g))
+    assert min_product_length(group, [(g, 6)], factors) == [(6, (11, 9, 8, 5, 2, 1))]
+    _check_last_probe(group, factors, g)
 
 
 # stored-element caps just below and above the count after each layer: T334
