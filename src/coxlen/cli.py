@@ -103,7 +103,7 @@ def cmd_subgroups(args):
 def cmd_reflen(args):
     cm = _read_matrix(args)
     config = _config(args, ("inline", "input", "word", "L", "D"))
-    if args.word:
+    if args.word is not None:
         word = _parse_word(args.word, cm.rank)
         if max(word, default=0) >= len(_ALPHABET):
             raise InputError("the report spells words in the letters a-z; generator %d "
@@ -133,7 +133,7 @@ def cmd_growth(args):
     cm = _read_matrix(args)
     word = _parse_word(args.word, cm.rank)
     certs = ()
-    if args.pattern:
+    if args.pattern is not None:
         if not every_bond_infinite(cm):
             raise DomainError("--pattern certifies free Coxeter groups only (every "
                               "bond inf); this diagram has a finite bond")
@@ -327,6 +327,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         data, code = args.fn(args)
+        try:
+            write_report(data, args.output)
+        except OSError as e:
+            if args.output is None:
+                raise
+            raise InputError("cannot write --output %s: %s" % (args.output, e)) from None
     except MemoryError:
         code = None     # reported below, once the run's frames are freed
     except ResourceCapError as e:
@@ -344,7 +350,6 @@ def main(argv=None):
             hint = " at --node-cap %d; a lower --node-cap bounds the search" % args.node_cap
         print("resource cap: out of memory%s" % hint, file=sys.stderr)
         return 2
-    write_report(data, args.output)
     return code
 
 

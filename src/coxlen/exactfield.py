@@ -338,10 +338,13 @@ class RealCyclotomicField:
         evaluation runs again.  The value is nonzero, as 1, theta, ...,
         theta^(degree-1) are linearly independent over Q and num is not all
         zero, and the interval's width shrinks with the enclosure's (P grows
-        with it, so the rounding does too), so the loop ends.
+        with it, so the rounding does too), so the loop ends.  A den <= 0, or
+        more than `degree` coefficients, raises ValueError.
         """
         if len(num) > self.degree:
             raise ValueError("sign_of needs at most %d coefficients" % self.degree)
+        if den <= 0:
+            raise ValueError("sign_of needs a positive denominator, got %d" % den)
         if not any(num):
             return 0
         if self.degree == 1:

@@ -212,33 +212,25 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
     K(1) carried through a word of g, last letter first: g's own, or its
     reduced word when it has none.
     Only on a hit is K(x^-1 g) formed, to read its stored tuple in layer
-    b: K(1) carried through the factors of x, last first, and then through
-    the same word of g, first letter first, one product by a generator per
-    letter, so no product by g's matrix is made.
+    b: the key of x's last factor carried through its other factors, last
+    first, and then through the same word of g, first letter first, one
+    product by a generator per letter, so no product by g's matrix is made.
 
-    When a single target probes an odd n = 2a + 1 >= 3 and layer a + 1 is
-    not built yet, it is not built at all: g^-1 x lies in layer a + 1
-    exactly when g^-1 x t_j lies in layer a for some j, and the stored
-    witness of x^-1 g there would be the least j with t_j x^-1 g in layer a
-    followed by that element's witness in layer a.  The children of each
-    prefix are tested in turn, which stores nothing beyond layer a and
-    costs at most the |layer a| * |factors| row products that building
-    layer a + 1 costs.
-
-    When a single target's last probe (n = its n_max) is an even n = 2a >= 4
-    and layer a is not built, layer a is walked unbuilt: the children of
-    layer a - 1, parent by parent and factor by factor, first occurrences
-    only, which is layer a's order and stored tuples.  Layer a is layer
-    a - 1 times the factors, so g^-1 x lies in it exactly when g^-1 x t_j
-    lies in layer a - 1 for some j: the first x hit is the built walk's, and
-    x^-1 g's least a-tuple is the least such j followed by the stored tuple
-    of t_j x^-1 g in layer a - 1, as on the odd walk.  A child costs up to
-    |factors| products and lookups, while building layer a costs
-    |layer a - 1| * |factors| products and inserts, an insert about two
-    lookups; so after 2 |layer a - 1| children without a hit the layer is
-    built and walked.  The unbuilt walk is taken only when stored +
-    |layer a - 1| * |factors| <= cap, where building layer a could not
-    exceed the cap either, so no cap outcome changes.
+    A single target whose layer b is not built tests g^-1 x t_j against
+    layer b - 1 instead, storing nothing beyond it: layer b is layer b - 1
+    times the factors, so g^-1 x lies in layer b exactly when g^-1 x t_j
+    lies in layer b - 1 for some j, and the stored tuple of x^-1 g there is
+    the least such j followed by that of t_j x^-1 g in layer b - 1, read as
+    above with x t_j for x.  This happens at every odd n >= 3, costing at
+    most the |layer a| |factors| products that building layer b costs, and
+    at the target's last even n >= 4, where layer a (= b) is made from the
+    children of layer a - 1, first occurrences only, which is its order and
+    stored tuples.  A child costs up to |factors| products and lookups, and
+    building layer a |layer a - 1| |factors| products and inserts, an insert
+    about two lookups; so after 2 |layer a - 1| children without a hit layer
+    a is built and walked.  The even case is taken only when
+    stored + |layer a - 1| |factors| <= cap, under which building layer a
+    stays within the cap too, so no cap outcome changes.
     """
     hits = []
     pending = []        # (target index, element, n_max) still to settle
@@ -274,8 +266,11 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                                                    "of %d stored elements" % cap)
             layers[j] = new
 
-    def shifter(start, a):
-        """K(g^-1 y) for y in a layer below a, where start = K(g^-1)."""
+    def walk(start, a):
+        """(stored tuple, K(g^-1 x)) for x in layer a, in its order, where
+        start = K(g^-1): read off layer a when it is built, else made from
+        the children of layer a - 1, each first occurrence told by K(g^-1 x).
+        K(g^-1 y) is carried down the prefixes y, the last one kept per level."""
         last = [None] * a   # level k: (key, K(g^-1 y)) of the last prefix y
 
         def shifted(k, key):
@@ -288,11 +283,11 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             value = products[wit[-1]](shifted(k - 1, parent))
             last[k] = key, value
             return value
-        return shifted
 
-    def children(shifted, a):
-        """(stored tuple, K(g^-1 x)) for x in layer a, in its order, from the
-        children of layer a - 1, each first occurrence told by K(g^-1 x)."""
+        if a in layers:
+            for wit, parent in layers[a].values():
+                yield wit, products[wit[-1]](shifted(a - 1, parent))
+            return
         seen = set()
         for key, (wit, _) in layers[a - 1].items():
             y = shifted(a - 1, key)
@@ -302,18 +297,18 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                     seen.add(z)
                     yield wit + (i,), z
 
-    def first_hit(candidates, inner, walk):
-        """(stored tuple, j) of the first candidate x, given as (stored
-        tuple, K(g^-1 x)), with g^-1 x in the layer `inner` (j = None), or,
-        when walking, with g^-1 x t_j in it for some j, the least such j.
-        None when there is no such x."""
+    def first_hit(candidates, inner, shift):
+        """The stored tuple of the first candidate x, given as (stored tuple,
+        K(g^-1 x)), with g^-1 x in the layer `inner`, or, when shifting, with
+        g^-1 x t_j in it for some j, followed by the least such j.  None when
+        there is no such x."""
         for wit, y in candidates:
-            if walk:
+            if shift:
                 for j, product in enumerate(products):
                     if product(y) in inner:
-                        return wit, j
+                        return wit + (j,)
             elif y in inner:
-                return wit, None
+                return wit
         return None
 
     def through(row, word):
@@ -322,35 +317,20 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
             row = generators[s](row)
         return row
 
-    def witness_in(k, word, wit_a, j):
-        """The stored tuple of x^-1 g in layer k, or, when walking (j not
-        None), (j,) and that of t_j x^-1 g in layer k, where x is the
-        product of the factors at wit_a and `word` spells g: K(x^-1 g), or
-        K(t_j x^-1 g), carried through the products at wit_a, last first,
-        and then through the word.  g^-1 x t_j lies in layer k exactly when
-        its inverse t_j x^-1 g does, so the j `first_hit` found is the least
-        head."""
-        head, row = ((), one) if j is None else ((j,), factor_keys[j])
-        for i in reversed(wit_a):
-            row = products[i](row)
-        hit = layers[k].get(through(row, word))
-        require(hit is not None, "a row-key hit has no stored witness")
-        return head + hit[0]
-
     for n in range(1, n_top + 1):
         probing = [p for p in pending if p[2] >= n and (p[2] - n) % 2 == 0]
         if not probing:
             continue
         a = n // 2
         b = n - a
-        single = len(probing) == 1
-        walk = single and 0 < a < b and b not in layers
-        lazy = single and n == probing[0][2] and a == b > 1 and a not in layers
-        if lazy:
-            extend(a - 1)
-            lazy = stored + len(layers[a - 1]) * len(factors) <= cap
-        if not lazy:
-            extend(a if walk else b)
+        extend(b - 1)
+        # a single target tests g^-1 x t_j against layer b - 1 (see above)
+        shift = (len(probing) == 1 and b not in layers
+                 and (a < b or n == probing[0][2]
+                      and stored + len(layers[a - 1]) * len(factors) <= cap))
+        if not shift:
+            extend(b)
+        k = b - 1 if shift else b
         for i, g, _ in probing:
             if a == 0:
                 hit = layers[b].get(tits.row_key(g))
@@ -361,22 +341,21 @@ def min_product_length(group: TitsGroup, targets, factors, cap=NODE_CAP):
                 word = group.reduced_word(g) if g.word is None else g.word
                 walks[i] = word, through(one, reversed(word))
             word, start = walks[i]
-            shifted = shifter(start, a)
-            if lazy:
-                made = children(shifted, a)
-                k = a - 1
-                found = first_hit(islice(made, 2 * len(layers[k])), layers[k], True)
-                if found is None and next(made, None) is not None:
-                    extend(a)   # past the budget: build layer a and walk it
-                    lazy = False
-            if not lazy:
-                k = a if walk else b
-                found = first_hit(((wit, products[wit[-1]](shifted(a - 1, parent)))
-                                   for wit, parent in layers[a].values()),
-                                  layers[k], walk)
+            made = walk(start, a)
+            budget = None if a in layers else 2 * len(layers[a - 1])
+            found = first_hit(islice(made, budget), layers[k], shift)
+            if found is None and next(made, None) is not None:
+                extend(a)   # past the budget: build layer a and walk it
+                k = b
+                found = first_hit(walk(start, a), layers[k], False)
             if found is not None:
-                wit_a, j = found
-                hits[i] = n, wit_a + witness_in(k, word, wit_a, j)
+                # the rest: the stored tuple of P^-1 g, P the product at `found`
+                row = factor_keys[found[-1]]
+                for j in reversed(found[:-1]):
+                    row = products[j](row)
+                hit = layers[k].get(through(row, word))
+                require(hit is not None, "a row-key hit has no stored witness")
+                hits[i] = n, found + hit[0]
         pending = [p for p in pending if hits[p[0]] is None]
     return hits
 

@@ -151,6 +151,28 @@ def test_subgroups_of_sparse_high_rank_diagrams(tmp_path, text, subsets):
                                           "minimal_nonaffine_subsets": subsets}
 
 
+def test_an_empty_word_is_the_identity(tmp_path):
+    # an empty --word is given, not absent: it reports the identity, as a
+    # blank one does, instead of running the default ball
+    for word in ("", " "):
+        code, data = run_cli(["reflen", "--inline", "rank 3; m12=3 m23=3",
+                              "--word", word], tmp_path)
+        assert code == 0
+        report = json.loads(data)["report"]
+        assert (report["word"], report["upper"], report["status"]) == ("", 0, "Exact")
+
+
+def test_an_empty_pattern_is_refused(tmp_path, capsys):
+    # growth refuses an empty --pattern as qm-certify does, instead of
+    # dropping the certificate
+    for argv in (["growth", "--inline", "rank 3; m12=inf m13=inf m23=inf",
+                  "--word", "abc", "--K", "2", "--pattern", ""],
+                 ["qm-certify", "--k", "3", "--pattern", "", "--g", "abc"]):
+        code, data = run_cli(argv, tmp_path)
+        assert (code, data) == (1, b"")
+        assert capsys.readouterr().err == "error: empty pattern\n"
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     code = main(["subgroups", "--inline", "rank 3; m12=3 m13=3 m23=3",
                  "--output", str(tmp_path / "x")])
@@ -863,19 +885,21 @@ def _argv(draw):
 
 
 @pytest.fixture(scope="module")
-def fuzz_output(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("fuzz") / "out")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @settings(max_examples=200, deadline=None)
-@given(argv=_argv())
-def test_generated_argv_ends_in_a_report_or_an_error(fuzz_output, argv):
+# --output: a writable file, a directory, or a path under a missing directory
+@given(argv=_argv(), output=st.sampled_from(["out", ".", "missing/out"]))
+def test_generated_argv_ends_in_a_report_or_an_error(fuzz_dir, argv, output):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            code = main(argv + ["--output", fuzz_output])
+            code = main(argv + ["--output", str(fuzz_dir / output)])
         except SystemExit as e:    # argparse rejecting the command line
             code = e.code
     assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code != 0 or output == "out", (argv, output)
     if code == 1:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -139,6 +139,16 @@ def test_sign_of_exact_zero_combination():
     assert v.is_zero() and v.sign() == 0
 
 
+def test_sign_of_refuses_a_denominator_that_is_not_positive():
+    F = RealCyclotomicField(5)
+    assert F.sign_of((1, 0), 1) == 1 and F.sign_of((-1, 0), 2) == -1
+    for den in (-1, 0):
+        with pytest.raises(ValueError, match="positive denominator"):
+            F.sign_of((1, 0), den)
+        with pytest.raises(ValueError, match="positive denominator"):
+            F.sign_of((0, 0), den)
+
+
 def test_cosine_values():
     # cos(pi/m) = D_(N/m)(theta)/2 for every m dividing N
     F = RealCyclotomicField(60)

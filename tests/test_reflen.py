@@ -710,7 +710,11 @@ def test_a_last_even_probe_stops_at_its_first_hit():
     factors, count = _counted([r.element for r in get_reflections(group, 4)])
     g = group.element((1, 2, 0, 2, 1, 0, 1, 2))
     assert min_product_length(group, [(g, 4)], factors) == [(4, (0, 2, 19, 11))]
-    assert count[0] <= 1000
+    assert count[0] <= 398
+    # at n_max = 6 the probe at 4 is not the last, so it builds layer 2
+    count[0] = 0
+    assert min_product_length(group, [(g, 6)], factors) == [(4, (0, 2, 19, 11))]
+    assert count[0] <= 8841
     res = reflen_element(W3, g.word, ReflenProtocol(use_exact_solver=False, d_cap=4))
     assert (res.upper, res.lower, res.status, res.depth_used) == (4, 2, "Bracketed", 4)
     assert res.witness == ((2,), (0,), (0, 2, 1, 2, 0), (2, 1, 0, 1, 2))
@@ -718,9 +722,32 @@ def test_a_last_even_probe_stops_at_its_first_hit():
     # over the inversions of dcbdabcacdabca in W4 the hit at n = 6 comes late
     group = get_group(W4)
     g = group.element((3, 2, 1, 3, 0, 1, 2, 0, 2, 3, 0, 1, 2, 0))
-    factors = inversion_reflections(group, group.reduced_word(g))
+    factors, count = _counted(inversion_reflections(group, group.reduced_word(g)))
     assert min_product_length(group, [(g, 6)], factors) == [(6, (11, 9, 8, 5, 2, 1))]
+    assert count[0] <= 10548
     _check_last_probe(group, factors, g)
+
+
+def test_odd_and_shared_probes_keep_their_product_counts():
+    # the row products each probe kind makes, counted through the factors:
+    # abc at n = 3 over the 93 reflections of R_4 in W3 tests layer 1 alone;
+    # listed twice it builds layer 2 and walks layer 1 against it
+    group = get_group(W3)
+    factors, count = _counted([r.element for r in get_reflections(group, 4)])
+    abc = group.element((0, 1, 2))
+    assert min_product_length(group, [(abc, 3)], factors) == [(3, (0, 3, 11))]
+    assert count[0] <= 99
+    count[0] = 0
+    assert min_product_length(group, [(abc, 3)] * 2, factors) == [(3, (0, 3, 11))] * 2
+    assert count[0] <= 8746
+    # the radius-5 ball of T334 over R_4 in one shared search
+    group = get_group(T334)
+    factors, count = _counted([r.element for r in get_reflections(group, 4)])
+    targets = [(elt, len_s) for elt, len_s in standard_ball(group, 5).values()]
+    assert len(targets) == 57
+    hits = min_product_length(group, targets, factors)
+    assert _sha(hits) == T334_CAP_PINS[4340]   # every target settles, as pinned
+    assert count[0] <= 728
 
 
 # stored-element caps just below and above the count after each layer: T334
